@@ -11,8 +11,8 @@ variant, and quasiminimality audits test the deformation inequality.
 from .geometry import (GrassmannSample, Plane, axis_plane, grassmann_distance,
                        haar_sample, orthonormalize, project, tangent_jacobian)
 from .sets import (Ball, PointCloudSet, SimplicialSet, ahlfors_ratios,
-                   distance_to_set, load_set, measure, rescale, restrict,
-                   save_set, translate)
+                   distance_to_set, load_set, measure, nearest_simplex, rescale,
+                   restrict, save_set, translate)
 from .scenarios import (FAMILIES, ScenarioFamily, disk_set, get_family,
                         scenario_sequence, segment_set, ycone_set)
 from .varifold import (DensityReport, DiscreteVarifold, blowup, density_report,

@@ -3,7 +3,9 @@
 Subcommands: run, distance, density, audit-ellipticity, audit-qm,
 projected-mass. Reports go to stdout (or --output) as JSON; diagnostics go
 to stderr. Exit codes: 0 success, 2 configuration error, 3 when a
-numerical-resolution warning is promoted by --strict.
+numerical-resolution warning is promoted by --strict or a numerical solve
+fails (the transshipment LP of the exact BL distance); every error prints
+an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .geometry import Plane, axis_plane
 from .integrands import (competitor_registry, get_integrand,
                          load_tabulated_integrand, semi_ellipticity_audit)
 from .lab import ScenarioSpec, run_scenario
-from .metrics import bl_distance, hausdorff_local_report, projected_mass
+from .metrics import SolverError, bl_distance, hausdorff_local_report, projected_mass
 from .quasimin import GaugeFunction, qm_audit
 from .scenarios import UnknownFamilyError
 from .sets import Ball, load_set
@@ -234,6 +236,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOLUTION
 
 
 if __name__ == "__main__":

@@ -251,7 +251,8 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
     nonincreasing = all(b2 <= b1 + BL_SLACK * (1 + bls[0]) for b1, b2 in zip(bls, bls[1:]))
     below_floor = bls[-1] < 3.0 * bl_floor
     flags["conclusion"] = nonincreasing and below_floor
-    if not below_floor and nonincreasing:
+    decreasing = bls[-1] < bls[0] - BL_SLACK * (1 + bls[0])
+    if not below_floor and nonincreasing and decreasing:
         warnings.append(
             f"bl trend decreasing but final value {bls[-1]:.4g} above the "
             f"resolution floor {3 * bl_floor:.4g}; raise atoms to resolve")

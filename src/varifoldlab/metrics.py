@@ -33,6 +33,7 @@ from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
 
 __all__ = [
+    "SolverError",
     "HausdorffReport",
     "BLDistanceReport",
     "FillingReport",
@@ -51,29 +52,37 @@ MC_TARGET_SE = 1e-3    # relative to omega_m, Monte Carlo fallback target
 # ---------------------------------------------------------------------------
 # normalized local Hausdorff distance
 
+def _max_edge_length(edges):
+    """max over the rows of ``np.linalg.norm(row)``. The one-dimensional call
+    goes through a BLAS dot, which the row-wise norm does not match bit for
+    bit, so the near-longest rows are measured again the one-dimensional way."""
+    rowwise = np.linalg.norm(edges, axis=1)
+    longest = edges[rowwise >= rowwise.max() * (1 - 1e-9)]
+    return max(float(np.linalg.norm(e)) for e in longest)
+
+
 def _sample_points(clipped, level):
-    """Sample points of a ball-clipped set at the given refinement level."""
+    """Sample points of a ball-clipped set at the given refinement level:
+    per simplex, the barycentric lattice of step 2**-level, and the largest
+    simplex diameter times that step as the sampling gap."""
     if isinstance(clipped, PointCloudSet):
         return clipped.points, 0.0
-    pts = []
-    gap = 0.0
-    for i in range(len(clipped.simplices)):
-        spx = clipped.simplex_points(i)
-        if clipped.dim == 1:
-            t = np.linspace(0.0, 1.0, 2 ** level + 1)
-            pts.append(spx[0] + t[:, None] * (spx[1] - spx[0]))
-            gap = max(gap, float(np.linalg.norm(spx[1] - spx[0])) / 2 ** level)
-        else:
-            a, b, c = spx
-            k = 2 ** level
-            for ii in range(k + 1):
-                for jj in range(k + 1 - ii):
-                    pts.append((a + (b - a) * (ii / k) + (c - a) * (jj / k))[None, :])
-            diam = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
-            gap = max(gap, float(diam) / k)
-    if not pts:
+    if clipped.is_empty():
         return np.zeros((0, clipped.ambient_dim)), 0.0
-    return np.concatenate(pts, axis=0), gap
+    k = 2 ** level
+    corners = clipped.vertices[clipped.simplices]  # (S, m+1, n)
+    a = corners[:, 0, None, :]
+    if clipped.dim == 1:
+        t = np.linspace(0.0, 1.0, k + 1)
+        pts = a + t[None, :, None] * (corners[:, 1, None, :] - a)
+        gap = _max_edge_length(corners[:, 1] - corners[:, 0]) / k
+    else:
+        ii, jj = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)]).T
+        pts = (a + (corners[:, 1, None, :] - a) * (ii / k)[None, :, None]
+               + (corners[:, 2, None, :] - a) * (jj / k)[None, :, None])
+        edges = corners[:, [1, 2, 0]] - corners  # b - a, c - b, a - c
+        gap = _max_edge_length(edges.reshape(-1, clipped.ambient_dim)) / k
+    return pts.reshape(-1, clipped.ambient_dim), gap
 
 
 def _clip_to_ball(s, ball):
@@ -151,6 +160,10 @@ def hausdorff_local(x_set, y_set, x, r, samples: int = 256) -> float:
 # ---------------------------------------------------------------------------
 # bounded-Lipschitz distance
 
+class SolverError(RuntimeError):
+    """A numerical solve did not reach an optimal solution."""
+
+
 @dataclass(frozen=True)
 class BLDistanceReport:
     value: float
@@ -192,13 +205,39 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     b_ub = np.concatenate([mu, nu])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if res.status != 0:
-        raise RuntimeError(f"transshipment LP failed: {res.message}")
+        raise SolverError(f"transshipment LP failed: {res.message}")
     value = total + float(res.fun)
     plan = res.x.reshape(a, b)
     nz = np.argwhere(plan > 1e-12)
     witness = [(int(i), int(j), float(plan[i, j])) for i, j in nz]
+    lp_lower, lp_upper = _lp_certificate(cost, mu, nu, plan, res.ineqlin.marginals)
     return BLDistanceReport(max(value, 0.0), "exact-LP", witness=witness,
-                            detail={"lp_status": "optimal"})
+                            detail={"lp_status": "optimal", "lp_lower": lp_lower,
+                                    "lp_upper": lp_upper})
+
+
+def _lp_certificate(cost, mu, nu, plan, marginals):
+    """Bounds on the exact BL value that hold whatever the solver's
+    feasibility and optimality tolerances, up to the rounding of the sums.
+
+    Lower: the caps' duals u, v >= 0 (the negated HiGHS marginals, clipped
+    at 0) give ``total - mu.u - nu.v`` by weak duality once they satisfy
+    ``u_i + v_j >= 2 - c_ij``; the largest violation is added to the side
+    of smaller mass. Upper: the plan, clipped at 0 and scaled down to meet
+    the row caps and then the column caps, is a feasible transport plan.
+    """
+    total = float(mu.sum() + nu.sum())
+    u = np.maximum(-marginals[: len(mu)], 0.0)
+    v = np.maximum(-marginals[len(mu):], 0.0)
+    violation = max(float((2.0 - cost - u[:, None] - v[None, :]).max()), 0.0)
+    lower = total - float(mu @ u + nu @ v) - violation * float(min(mu.sum(), nu.sum()))
+    x = np.maximum(plan, 0.0)
+    rows = x.sum(axis=1)
+    x *= np.minimum(1.0, mu / np.where(rows > 0, rows, 1.0))[:, None]
+    cols = x.sum(axis=0)
+    x *= np.minimum(1.0, nu / np.where(cols > 0, cols, 1.0))[None, :]
+    upper = total + float(((cost - 2.0) * x).sum())
+    return max(lower, 0.0), upper
 
 
 def _smooth_window(t):

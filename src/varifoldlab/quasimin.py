@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import Ball, SimplicialSet, distance_to_set, measure, restrict
+from .sets import (Ball, SimplicialSet, distance_to_set, measure, nearest_simplex,
+                   restrict)
 from .unions import segments_union_measure, triangles_union_measure
 from .varifold import var_of_set
 
@@ -177,14 +178,7 @@ def _make_tangent_project(ball: Ball, e: SimplicialSet) -> Optional[Deformation]
     clipped = restrict(e, ball)
     if clipped.is_empty():
         return None
-    best, best_i = np.inf, 0
-    for i in range(len(e.simplices)):
-        d = distance_to_set(ball.center[None, :],
-                            SimplicialSet(e.ambient_dim, e.dim,
-                                          e.simplex_points(i),
-                                          np.arange(e.dim + 1)[None, :]))[0]
-        if d < best:
-            best, best_i = d, i
+    best_i = nearest_simplex(ball.center[None, :], e)[1][0]
     anchor = e.simplex_points(best_i)[0]
     proj = e.simplex_frames[best_i] @ e.simplex_frames[best_i].T
     return _affine_projection_deformation("tangent_project", ball, anchor, proj)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import Plane
 
@@ -26,6 +28,7 @@ __all__ = [
     "rescale",
     "translate",
     "distance_to_set",
+    "nearest_simplex",
     "ahlfors_ratios",
     "save_set",
     "load_set",
@@ -478,6 +481,68 @@ def _point_triangle_distance(points, tri):
     return np.sqrt(d * d + perp2)
 
 
+def _candidate_rows(pts, target):
+    """For each simplex, the ascending indices of the points it can be
+    nearest to.
+
+    A point's distance to the nearest vertex or centroid, both points of
+    the set, is an upper bound ``ub`` of its distance to the set, and no
+    point of a simplex lies farther than its bounding radius ``R_s`` from
+    its centroid. So only the points within ``R_s + ub + margin`` of the
+    centroid are kept. The margin exceeds the rounding of the distance
+    kernels (the ``perp2`` cancellation in ``_point_triangle_distance`` is
+    near 1e-8 * |p - a|), so no pruned simplex can round to a distance at
+    or below a kept one's.
+    """
+    corners = target.vertices[target.simplices]  # (S, m+1, n)
+    centroids = corners.mean(axis=1)
+    radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
+    on_set = np.concatenate([target.vertices[np.unique(target.simplices)], centroids])
+    ub = cKDTree(on_set).query(pts)[0]
+    margin = 1e-6 * (1.0 + radii.max() + ub.max())
+    near = cKDTree(centroids).query_ball_point(pts, ub + radii.max() + margin)
+    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
+    simplex = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(counts.sum()))
+    row = np.repeat(np.arange(len(pts)), counts)
+    keep = (np.linalg.norm(pts[row] - centroids[simplex], axis=1)
+            <= radii[simplex] + ub[row] + margin)
+    row, simplex = row[keep], simplex[keep]
+    order = np.argsort(simplex, kind="stable")  # rows stay ascending
+    bounds = np.searchsorted(simplex[order], np.arange(len(centroids) + 1))
+    return np.split(row[order], bounds[1:-1])
+
+
+def nearest_simplex(points, target: SimplicialSet):
+    """Exact Euclidean distance from each point to a SimplicialSet, and the
+    index of its first nearest simplex (-1 on an empty set).
+
+    Bit for bit the result of evaluating every simplex in ascending order
+    on every point and keeping strict improvements: each simplex is
+    evaluated by the same per-simplex kernel, on the rows that
+    ``_candidate_rows`` cannot exclude.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(pts), np.inf)
+    index = np.full(len(pts), -1, dtype=np.int64)
+    if target.is_empty() or len(pts) == 0:
+        return best, index
+    for i, rows in enumerate(_candidate_rows(pts, target)):
+        if len(rows) == 0:
+            continue
+        # a one-row product takes BLAS's dot path, which can round
+        # differently from the matrix-vector path a longer input takes
+        sub = pts[rows] if len(rows) > 1 or len(pts) == 1 else pts[rows[[0, 0]]]
+        sp = target.simplex_points(i)
+        if target.dim == 1:
+            di = _point_segment_distance(sub, sp[0], sp[1])[: len(rows)]
+        else:
+            di = _point_triangle_distance(sub, sp)[: len(rows)]
+        better = di < best[rows]
+        best[rows[better]] = di[better]
+        index[rows[better]] = i
+    return best, index
+
+
 def distance_to_set(points, target) -> np.ndarray:
     """Exact Euclidean distances from each point to a SimplicialSet or
     PointCloudSet (point-segment / point-triangle / nearest sample point)."""
@@ -487,17 +552,7 @@ def distance_to_set(points, target) -> np.ndarray:
             return np.full(len(pts), np.inf)
         diffs = pts[:, None, :] - target.points[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).min(axis=1)
-    if target.is_empty():
-        return np.full(len(pts), np.inf)
-    best = np.full(len(pts), np.inf)
-    for i in range(len(target.simplices)):
-        sp = target.simplex_points(i)
-        if target.dim == 1:
-            di = _point_segment_distance(pts, sp[0], sp[1])
-        else:
-            di = _point_triangle_distance(pts, sp)
-        best = np.minimum(best, di)
-    return best
+    return nearest_simplex(pts, target)[0]
 
 
 def ahlfors_ratios(e: SimplicialSet, x, radii) -> np.ndarray:

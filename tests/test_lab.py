@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from varifoldlab import cli, metrics
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
 from varifoldlab.scenarios import segment_set
@@ -77,6 +79,13 @@ class TestRunScenario:
         assert not rep.flags["hausdorff"]
         assert rep.filling_verdict == "FAILS"
 
+    def test_flat_bl_trend_not_called_decreasing(self):
+        # every escape row has the same BL, far above the resolution floor
+        spec = ScenarioSpec(family="escape", k_schedule=(1, 2), atoms=16, samples=16)
+        rep = run_scenario(spec)
+        assert rep.rows[0]["bl"] == rep.rows[1]["bl"]
+        assert not any("bl trend" in w for w in rep.warnings)
+
     def test_unknown_family_config_error(self):
         from varifoldlab.scenarios import UnknownFamilyError
         with pytest.raises(UnknownFamilyError):
@@ -125,6 +134,15 @@ class TestCLI:
         res = run_cli("distance", "--kind", "bl", str(path), str(path))
         assert res.returncode == 0
         assert json.loads(res.stdout)["value"] < 1e-9
+
+    def test_failed_lp_exit_3(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "v.json"
+        save_varifold(var_of_set(segment_set(8), 1), path)
+        failed = SimpleNamespace(status=4, message="numerical difficulties")
+        monkeypatch.setattr(metrics, "linprog", lambda *args, **kwargs: failed)
+        code = cli.main(["distance", "--kind", "bl", str(path), str(path)])
+        assert code == cli.EXIT_RESOLUTION
+        assert "error: transshipment LP failed" in capsys.readouterr().err
 
     def test_run_scenario_report(self, tmp_path):
         spec = ScenarioSpec(family="zigzag", k_schedule=(1, 2, 4), atoms=32,
@@ -202,8 +220,9 @@ class TestCLI:
         assert res.returncode == 3
 
     def test_run_strict_resolution_warning(self, tmp_path):
-        # escape never converges: its bl floor warning is promoted by --strict
-        spec = ScenarioSpec(family="escape", k_schedule=(1, 2), atoms=16, samples=16)
+        # zigzag's bl decreases but stays far above the floor: that warning
+        # is promoted by --strict
+        spec = ScenarioSpec(family="zigzag", k_schedule=(1, 2), atoms=16, samples=16)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec.to_dict()))
         res = run_cli("--strict", "run", str(spec_path),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
-from varifoldlab.metrics import (bl_distance, filling_check, hausdorff_local,
-                                 hausdorff_local_report, projected_mass)
-from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set
+from varifoldlab.lab import _var_with_target_atoms
+from varifoldlab.metrics import (_sample_points, bl_distance, filling_check,
+                                 hausdorff_local, hausdorff_local_report, projected_mass)
+from varifoldlab.scenarios import disk_set, get_family, scenario_sequence, segment_set
 from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
 from varifoldlab.varifold import DiscreteVarifold, var_of_set
 
@@ -171,12 +172,72 @@ class TestBLDistance:
         assert rep.value >= 0.25
         assert rep.detail["dictionary_size"] >= 200
 
+    def test_lp_certificate_brackets_value(self):
+        rng = np.random.default_rng(3)
+        for i in range(40):
+            n, m = (2, 1) if i % 2 else (3, 2)
+            v = random_varifold(rng, int(rng.integers(1, 30)), n, m)
+            w = random_varifold(rng, int(rng.integers(1, 30)), n, m)
+            rep = bl_distance(v, w)
+            # the bounds are exact up to the rounding of their sums
+            assert rep.detail["lp_lower"] <= rep.value + 1e-12
+            assert rep.value <= rep.detail["lp_upper"] + 1e-12
+            assert rep.detail["lp_upper"] - rep.detail["lp_lower"] < 1e-6
+
+    def test_lp_certificate_exposes_graph_decay_error(self):
+        # graph_decay k=32 at 256 atoms: HiGHS stops at its absolute
+        # tolerances, about 1.9e-5 below the value certified by re-solving
+        # with masses scaled by 256, [0.00453728061195, 0.00453728061847]
+        fam = get_family("graph_decay")
+        limit = _var_with_target_atoms(fam.limit(), 256)
+        rep = bl_distance(_var_with_target_atoms(fam.make(32), 256), limit)
+        lower, upper = rep.detail["lp_lower"], rep.detail["lp_upper"]
+        assert lower <= rep.value + 1e-12 and rep.value <= upper + 1e-12
+        assert lower <= 0.00453728061195 and upper >= 0.00453728061847
+        assert upper - rep.value > 1.5e-5
+
     def test_witness_plan_structure(self):
         v = atoms(([0.0, 0.0], H.frame, 1.0))
         w = atoms(([0.2, 0.0], H.frame, 1.0))
         rep = bl_distance(v, w)
         moved = sum(m for _, _, m in rep.witness)
         assert moved == pytest.approx(1.0, abs=1e-6)
+
+
+def sample_points_loop(clipped, level):
+    """The per-simplex sampling loop that _sample_points vectorizes."""
+    pts = []
+    gap = 0.0
+    for i in range(len(clipped.simplices)):
+        spx = clipped.simplex_points(i)
+        if clipped.dim == 1:
+            t = np.linspace(0.0, 1.0, 2 ** level + 1)
+            pts.append(spx[0] + t[:, None] * (spx[1] - spx[0]))
+            gap = max(gap, float(np.linalg.norm(spx[1] - spx[0])) / 2 ** level)
+        else:
+            a, b, c = spx
+            k = 2 ** level
+            for ii in range(k + 1):
+                for jj in range(k + 1 - ii):
+                    pts.append((a + (b - a) * (ii / k) + (c - a) * (jj / k))[None, :])
+            diam = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
+            gap = max(gap, float(diam) / k)
+    if not pts:
+        return np.zeros((0, clipped.ambient_dim)), 0.0
+    return np.concatenate(pts, axis=0), gap
+
+
+@pytest.mark.parametrize("family", ["disk", "zigzag", "ycone_approx"])
+def test_sample_points_match_loop(family):
+    fam = get_family(family)
+    for k in (1, 4):
+        for r in fam.base_radii:
+            clipped = restrict(fam.make(k), Ball(np.asarray(fam.base_point, dtype=float), r))
+            for level in range(4):
+                pts, gap = _sample_points(clipped, level)
+                want_pts, want_gap = sample_points_loop(clipped, level)
+                assert np.array_equal(pts, want_pts) and pts.shape == want_pts.shape
+                assert gap == want_gap
 
 
 class TestProjectedMass:

@@ -1,0 +1,164 @@
+"""nearest_simplex against the per-simplex loop it replaces: distances equal
+bit for bit, and the index is the loop's first minimizer."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from varifoldlab.metrics import _sample_points
+from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
+from varifoldlab.scenarios import get_family
+from varifoldlab.sets import (Ball, SimplicialSet, _point_segment_distance,
+                              _point_triangle_distance, distance_to_set,
+                              nearest_simplex, restrict)
+
+
+def oracle(points, target):
+    """Every simplex on every point, in ascending order, keeping strict
+    improvements."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(pts), np.inf)
+    index = np.full(len(pts), -1, dtype=np.int64)
+    for i in range(len(target.simplices)):
+        sp = target.simplex_points(i)
+        if target.dim == 1:
+            d = _point_segment_distance(pts, sp[0], sp[1])
+        else:
+            d = _point_triangle_distance(pts, sp)
+        better = d < best
+        best[better] = d[better]
+        index[better] = i
+    return best, index
+
+
+def assert_matches_oracle(points, target):
+    dist, index = nearest_simplex(points, target)
+    want_dist, want_index = oracle(points, target)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(index, want_index)
+    assert np.array_equal(distance_to_set(points, target), want_dist)
+
+
+def grid_polyline_set(rng, size):
+    """Segments of a unit grid graph in R^2: shared vertices, equal lengths."""
+    segs = []
+    for x in range(size):
+        for y in range(size):
+            if rng.random() < 0.7:
+                segs.append(([x, y], [x + 1, y]))
+            if rng.random() < 0.7:
+                segs.append(([x, y], [x, y + 1]))
+    segs = segs or [([0, 0], [1, 0])]
+    return SimplicialSet.from_segments([np.array(s, dtype=float) for s in segs])
+
+
+def height_field_set(rng, size, relief):
+    """A triangulated grid surface z = h(x, y) in R^3 with shared edges."""
+    xs, ys = np.meshgrid(np.arange(size + 1.0), np.arange(size + 1.0), indexing="ij")
+    z = relief * rng.standard_normal(xs.shape)
+    verts = np.column_stack([xs.ravel(), ys.ravel(), z.ravel()])
+    tris = []
+    for i in range(size):
+        for j in range(size):
+            a, b = i * (size + 1) + j, (i + 1) * (size + 1) + j
+            tris += [[a, b, b + 1], [a, b + 1, a + 1]]
+    return SimplicialSet(3, 2, verts, np.array(tris))
+
+
+def query_points(rng, target, count):
+    """Near points, far points, vertices and edge midpoints (exact ties
+    between the simplices sharing them)."""
+    n = target.ambient_dim
+    lo, hi = target.vertices.min(axis=0), target.vertices.max(axis=0)
+    corners = target.vertices[target.simplices]
+    mids = 0.5 * (corners[:, 0] + corners[:, 1])
+    parts = [lo + (hi - lo + 1.0) * rng.random((count, n)) - 0.5,
+             1e3 * rng.standard_normal((max(1, count // 8), n)),
+             target.vertices[rng.integers(0, len(target.vertices), count // 4 + 1)],
+             mids[rng.integers(0, len(mids), count // 4 + 1)],
+             np.round(2 * lo + 2 * (hi - lo) * rng.random((count // 4 + 1, n))) / 2]
+    return rng.permutation(np.concatenate(parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 6),
+       count=st.integers(1, 300), surface=st.booleans(),
+       relief=st.sampled_from([0.0, 1e-9, 0.3]))
+def test_matches_oracle(seed, size, count, surface, relief):
+    rng = np.random.default_rng(seed)
+    target = height_field_set(rng, size, relief) if surface else grid_polyline_set(rng, size)
+    pts = query_points(rng, target, count)
+    assert_matches_oracle(pts, target)
+    assert_matches_oracle(pts[:1], target)  # a single point
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), simplices=st.integers(1, 40),
+       count=st.integers(1, 200), dim=st.sampled_from([1, 2]))
+def test_matches_oracle_on_random_soup(seed, simplices, count, dim):
+    rng = np.random.default_rng(seed)
+    n = dim + 1
+    corners = rng.standard_normal((simplices, dim + 1, n)) * rng.uniform(0.01, 3.0)
+    target = SimplicialSet(n, dim, corners.reshape(-1, n),
+                           np.arange(corners.shape[0] * (dim + 1)).reshape(-1, dim + 1))
+    pts = np.concatenate([rng.standard_normal((count, n)),
+                          corners.reshape(-1, n)[: count]])
+    assert_matches_oracle(pts, target)
+
+
+def test_empty_target_and_no_points():
+    empty = SimplicialSet.empty(3, 2)
+    dist, index = nearest_simplex(np.zeros((2, 3)), empty)
+    assert np.isinf(dist).all() and (index == -1).all()
+    e = height_field_set(np.random.default_rng(0), 2, 0.1)
+    dist, index = nearest_simplex(np.zeros((0, 3)), e)
+    assert dist.shape == (0,) and index.shape == (0,)
+
+
+def test_simplex_with_one_candidate_row():
+    # one point next to an isolated triangle, the rest near another: that
+    # triangle is evaluated on a single row of a longer input
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        tris = rng.standard_normal((2, 3, 3))
+        tris[1] += 100.0
+        target = SimplicialSet.from_triangles(list(tris))
+        pts = np.concatenate([tris[0].mean(axis=0) + rng.standard_normal((30, 3)),
+                              tris[1].mean(axis=0) + rng.standard_normal((1, 3))])
+        assert_matches_oracle(pts, target)
+
+
+def test_first_minimizer_on_shared_vertex():
+    # the centre vertex is shared by all eight triangles of a 2x2 grid
+    e = height_field_set(np.random.default_rng(0), 2, 0.0)
+    dist, index = nearest_simplex(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 5.0]]), e)
+    assert np.array_equal(dist, [0.0, 5.0])
+    shared = [i for i in range(len(e.simplices)) if 4 in e.simplices[i]]
+    assert list(index) == [shared[0], shared[0]]
+
+
+@pytest.mark.parametrize("r", get_family("disk").base_radii)
+def test_disk_hausdorff_inputs(r):
+    """The sample points the Hausdorff stage of disk k=1 sends at each radius."""
+    fam = get_family("disk")
+    e, limit = fam.make(1), fam.limit()
+    ball = Ball(np.asarray(fam.base_point, dtype=float), r)
+    for source, target in ((e, limit), (limit, e)):
+        clipped = restrict(source, ball)
+        level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(clipped.simplices))))))))
+        for lv in (level, level + 1):
+            pts, _ = _sample_points(clipped, lv)
+            assert_matches_oracle(pts, target)
+
+
+def test_tangent_project_uses_first_nearest_simplex():
+    e = height_field_set(np.random.default_rng(3), 4, 0.2)
+    probes = np.random.default_rng(4).uniform(0.0, 4.0, (50, 3))
+    for center in ([1.0, 1.0, 0.5], [2.5, 1.5, 0.0], [2.0, 2.0, 0.0]):
+        ball = Ball(np.array(center), 1.0)
+        i = oracle(ball.center[None, :], e)[1][0]
+        frame = e.simplex_frames[i]
+        want = _affine_projection_deformation("tangent_project", ball, e.simplex_points(i)[0],
+                                              frame @ frame.T)
+        got = make_deformation("tangent_project", ball, e)
+        assert np.array_equal(got.phi(probes), want.phi(probes))
