@@ -142,6 +142,8 @@ def _cmd_audit_qm(args):
     if args.params:
         with open(args.params) as fh:
             params = json.load(fh)
+        if not (isinstance(params, dict) and all(isinstance(v, dict) for v in params.values())):
+            raise ConfigError("--params must map deformation names to objects of keyword arguments")
     rep = qm_audit(e, args.M, gauge, domain, registry=registry, params=params)
     _emit(rep.to_dict(), args.output)
     return EXIT_OK
@@ -151,7 +153,7 @@ def _cmd_projected_mass(args):
     e = load_set(args.set)
     center = np.array([float(c) for c in args.center.split(",")])
     t = _parse_plane(args, e.ambient_dim)
-    value = projected_mass(e, center, args.radius, t, method=args.method)
+    value = projected_mass(e, center, args.radius, t)
     _emit({"value": value, "center": center.tolist(), "radius": args.radius},
           args.output)
     return EXIT_OK
@@ -220,7 +222,6 @@ def _build_parser():
     q.add_argument("--plane-axes")
     q.add_argument("--plane-angle", type=float)
     q.add_argument("--plane-frame")
-    q.add_argument("--method", choices=["exact", "montecarlo"], default="exact")
     q.add_argument("--output")
     q.set_defaults(func=_cmd_projected_mass)
 

@@ -129,6 +129,9 @@ class Plane:
 def axis_plane(n: int, axes) -> Plane:
     """The coordinate plane of R^n spanned by the given axis indices."""
     axes = [int(a) for a in np.atleast_1d(axes)]
+    bad = [a for a in axes if not 0 <= a < n]
+    if bad:
+        raise DimensionMismatchError(f"axis indices {bad} out of range for R^{n}")
     f = np.zeros((n, len(axes)))
     for j, a in enumerate(axes):
         f[a, j] = 1.0

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 SUP_REFINE_TOL = 1e-4  # relative to r, stopping rule for the sup refinement
-MC_TARGET_SE = 1e-3    # relative to omega_m, Monte Carlo fallback target
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +82,6 @@ def _sample_points(clipped, level):
         edges = corners[:, [1, 2, 0]] - corners  # b - a, c - b, a - c
         gap = _max_edge_length(edges.reshape(-1, clipped.ambient_dim)) / k
     return pts.reshape(-1, clipped.ambient_dim), gap
-
-
-def _clip_to_ball(s, ball):
-    if isinstance(s, PointCloudSet):
-        inside = ball.contains(s.points)
-        return PointCloudSet(s.ambient_dim, s.dim, s.points[inside], s.masses[inside]) \
-            if inside.any() else PointCloudSet(s.ambient_dim, s.dim,
-                                               np.zeros((0, s.ambient_dim)), np.zeros(0))
-    return restrict(s, ball)
 
 
 def _one_sided_sup(source_clipped, target, r, samples):
@@ -141,8 +131,8 @@ def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffR
     if r <= 0:
         raise ValueError("radius must be positive")
     ball = Ball(np.asarray(x, dtype=float), float(r))
-    xc = _clip_to_ball(x_set, ball)
-    yc = _clip_to_ball(y_set, ball)
+    xc = restrict(x_set, ball)
+    yc = restrict(y_set, ball)
     sup_xy, gap_x = _one_sided_sup(xc, y_set, r, samples)
     sup_yx, gap_y = _one_sided_sup(yc, x_set, r, samples)
     value = (sup_xy + sup_yx) / r
@@ -386,14 +376,12 @@ def bl_distance(v: DiscreteVarifold, w: DiscreteVarifold, method: str = "exact",
 # ---------------------------------------------------------------------------
 # projected mass and the filling check
 
-def projected_mass(e: SimplicialSet, x, r: float, t: Plane, method: str = "exact",
-                   rng=None) -> float:
+def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
     """m-measure of the image set T_proj((E ∩ B(x,r) - x)/r), overlaps
     counted once (it is the measure of an image, not a mass pushforward).
 
     m = 1: exact union of projected intervals on the line. m = 2: exact
-    planar sweep over the projected triangles, or Monte Carlo fallback
-    (``method="montecarlo"``) with standard error below 1e-3 * omega_m.
+    planar sweep over the projected clipped regions.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -403,56 +391,15 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane, method: str = "exact
     if clipped.is_empty():
         return 0.0
     unit = rescale(clipped, x, r)
-    coords = unit.vertices @ t.frame  # (V, m) coordinates inside the plane
     if e.dim == 1:
+        coords = unit.vertices @ t.frame  # (V, 1) coordinates on the line
         iv = np.sort(coords[unit.simplices][:, :, 0], axis=1)
         return interval_union_length(iv)
     # project the convex clipped regions as whole polygons; projections of
     # convex planar regions stay convex, and the sweep is linear in their
     # boundary size (fanning them into triangles first would not be)
-    loops = unit.diagnostics.get("clip_polygons")
-    if loops is not None:
-        polys = [np.asarray(p) @ t.frame for p in loops]
-    else:
-        polys = list(coords[unit.simplices])
-    if method == "exact":
-        return polygon_union_area(polys)
-    if method == "montecarlo":
-        return _mc_union_area(np.stack([p[[0, i, i + 1]] for p in polys
-                                        for i in range(1, len(p) - 1)]), rng)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _mc_union_area(tris, rng):
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    lo = tris.reshape(-1, 2).min(axis=0)
-    hi = tris.reshape(-1, 2).max(axis=0)
-    box = float(np.prod(hi - lo))
-    if box == 0.0:
-        return 0.0
-    om = unit_ball_volume(2)
-    n = int(np.ceil((0.5 * box / (MC_TARGET_SE * om)) ** 2))
-    n = min(max(n, 10_000), 4_000_000)
-    pts = lo + rng.random((n, 2)) * (hi - lo)
-    inside = np.zeros(n, dtype=bool)
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    den = ((v1[:, 1] - v2[:, 1]) * (v0[:, 0] - v2[:, 0])
-           + (v2[:, 0] - v1[:, 0]) * (v0[:, 1] - v2[:, 1]))
-    ok = np.abs(den) > 1e-15
-    for i in np.nonzero(ok)[0]:
-        rem = ~inside
-        if not rem.any():
-            break
-        p = pts[rem]
-        l1 = ((v1[i, 1] - v2[i, 1]) * (p[:, 0] - v2[i, 0])
-              + (v2[i, 0] - v1[i, 0]) * (p[:, 1] - v2[i, 1])) / den[i]
-        l2 = ((v2[i, 1] - v0[i, 1]) * (p[:, 0] - v2[i, 0])
-              + (v0[i, 0] - v2[i, 0]) * (p[:, 1] - v2[i, 1])) / den[i]
-        l3 = 1.0 - l1 - l2
-        hit = (l1 >= 0) & (l2 >= 0) & (l3 >= 0)
-        idx = np.nonzero(rem)[0][hit]
-        inside[idx] = True
-    return box * float(inside.mean())
+    return polygon_union_area([np.asarray(p) @ t.frame
+                               for p in unit.diagnostics["clip_polygons"]])
 
 
 @dataclass(frozen=True)
@@ -505,8 +452,7 @@ class FillingReport:
                 writer.writerow([k, r, val, flag])
 
 
-def filling_check(make_set, x, t: Plane, radii, k_schedule, tol: float = 0.02,
-                  method: str = "exact") -> FillingReport:
+def filling_check(make_set, x, t: Plane, radii, k_schedule, tol: float = 0.02) -> FillingReport:
     """Evaluate projected_mass(E_k, x, r, T) over a (k, r) grid and decide
     whether the projections fill the unit disk of T in the double limit.
 
@@ -523,7 +469,7 @@ def filling_check(make_set, x, t: Plane, radii, k_schedule, tol: float = 0.02,
     values = {}
     for k in ks:
         for r in radii:
-            val = projected_mass(sets[k], x, r, t, method=method)
+            val = projected_mass(sets[k], x, r, t)
             rows.append((k, r, val))
             values[(k, r)] = val
     threshold = (1 - tol) * om

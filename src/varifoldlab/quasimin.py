@@ -12,13 +12,14 @@ measure of an image set).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import (Ball, SimplicialSet, distance_to_set, measure, nearest_simplex,
-                   restrict)
+from .sets import (Ball, SimplicialSet, _midpoint_split, _simplex_measures,
+                   distance_to_set, measure, nearest_simplex, restrict)
 from .unions import segments_union_measure, triangles_union_measure
 from .varifold import var_of_set
 
@@ -207,6 +208,10 @@ def _make_vertex_snap(ball: Ball, e: SimplicialSet, frac=None) -> Deformation:
     c, r = ball.center, ball.radius
     if frac is None:
         frac = 1 / 16 if e.dim == 1 else 1 / 4
+    if not (isinstance(frac, (int, float)) and 0 < frac < np.inf):
+        # a zero lattice pitch makes phi NaN; a negative one makes the
+        # image refinement split forever
+        raise ValueError(f"vertex_snap frac must be a positive finite number, got {frac!r}")
     delta = r * frac
     # lattice offset keeps the zero-displacement cell boundaries away from
     # the dyadic vertices produced by midpoint refinement
@@ -245,38 +250,16 @@ def make_deformation(name: str, ball: Ball, e: SimplicialSet, **params):
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown deformation {name!r}; known: {DEFORMATION_NAMES}") from None
+    accepted = list(inspect.signature(factory).parameters)[2:]  # after (ball, e)
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"deformation {name!r} has no parameter {key!r}; "
+                             f"accepted: {accepted}")
     return factory(ball, e, **params)
 
 
 # ---------------------------------------------------------------------------
 # the quasiminimality gap
-
-def _split_batch(pieces, m):
-    """4-way (triangles) or 2-way (segments) midpoint split, batched.
-    ``pieces`` has shape (N, m+1, n)."""
-    if m == 1:
-        a, b = pieces[:, 0], pieces[:, 1]
-        mid = 0.5 * (a + b)
-        return np.concatenate([np.stack([a, mid], axis=1),
-                               np.stack([mid, b], axis=1)])
-    a, b, c = pieces[:, 0], pieces[:, 1], pieces[:, 2]
-    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return np.concatenate([np.stack([a, ab, ca], axis=1),
-                           np.stack([ab, b, bc], axis=1),
-                           np.stack([ca, bc, c], axis=1),
-                           np.stack([ab, bc, ca], axis=1)])
-
-
-def _piece_measures(pieces, m):
-    if m == 1:
-        return np.linalg.norm(pieces[:, 1] - pieces[:, 0], axis=1)
-    g1 = pieces[:, 1] - pieces[:, 0]
-    g2 = pieces[:, 2] - pieces[:, 0]
-    a11 = np.einsum("ij,ij->i", g1, g1)
-    a12 = np.einsum("ij,ij->i", g1, g2)
-    a22 = np.einsum("ij,ij->i", g2, g2)
-    return 0.5 * np.sqrt(np.maximum(a11 * a22 - a12 * a12, 0.0))
-
 
 def _piece_diameters(pieces, m):
     if m == 1:
@@ -333,7 +316,7 @@ def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None,
         if depth == max_depth or spent > piece_budget:
             moved.append(current[discordant & (disp[:, -1] > MOVE_TOL)])
             break
-        current = _split_batch(current[discordant], m)
+        current = _midpoint_split(current[discordant], m)
     return np.concatenate(moved)
 
 
@@ -344,7 +327,7 @@ def _refine_for_image(pieces, m, target):
         diam = _piece_diameters(current, m)
         fine = diam <= target
         done.append(current[fine])
-        current = _split_batch(current[~fine], m)
+        current = _midpoint_split(current[~fine], m)
     return np.concatenate(done)
 
 
@@ -412,7 +395,7 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
     if len(moved) == 0:
         result = QMGapResult(float(gauge_term), 0.0, 0.0, float(gauge_term), 0.0, 0)
         return result if detail else result.gap
-    source = float(_piece_measures(moved, m).sum())
+    source = float(_simplex_measures(moved, m).sum())
     target = r / 128 if m == 1 else r / 16
     feature = deformation.params.get("feature_scale")
     if feature:

@@ -6,6 +6,11 @@ weighted-sample stand-in for irregular sets. Restriction to a ball clips
 segments exactly; triangles crossing the sphere get the circular boundary
 replaced by an inscribed polyline whose area defect is budgeted below
 1e-6 * r^m per call and recorded in the diagnostics of the result.
+
+This module is the one home of the simplex primitives that the rest of the
+library shares: simplex measure, midpoint subdivision, the segment-sphere
+quadratic, polygon signed area, direction-sign canonicalization, ball
+clipping and point-simplex distance.
 """
 
 from __future__ import annotations
@@ -59,24 +64,48 @@ class Ball:
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius + slack
 
 
+def _simplex_measures(corners, m):
+    """Exact m-measures of simplices given as an (S, m+1, n) corner array."""
+    if m == 1:
+        return np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+    g1 = corners[:, 1] - corners[:, 0]
+    g2 = corners[:, 2] - corners[:, 0]
+    a11 = np.einsum("ij,ij->i", g1, g1)
+    a12 = np.einsum("ij,ij->i", g1, g2)
+    a22 = np.einsum("ij,ij->i", g2, g2)
+    return 0.5 * np.sqrt(np.maximum(a11 * a22 - a12 * a12, 0.0))
+
+
+def _midpoint_split(corners, m):
+    """One level of midpoint subdivision of an (S, m+1, n) corner array:
+    2 halves per segment or 4 triangles per triangle, returned child-major
+    (all first children, then all second children, ...)."""
+    if m == 1:
+        a, b = corners[:, 0], corners[:, 1]
+        mid = 0.5 * (a + b)
+        return np.concatenate([np.stack([a, mid], axis=1),
+                               np.stack([mid, b], axis=1)])
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return np.concatenate([np.stack([a, ab, ca], axis=1),
+                           np.stack([ab, b, bc], axis=1),
+                           np.stack([ca, bc, c], axis=1),
+                           np.stack([ab, bc, ca], axis=1)])
+
+
 def _simplex_measures_and_frames(vertices, simplices, m):
     """Exact m-measures and tangent frames for each simplex."""
     v = vertices
     if len(simplices) == 0:
         return np.zeros(0), np.zeros((0, v.shape[1], m))
-    edges = v[simplices[:, 1:]] - v[simplices[:, :1]]  # (S, m, n)
+    corners = v[simplices]
+    meas = _simplex_measures(corners, m)
+    edges = corners[:, 1:] - corners[:, :1]  # (S, m, n)
     if m == 1:
-        lengths = np.linalg.norm(edges[:, 0, :], axis=1)
-        meas = lengths
         with np.errstate(invalid="ignore", divide="ignore"):
-            frames = (edges[:, 0, :] / np.where(lengths > 0, lengths, 1.0)[:, None])[:, :, None]
+            frames = (edges[:, 0, :] / np.where(meas > 0, meas, 1.0)[:, None])[:, :, None]
     else:
         e1, e2 = edges[:, 0, :], edges[:, 1, :]
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        gram = g11 * g22 - g12 * g12
-        meas = 0.5 * np.sqrt(np.maximum(gram, 0.0))
         frames = np.zeros((len(simplices), v.shape[1], 2))
         for i in range(len(simplices)):
             a, b = e1[i], e2[i]
@@ -233,9 +262,9 @@ def rescale(e: SimplicialSet, x, r: float) -> SimplicialSet:
                                                             lambda p: (p - x) / r))
 
 
-def _clip_segment_to_ball(p, q, center, radius):
-    """Parameter interval of {p + t(q-p)} inside the closed ball, or None."""
-    d = q - p
+def _sphere_crossings(p, d, center, radius):
+    """The parameters t0 < t1 at which the line p + t*d meets the sphere,
+    or None when d is zero or the line misses or only touches it."""
     a = float(np.dot(d, d))
     if a == 0.0:
         return None
@@ -246,8 +275,15 @@ def _clip_segment_to_ball(p, q, center, radius):
     if disc <= 0:
         return None
     sq = np.sqrt(disc)
-    t0 = max((-b - sq) / (2 * a), 0.0)
-    t1 = min((-b + sq) / (2 * a), 1.0)
+    return (-b - sq) / (2 * a), (-b + sq) / (2 * a)
+
+
+def _clip_segment_to_ball(p, q, center, radius):
+    """Parameter interval of {p + t(q-p)} inside the closed ball, or None."""
+    t = _sphere_crossings(p, q - p, center, radius)
+    if t is None:
+        return None
+    t0, t1 = max(t[0], 0.0), min(t[1], 1.0)
     if t1 - t0 <= 1e-14:
         return None
     return t0, t1
@@ -265,8 +301,19 @@ def _triangle_plane_basis(tri):
 
 
 def _polygon_area(poly):
+    """Signed area of a 2-d polygon, positive when its vertices run
+    counter-clockwise."""
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _canonical_sign(u):
+    """u or -u, whichever has its first component beyond 1e-9 positive, so
+    that opposite directions of one line (or normals of one plane) agree."""
+    for comp in u:
+        if abs(comp) > 1e-9:
+            return -u if comp < 0 else u
+    return u
 
 
 def _arc_defect(radius, span, steps):
@@ -300,17 +347,10 @@ def _clip_polygon_to_disk(poly, center, radius, max_arc_step):
         if inside[i]:
             events.append((p, None))
         d = q - p
-        a = float(np.dot(d, d))
-        if a == 0.0:
+        ts = _sphere_crossings(p, d, c, radius)
+        if ts is None:
             continue
-        f = p - c
-        b = 2.0 * float(np.dot(d, f))
-        cc = float(np.dot(f, f)) - r2
-        disc = b * b - 4 * a * cc
-        if disc <= 0:
-            continue
-        sq = np.sqrt(disc)
-        for t, entering in ((( -b - sq) / (2 * a), True), ((-b + sq) / (2 * a), False)):
+        for t, entering in zip(ts, (True, False)):
             if 1e-14 < t < 1 - 1e-14:
                 events.append((p + t * d, entering))
 
@@ -364,9 +404,10 @@ def _point_in_convex_polygon(pt, poly):
     return True
 
 
-def restrict(e: SimplicialSet, ball: Ball) -> SimplicialSet:
-    """Geometric intersection E ∩ B as a new SimplicialSet.
+def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | PointCloudSet:
+    """Geometric intersection E ∩ B as a new set of the same kind.
 
+    A PointCloudSet keeps the points in the closed ball with their masses.
     Segments are cut exactly at the sphere. Triangles crossing the sphere
     are clipped in their own plane against the disk of intersection, with
     the curved boundary inscribed finely enough that the total area defect
@@ -375,6 +416,9 @@ def restrict(e: SimplicialSet, ball: Ball) -> SimplicialSet:
     """
     if e.ambient_dim != len(ball.center):
         raise ValueError("ball and set ambient dimensions differ")
+    if isinstance(e, PointCloudSet):
+        inside = ball.contains(e.points)
+        return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
     n, m = e.ambient_dim, e.dim
     c, r = ball.center, ball.radius
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .sets import _canonical_sign, _polygon_area
+
 __all__ = [
     "interval_union_length",
     "polygon_union_area",
@@ -47,11 +49,6 @@ def interval_union_length(intervals, merge_tol=None) -> float:
     return float(total)
 
 
-def _polygon_area_signed(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def _clean_polygons(polys):
     """Drop consecutive duplicate vertices and degenerate polygons."""
     out = []
@@ -63,7 +60,7 @@ def _clean_polygons(polys):
             if np.linalg.norm(p[0] - p[-1]) <= 1e-15 and keep[-1]:
                 keep[-1] = False
             p = p[keep]
-        if len(p) >= 3 and abs(_polygon_area_signed(p)) > 1e-14:
+        if len(p) >= 3 and abs(_polygon_area(p)) > 1e-14:
             out.append(p)
     return out
 
@@ -198,18 +195,11 @@ def triangle_union_area(triangles) -> float:
     return polygon_union_area(list(tris.reshape(-1, 3, 2)))
 
 
-def _canonical_line_key(direction, anchor, decimals=9):
+def _canonical_line_key(u, anchor, decimals=9):
     """Hashable key identifying the affine line through anchor with the
-    given direction, canonicalized so collinear segments share a key."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    for comp in d:
-        if abs(comp) > 1e-9:
-            if comp < 0:
-                d = -d
-            break
-    offset = anchor - np.dot(anchor, d) * d
-    return tuple(np.round(d, decimals)) + tuple(np.round(offset, decimals))
+    canonical unit direction u, so collinear segments share a key."""
+    offset = anchor - np.dot(anchor, u) * u
+    return tuple(np.round(u, decimals)) + tuple(np.round(offset, decimals))
 
 
 def segments_union_measure(segments) -> float:
@@ -226,15 +216,9 @@ def segments_union_measure(segments) -> float:
         ln = np.linalg.norm(d)
         if ln <= 1e-14:
             continue
-        key = _canonical_line_key(d, p)
-        u = d / ln
-        for comp in u:
-            if abs(comp) > 1e-9:
-                if comp < 0:
-                    u = -u
-                break
+        u = _canonical_sign(d / ln)
         t0, t1 = float(np.dot(p, u)), float(np.dot(q, u))
-        groups.setdefault(key, []).append((min(t0, t1), max(t0, t1)))
+        groups.setdefault(_canonical_line_key(u, p), []).append((min(t0, t1), max(t0, t1)))
     total = 0.0
     for iv in groups.values():
         if len(iv) == 1:
@@ -246,16 +230,10 @@ def segments_union_measure(segments) -> float:
 
 def _canonical_plane_key(tri, decimals=9):
     a, b, c = tri
-    nrm = np.cross(b - a, c - a) if len(a) == 3 else None
-    if nrm is None:
+    if len(a) != 3:
         return ("planar2d",)
-    nn = np.linalg.norm(nrm)
-    nrm = nrm / nn
-    for comp in nrm:
-        if abs(comp) > 1e-9:
-            if comp < 0:
-                nrm = -nrm
-            break
+    nrm = np.cross(b - a, c - a)
+    nrm = _canonical_sign(nrm / np.linalg.norm(nrm))
     off = float(np.dot(a, nrm))
     return tuple(np.round(nrm, decimals)) + (round(off, decimals),)
 

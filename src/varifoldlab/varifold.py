@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GrassmannSample, Plane
-from .sets import Ball, PointCloudSet, SimplicialSet
+from .sets import Ball, PointCloudSet, SimplicialSet, _midpoint_split
 
 __all__ = [
     "DiscreteVarifold",
@@ -102,50 +102,36 @@ class DiscreteVarifold:
             np.concatenate([self.masses, other.masses]))
 
 
-def _midpoint_quadrature_m1(p, q, count):
-    t = (np.arange(count) + 0.5) / count
-    return p + t[:, None] * (q - p)
-
-
-def _triangle_refine(tri, levels):
-    """Uniform midpoint subdivision into 4^levels congruent triangles."""
-    tris = [tri]
-    for _ in range(levels):
-        nxt = []
-        for a, b, c in tris:
-            ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        tris = nxt
-    return tris
-
-
 def var_of_set(e: SimplicialSet, quadrature_per_simplex: int = 1) -> DiscreteVarifold:
     """The varifold of a simplicial set: quadrature atoms on each simplex
     carrying the simplex tangent plane, masses summing exactly to the
-    simplex measure (midpoint rule for m=1, refined centroids for m=2)."""
-    if quadrature_per_simplex < 1:
+    simplex measure (midpoint rule for m=1, refined centroids for m=2).
+    Atoms are grouped by simplex, in simplex order."""
+    q = quadrature_per_simplex
+    if q < 1:
         raise ValueError("quadrature_per_simplex must be >= 1")
     n, m = e.ambient_dim, e.dim
-    pos, frames, masses = [], [], []
-    for i in range(len(e.simplices)):
-        sp = e.simplex_points(i)
-        mu = e.simplex_measures[i]
-        fr = e.simplex_frames[i]
-        if m == 1:
-            pts = _midpoint_quadrature_m1(sp[0], sp[1], quadrature_per_simplex)
-            w = np.full(len(pts), mu / len(pts))
-        else:
-            levels = int(np.ceil(np.log(quadrature_per_simplex) / np.log(4))) if quadrature_per_simplex > 1 else 0
-            pieces = _triangle_refine(tuple(sp), levels)
-            pts = np.array([(a + b + c) / 3.0 for a, b, c in pieces])
-            w = np.full(len(pts), mu / len(pieces))
-        pos.append(pts)
-        frames.append(np.broadcast_to(fr, (len(pts), n, m)))
-        masses.append(w)
-    if not pos:
+    if e.is_empty():
         return DiscreteVarifold.empty(n, m)
-    return DiscreteVarifold(n, m, np.concatenate(pos), np.concatenate(frames),
-                            np.concatenate(masses))
+    corners = e.vertices[e.simplices]  # (S, m+1, n)
+    if m == 1:
+        count = q
+        t = (np.arange(count) + 0.5) / count
+        a = corners[:, None, 0]
+        pts = a + t[None, :, None] * (corners[:, None, 1] - a)
+    else:
+        levels = int(np.ceil(np.log(q) / np.log(4))) if q > 1 else 0
+        count = 4 ** levels
+        pieces = corners
+        for _ in range(levels):
+            pieces = _midpoint_split(pieces, 2)
+        # child-major split order -> per simplex, first split level outermost
+        pieces = pieces.reshape((4,) * levels + corners.shape)
+        pieces = pieces.transpose(tuple(range(levels, -1, -1)) + (levels + 1, levels + 2))
+        pts = (pieces[..., 0, :] + pieces[..., 1, :] + pieces[..., 2, :]) / 3.0
+    return DiscreteVarifold(n, m, pts.reshape(-1, n),
+                            np.repeat(e.simplex_frames, count, axis=0),
+                            np.repeat(e.simplex_measures / count, count))
 
 
 def var_of_pointcloud(e: PointCloudSet, haar: GrassmannSample) -> DiscreteVarifold:

@@ -96,12 +96,15 @@ class TestRunScenario:
             run_scenario(ScenarioSpec(family="segment", k_schedule=(1, 2),
                                       integrand="bogus", atoms=16, samples=16))
 
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, monkeypatch):
+        # two runs, one on a single thread and one on a per-k pool of two
         spec = ScenarioSpec(family="shrinking_bump", k_schedule=(1, 2, 4),
                             atoms=32, samples=32)
-        a = run_scenario(spec).to_json_bytes()
-        b = run_scenario(spec).to_json_bytes()
-        assert a == b
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VARIFOLD_LAB_THREADS", threads)
+            reports.append(run_scenario(spec).to_json_bytes())
+        assert reports[0] == reports[1]
 
     def test_csv_columns(self, tmp_path):
         spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
@@ -255,3 +258,24 @@ class TestCLI:
         names = {row["deformation"] for row in doc["rows"]}
         assert names == {"identity", "vertex_snap"}
         assert doc["min_gap"] >= -1e-9
+
+    def test_plane_axes_out_of_range_exit_2(self, capsys):
+        for axes in ("5", "-1"):
+            code = cli.main(["audit-ellipticity", "area", "--x", "0,0", "--plane-axes", axes])
+            assert code == cli.EXIT_CONFIG
+            assert "out of range" in capsys.readouterr().err
+
+    def test_audit_qm_bad_params_exit_2(self, tmp_path, capsys):
+        set_path = tmp_path / "seg.json"
+        save_set(segment_set(8), set_path)
+        params_path = tmp_path / "params.json"
+        for params, message in (({"vertex_snap": {"fraction": 0.1}}, "'fraction'"),
+                                ({"vertex_snap": {"frac": 0.0}}, "frac must be a positive"),
+                                ({"vertex_snap": {"frac": "x"}}, "frac must be a positive"),
+                                ({"vertex_snap": 0.1}, "--params must map"),
+                                ([0.1], "--params must map")):
+            params_path.write_text(json.dumps(params))
+            code = cli.main(["audit-qm", str(set_path), "--registry", "vertex_snap",
+                             "--params", str(params_path)])
+            assert code == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err

@@ -144,6 +144,29 @@ class TestRestrictTriangles:
         assert measure(clipped) == pytest.approx(np.pi, abs=2e-5)
 
 
+class TestRestrictPointCloud:
+    def test_closed_ball_keeps_masses(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.5, 0.0]])
+        cloud = PointCloudSet(2, 1, pts, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        clipped = restrict(cloud, Ball(np.zeros(2), 1.0))
+        assert isinstance(clipped, PointCloudSet) and clipped.dim == 1
+        # points on the sphere belong to the closed ball
+        assert np.array_equal(clipped.points, pts[[0, 1, 2, 4]])
+        assert np.array_equal(clipped.masses, [1.0, 2.0, 3.0, 5.0])
+
+    def test_empty_result_shape(self):
+        cloud = PointCloudSet(3, 1, np.ones((4, 3)), np.ones(4))
+        clipped = restrict(cloud, Ball(np.full(3, 9.0), 1.0))
+        assert clipped.points.shape == (0, 3)
+        assert clipped.masses.shape == (0,)
+        assert clipped.total_mass == 0.0
+
+    def test_dimension_mismatch(self):
+        cloud = PointCloudSet(3, 1, np.ones((4, 3)), np.ones(4))
+        with pytest.raises(ValueError):
+            restrict(cloud, Ball(np.zeros(2), 1.0))
+
+
 class TestRescale:
     def test_identity(self):
         e = segment_set(8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varifoldlab.unions import (interval_union_length, polygon_union_area,
                                 segments_union_measure, triangle_union_area,
@@ -145,3 +146,74 @@ class TestAmbientUnions:
         a = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         b = np.array([[0.0, 0, 1], [1, 0, 1], [0, 1, 1]])
         assert triangles_union_measure([a, b]) == pytest.approx(1.0, abs=1e-12)
+
+
+def rigid_motion(rng, n):
+    """A random rotation (determinant +1) and translation of R^n."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    shift = rng.uniform(-3.0, 3.0, n)
+    return lambda pts: np.asarray(pts) @ q.T + shift
+
+
+def collinear_segments(rng, n):
+    """Overlapping segments, each in a random orientation, on a few random
+    lines of R^n, and the union length from the line parameters alone."""
+    segs, expected = [], 0.0
+    for _ in range(rng.integers(1, 4)):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        base = rng.uniform(-1.0, 1.0, n)
+        params = [np.sort(rng.uniform(-1.0, 1.0, 2)) + [0.0, 0.05]
+                  for _ in range(rng.integers(1, 5))]
+        segs += [(base + t0 * u, base + t1 * u)[::rng.choice([-1, 1])] for t0, t1 in params]
+        expected += interval_union_length(params)
+    return segs, expected
+
+
+def coplanar_triangles(rng):
+    """Overlapping fat triangles on a few random planes of R^3, and the
+    union area from the in-plane coordinates alone."""
+    tris, expected = [], 0.0
+    for _ in range(rng.integers(1, 4)):
+        frame = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        origin = rng.uniform(-1.0, 1.0, 3)
+        flat, count = [], rng.integers(1, 5)
+        while len(flat) < count:
+            t = rng.uniform(-1.0, 1.0, (3, 2))
+            (x1, y1), (x2, y2) = t[1] - t[0], t[2] - t[0]
+            if abs(x1 * y2 - x2 * y1) > 0.1:
+                flat.append(t)
+        tris += [origin + t @ frame.T for t in flat]
+        expected += triangle_union_area(flat)
+    return tris, expected
+
+
+class TestUnionInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+    def test_segments(self, seed, n):
+        rng = np.random.default_rng(seed)
+        segs, expected = collinear_segments(rng, n)
+        base = segments_union_measure(segs)
+        assert base == pytest.approx(expected, rel=1e-9)
+        shuffled = [segs[i][::rng.choice([-1, 1])] for i in rng.permutation(len(segs))]
+        assert segments_union_measure(shuffled) == pytest.approx(base, rel=1e-9)
+        move = rigid_motion(rng, n)
+        moved = [(move(p), move(q)) for p, q in segs]
+        assert segments_union_measure(moved) == pytest.approx(base, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_triangles_3d(self, seed):
+        rng = np.random.default_rng(seed)
+        tris, expected = coplanar_triangles(rng)
+        base = triangles_union_measure(tris)
+        assert base == pytest.approx(expected, rel=1e-9)
+        shuffled = [np.roll(tris[i], rng.integers(1, 3), axis=0)
+                    for i in rng.permutation(len(tris))]
+        assert triangles_union_measure(shuffled) == pytest.approx(base, rel=1e-9)
+        move = rigid_motion(rng, 3)
+        assert triangles_union_measure([move(t) for t in tris]) == pytest.approx(base, rel=1e-9)

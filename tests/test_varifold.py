@@ -4,11 +4,44 @@ import pytest
 from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
 from varifoldlab.metrics import bl_distance
 from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
-from varifoldlab.sets import Ball, PointCloudSet, SimplicialSet, measure, rescale
+from varifoldlab.sets import Ball, PointCloudSet, SimplicialSet, measure, rescale, restrict
 from varifoldlab.varifold import (DiscreteVarifold, blowup, density_report,
                                   load_varifold, mass_in_ball, restrict_to_ball,
                                   save_varifold, unit_ball_volume,
                                   var_of_pointcloud, var_of_set)
+
+
+def _triangle_refine(tri, levels):
+    """Uniform midpoint subdivision into 4^levels congruent triangles."""
+    tris = [tri]
+    for _ in range(levels):
+        nxt = []
+        for a, b, c in tris:
+            ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        tris = nxt
+    return tris
+
+
+def var_of_set_loop(e, quadrature_per_simplex=1):
+    """The per-simplex reference for ``var_of_set``: positions, frames and
+    masses, simplex by simplex."""
+    q = quadrature_per_simplex
+    pos, frames, masses = [], [], []
+    for i in range(len(e.simplices)):
+        sp = e.simplex_points(i)
+        mu = e.simplex_measures[i]
+        if e.dim == 1:
+            t = (np.arange(q) + 0.5) / q
+            pts = sp[0] + t[:, None] * (sp[1] - sp[0])
+        else:
+            levels = int(np.ceil(np.log(q) / np.log(4))) if q > 1 else 0
+            pts = np.array([(a + b + c) / 3.0
+                            for a, b, c in _triangle_refine(tuple(sp), levels)])
+        pos.append(pts)
+        frames.append(np.broadcast_to(e.simplex_frames[i], (len(pts),) + e.simplex_frames[i].shape))
+        masses.append(np.full(len(pts), mu / len(pts)))
+    return np.concatenate(pos), np.concatenate(frames), np.concatenate(masses)
 
 
 def single_atom(x, frame, mass=1.0, n=2, m=1):
@@ -50,6 +83,24 @@ class TestVarOfSet:
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
             var_of_set(segment_set(2), 0)
+
+    def test_empty_set(self):
+        v = var_of_set(SimplicialSet.empty(3, 2), 4)
+        assert len(v) == 0 and v.positions.shape == (0, 3) and v.frames.shape == (0, 3, 2)
+
+    @pytest.mark.parametrize("name", ["disk", "restricted_disk", "ycone", "zigzag"])
+    def test_equals_per_simplex_loop(self, name):
+        e = {"disk": lambda: scenario_sequence("disk", 1),
+             "restricted_disk": lambda: restrict(scenario_sequence("disk", 1),
+                                                 Ball(np.array([0.9, 0.0, 0.05]), 0.3)),
+             "ycone": lambda: scenario_sequence("ycone", 4),
+             "zigzag": lambda: scenario_sequence("zigzag", 5)}[name]()
+        for q in (1, 2, 3, 4, 5, 16, 17, 64):
+            v = var_of_set(e, q)
+            pos, frames, masses = var_of_set_loop(e, q)
+            assert np.array_equal(v.positions, pos)
+            assert np.array_equal(v.frames, frames)
+            assert np.array_equal(v.masses, masses)
 
 
 class TestVarOfPointCloud:
