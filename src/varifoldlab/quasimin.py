@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import (Ball, SimplicialSet, _midpoint_split, _simplex_measures,
+from .sets import (Ball, SimplicialSet, _meets, _midpoint_split, _simplex_measures,
                    distance_to_set, measure, nearest_simplex, restrict)
 from .unions import segments_union_measure, triangles_union_measure
 from .varifold import var_of_set
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 MOVE_TOL = 1e-12
+PIECE_BUDGET = 400_000  # pieces one qm_gap may split E ∩ W1 into
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,7 @@ def _affine_projection_deformation(name, ball, anchor, proj_matrix):
 def _make_tangent_project(ball: Ball, e: SimplicialSet) -> Optional[Deformation]:
     """Cutoff projection onto the affine tangent plane of the simplex
     nearest to the ball center."""
-    clipped = restrict(e, ball)
-    if clipped.is_empty():
+    if not _meets(e, ball):
         return None
     best_i = nearest_simplex(ball.center[None, :], e)[1][0]
     anchor = e.simplex_points(best_i)[0]
@@ -280,8 +280,7 @@ def _probe_displacements(pieces, d, m):
     return disp.reshape(len(pieces), m + 2)
 
 
-def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None,
-                   piece_budget: int = 400_000):
+def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None):
     """Concordant moved pieces of E under the deformation, as an
     (N, m+1, n) array.
 
@@ -313,7 +312,7 @@ def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None,
         none_moved = ~flags.any(axis=1)
         moved.append(current[all_moved])
         discordant = ~all_moved & ~none_moved
-        if depth == max_depth or spent > piece_budget:
+        if depth == max_depth or spent > PIECE_BUDGET:
             moved.append(current[discordant & (disp[:, -1] > MOVE_TOL)])
             break
         current = _midpoint_split(current[discordant], m)
@@ -321,12 +320,20 @@ def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None,
 
 
 def _refine_for_image(pieces, m, target):
+    """Split the pieces until each has diameter <= target. Raises
+    ValueError when that takes more than PIECE_BUDGET pieces (a target far
+    below the piece size, such as a tiny vertex_snap lattice)."""
     done = [np.zeros((0,) + pieces.shape[1:])]
+    kept = 0
     current = pieces
     while len(current):
+        if kept + len(current) > PIECE_BUDGET:
+            raise ValueError(f"image refinement to diameter {target:.3g} needs more "
+                             f"than {PIECE_BUDGET} pieces")
         diam = _piece_diameters(current, m)
         fine = diam <= target
         done.append(current[fine])
+        kept += len(done[-1])
         current = _midpoint_split(current[~fine], m)
     return np.concatenate(done)
 
@@ -405,9 +412,9 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
     images = deformation.phi(flat).reshape(fine.shape)
     lip = _batch_lipschitz(fine, images, m)
     if m == 1:
-        image = segments_union_measure(list(images))
+        image = segments_union_measure(images)
     else:
-        image = triangles_union_measure(list(images))
+        image = triangles_union_measure(images)
     gap = m_factor * image + gauge_term - source
     result = QMGapResult(float(gap), source, float(image), float(gauge_term),
                          float(lip), len(moved))

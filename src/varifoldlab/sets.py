@@ -8,9 +8,11 @@ replaced by an inscribed polyline whose area defect is budgeted below
 1e-6 * r^m per call and recorded in the diagnostics of the result.
 
 This module is the one home of the simplex primitives that the rest of the
-library shares: simplex measure, midpoint subdivision, the segment-sphere
-quadratic, polygon signed area, direction-sign canonicalization, ball
-clipping and point-simplex distance.
+library shares: the row-wise dot product ``_rowdot``, simplex measure,
+midpoint subdivision, the segment-sphere quadratic, polygon signed area,
+direction-sign canonicalization, ball clipping and point-simplex distance.
+Batched code that must give the bits of a per-row loop takes its dot
+products and norms from ``_rowdot``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,21 @@ class Ball:
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius + slack
 
 
+def _rowdot(x, y):
+    """Row-wise dot products of two (N, n) arrays, bit for bit the 1-D
+    ``np.dot(x[i], y[i])``.
+
+    The stacked (1, n) @ (n, 1) product goes through numpy's vector-vector
+    dot, the BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call on a
+    single row; ``einsum`` and ``norm(axis=1)`` sum in other orders and
+    differ in the last bit on many rows. So ``np.sqrt(_rowdot(x, x))`` is
+    the 1-D ``np.linalg.norm`` of each row, for rows whose last axis has
+    unit stride (``norm`` copies a strided row first, and BLAS sums a
+    unit-stride vector in another order).
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def _simplex_measures(corners, m):
     """Exact m-measures of simplices given as an (S, m+1, n) corner array."""
     if m == 1:
@@ -105,20 +122,17 @@ def _simplex_measures_and_frames(vertices, simplices, m):
         with np.errstate(invalid="ignore", divide="ignore"):
             frames = (edges[:, 0, :] / np.where(meas > 0, meas, 1.0)[:, None])[:, :, None]
     else:
+        # Gram-Schmidt on the two edges; rows with a zero edge stay zero
         e1, e2 = edges[:, 0, :], edges[:, 1, :]
         frames = np.zeros((len(simplices), v.shape[1], 2))
-        for i in range(len(simplices)):
-            a, b = e1[i], e2[i]
-            na = np.linalg.norm(a)
-            if na == 0:
-                continue
-            u1 = a / na
-            b2 = b - np.dot(b, u1) * u1
-            nb = np.linalg.norm(b2)
-            if nb == 0:
-                continue
-            frames[i, :, 0] = u1
-            frames[i, :, 1] = b2 / nb
+        with np.errstate(invalid="ignore", divide="ignore"):
+            na = np.sqrt(_rowdot(e1, e1))
+            u1 = e1 / na[:, None]
+            b2 = e2 - _rowdot(e2, u1)[:, None] * u1
+            nb = np.sqrt(_rowdot(b2, b2))
+            ok = (na != 0) & (nb != 0)
+            frames[ok, :, 0] = u1[ok]
+            frames[ok, :, 1] = b2[ok] / nb[ok, None]
     return meas, frames
 
 
@@ -307,13 +321,15 @@ def _polygon_area(poly):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _canonical_sign(u):
-    """u or -u, whichever has its first component beyond 1e-9 positive, so
-    that opposite directions of one line (or normals of one plane) agree."""
-    for comp in u:
-        if abs(comp) > 1e-9:
-            return -u if comp < 0 else u
-    return u
+def _canonical_signs(u):
+    """Each row of u or its negative, whichever has its first component
+    beyond 1e-9 in absolute value positive, so that opposite directions of
+    one line (or normals of one plane) agree. Rows with no such component
+    (zero or NaN) are kept."""
+    big = np.abs(u) > 1e-9
+    lead = u[np.arange(len(u)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (lead < 0)
+    return np.where(flip[:, None], -u, u)
 
 
 def _arc_defect(radius, span, steps):
@@ -404,6 +420,71 @@ def _point_in_convex_polygon(pt, poly):
     return True
 
 
+def _clip_simplices(e: SimplicialSet, ball: Ball):
+    """E ∩ B simplex by simplex, in simplex order.
+
+    Yields ``(pieces, loop, arc_points, defect)`` for each simplex that
+    meets the ball: the corner arrays it adds to ``restrict``'s output
+    (possibly none, when every fan triangle of a clipped polygon is a
+    sliver), its convex boundary loop (m = 2; None for m = 1), and the arc
+    points and area defect of its inscribed arcs.
+    """
+    c, r = ball.center, ball.radius
+    if e.dim == 1:
+        for i in range(len(e.simplices)):
+            p, q = e.simplex_points(i)
+            t = _clip_segment_to_ball(p, q, c, r)
+            if t is None:
+                continue
+            t0, t1 = t
+            d = q - p
+            yield [(p + t0 * d, p + t1 * d)], None, 0, 0.0
+        return
+
+    # m == 2: per-triangle in-plane disk clipping.
+    # Angular step chosen so that the summed inscribed-arc defect over the
+    # call is below CLIP_AREA_TOL * r^2:  total <= (2*pi/step)*(rho^2 step^3)/12.
+    max_arc_step = np.sqrt(6.0 * CLIP_AREA_TOL / np.pi)  # rho <= r cancels r^2
+    for i in range(len(e.simplices)):
+        tri = e.simplex_points(i)
+        dist2 = np.einsum("ij,ij->i", tri - c, tri - c)
+        if (dist2 <= r * r * (1 + 1e-14)).all():
+            yield [tri], np.array(tri), 0, 0.0  # wholly inside: kept exactly
+            continue
+        a0, u, v = _triangle_plane_basis(tri)
+        rel = c - a0
+        in_plane = np.array([np.dot(rel, u), np.dot(rel, v)])
+        off2 = float(np.dot(rel, rel)) - float(np.dot(in_plane, in_plane))
+        rho2 = r * r - off2
+        if rho2 <= 0:
+            continue
+        rho = np.sqrt(rho2)
+        poly2 = np.column_stack([ (tri - a0) @ u, (tri - a0) @ v ])
+        clipped, arc_angle, defect = _clip_polygon_to_disk(poly2, in_plane, rho, max_arc_step)
+        if len(clipped) < 3:
+            continue
+        poly = np.asarray(clipped)
+        cen2 = poly.mean(axis=0)
+        kq = len(poly)
+        tris = []
+        for j in range(kq):
+            a2, b2 = poly[j], poly[(j + 1) % kq]
+            area = 0.5 * abs((a2[0] - cen2[0]) * (b2[1] - cen2[1])
+                             - (a2[1] - cen2[1]) * (b2[0] - cen2[0]))
+            if area > 2 * DEGENERATE_MEASURE:
+                tris.append(np.array([a0 + cen2[0] * u + cen2[1] * v,
+                                      a0 + a2[0] * u + a2[1] * v,
+                                      a0 + b2[0] * u + b2[1] * v]))
+        yield (tris, poly @ np.stack([u, v]) + a0,
+               max(0, int(np.ceil(arc_angle / max_arc_step)) - 1), defect)
+
+
+def _meets(e: SimplicialSet, ball: Ball) -> bool:
+    """``not restrict(e, ball).is_empty()``, decided without building the
+    clipped set: the clipping stops at the first simplex that adds a piece."""
+    return any(pieces for pieces, _, _, _ in _clip_simplices(e, ball))
+
+
 def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | PointCloudSet:
     """Geometric intersection E ∩ B as a new set of the same kind.
 
@@ -419,73 +500,24 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     if isinstance(e, PointCloudSet):
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
-    n, m = e.ambient_dim, e.dim
-    c, r = ball.center, ball.radius
-
-    if m == 1:
-        segs = []
-        for i in range(len(e.simplices)):
-            p, q = e.simplex_points(i)
-            t = _clip_segment_to_ball(p, q, c, r)
-            if t is None:
-                continue
-            t0, t1 = t
-            d = q - p
-            segs.append((p + t0 * d, p + t1 * d))
-        if not segs:
-            return SimplicialSet.empty(n, 1)
-        out = SimplicialSet.from_segments(segs)
-        object.__setattr__(out, "diagnostics", {"clip_area_error_bound": 0.0, "arc_points": 0})
-        return out
-
-    # m == 2: per-triangle in-plane disk clipping.
-    # Angular step chosen so that the summed inscribed-arc defect over the
-    # call is below CLIP_AREA_TOL * r^2:  total <= (2*pi/step)*(rho^2 step^3)/12.
-    max_arc_step = np.sqrt(6.0 * CLIP_AREA_TOL / np.pi)  # rho <= r cancels r^2
-    tris = []
+    pieces = []
     loops = []  # convex boundary loop per clipped region (union-sweep sidecar)
     arc_points = 0
     err_bound = 0.0
-    for i in range(len(e.simplices)):
-        tri = e.simplex_points(i)
-        dist2 = np.einsum("ij,ij->i", tri - c, tri - c)
-        if (dist2 <= r * r * (1 + 1e-14)).all():
-            tris.append(tri)  # wholly inside: kept exactly
-            loops.append(np.array(tri))
-            continue
-        a0, u, v = _triangle_plane_basis(tri)
-        rel = c - a0
-        in_plane = np.array([np.dot(rel, u), np.dot(rel, v)])
-        off2 = float(np.dot(rel, rel)) - float(np.dot(in_plane, in_plane))
-        rho2 = r * r - off2
-        if rho2 <= 0:
-            continue
-        rho = np.sqrt(rho2)
-        poly2 = np.column_stack([ (tri - a0) @ u, (tri - a0) @ v ])
-        clipped, arc_angle, defect = _clip_polygon_to_disk(poly2, in_plane, rho, max_arc_step)
-        if len(clipped) < 3:
-            continue
-        arc_points += max(0, int(np.ceil(arc_angle / max_arc_step)) - 1)
+    for got, loop, arcs, defect in _clip_simplices(e, ball):
+        pieces += got
+        loops.append(loop)
+        arc_points += arcs
         err_bound += defect
-        poly = np.asarray(clipped)
-        loops.append(poly @ np.stack([u, v]) + a0)
-        cen2 = poly.mean(axis=0)
-        kq = len(poly)
-        for j in range(kq):
-            a2, b2 = poly[j], poly[(j + 1) % kq]
-            area = 0.5 * abs((a2[0] - cen2[0]) * (b2[1] - cen2[1])
-                             - (a2[1] - cen2[1]) * (b2[0] - cen2[0]))
-            if area > 2 * DEGENERATE_MEASURE:
-                tris.append(np.array([a0 + cen2[0] * u + cen2[1] * v,
-                                      a0 + a2[0] * u + a2[1] * v,
-                                      a0 + b2[0] * u + b2[1] * v]))
-    if not tris:
-        return SimplicialSet.empty(n, 2)
-    out = SimplicialSet.from_triangles(tris)
-    object.__setattr__(out, "diagnostics",
-                       {"clip_area_error_bound": float(err_bound),
-                        "arc_points": int(arc_points),
-                        "clip_polygons": loops})
+    if not pieces:
+        return SimplicialSet.empty(e.ambient_dim, e.dim)
+    diagnostics = {"clip_area_error_bound": float(err_bound), "arc_points": int(arc_points)}
+    if e.dim == 1:
+        out = SimplicialSet.from_segments(pieces)
+    else:
+        out = SimplicialSet.from_triangles(pieces)
+        diagnostics["clip_polygons"] = loops
+    object.__setattr__(out, "diagnostics", diagnostics)
     return out
 
 

@@ -8,13 +8,19 @@ every vertex and every proper crossing between edges of distinct polygons,
 so inside each strip every polygon's cross-section is a single interval
 with affine endpoints, and the union length is affine in x; each strip
 contributes exactly width * union-length-at-midpoint.
+
+Segments and triangles in R^n are grouped by their affine line or plane
+before merging. The keys (rounded unit direction or normal plus offset)
+and the piece lengths are computed for all pieces in one array pass, with
+the arithmetic of a per-piece loop, so a union measure has the bits it
+would have piece by piece.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sets import _canonical_sign, _polygon_area
+from .sets import _canonical_signs, _polygon_area, _rowdot
 
 __all__ = [
     "interval_union_length",
@@ -195,11 +201,14 @@ def triangle_union_area(triangles) -> float:
     return polygon_union_area(list(tris.reshape(-1, 3, 2)))
 
 
-def _canonical_line_key(u, anchor, decimals=9):
-    """Hashable key identifying the affine line through anchor with the
-    canonical unit direction u, so collinear segments share a key."""
-    offset = anchor - np.dot(anchor, u) * u
-    return tuple(np.round(u, decimals)) + tuple(np.round(offset, decimals))
+def _group_rows(keys):
+    """Row indices grouped by equal key, groups in order of first
+    appearance. Keys holding NaN never compare equal, so each such row is
+    a group of its own."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.values()
 
 
 def segments_union_measure(segments) -> float:
@@ -209,52 +218,64 @@ def segments_union_measure(segments) -> float:
     by interval union; segments on distinct lines can only overlap in
     measure zero, so their lengths add.
     """
-    groups = {}
-    for seg in segments:
-        p, q = np.asarray(seg[0], dtype=float), np.asarray(seg[1], dtype=float)
-        d = q - p
-        ln = np.linalg.norm(d)
-        if ln <= 1e-14:
-            continue
-        u = _canonical_sign(d / ln)
-        t0, t1 = float(np.dot(p, u)), float(np.dot(q, u))
-        groups.setdefault(_canonical_line_key(u, p), []).append((min(t0, t1), max(t0, t1)))
+    segs = np.asarray(segments, dtype=float)
+    if len(segs) == 0:
+        return 0.0
+    p, q = segs[:, 0], segs[:, 1]
+    d = q - p
+    ln = np.sqrt(_rowdot(d, d))
+    keep = ~(ln <= 1e-14)
+    p, q, d, ln = p[keep], q[keep], d[keep], ln[keep]
+    u = _canonical_signs(d / ln[:, None])
+    t0, t1 = _rowdot(p, u), _rowdot(q, u)
+    offset = p - t0[:, None] * u
+    keys = map(tuple, np.round(np.concatenate([u, offset], axis=1), 9).tolist())
+    # min and max as Python's, which keep the first of two equal values
+    lo = np.where(t1 < t0, t1, t0)
+    hi = np.where(t1 > t0, t1, t0)
+    length = (hi - lo).tolist()
     total = 0.0
-    for iv in groups.values():
-        if len(iv) == 1:
-            total += iv[0][1] - iv[0][0]
+    for rows in _group_rows(keys):
+        if len(rows) == 1:
+            total += length[rows[0]]
         else:
-            total += interval_union_length(iv)
+            total += interval_union_length(np.column_stack([lo[rows], hi[rows]]))
     return float(total)
-
-
-def _canonical_plane_key(tri, decimals=9):
-    a, b, c = tri
-    if len(a) != 3:
-        return ("planar2d",)
-    nrm = np.cross(b - a, c - a)
-    nrm = _canonical_sign(nrm / np.linalg.norm(nrm))
-    off = float(np.dot(a, nrm))
-    return tuple(np.round(nrm, decimals)) + (round(off, decimals),)
 
 
 def triangles_union_measure(triangles) -> float:
     """Area of a union of triangles in R^2 or R^3, overlaps counted once.
 
     Coplanar triangles (shared affine plane up to 1e-9 rounding) are merged
-    by the planar sweep; distinct planes intersect in measure zero."""
-    tris = [np.asarray(t, dtype=float) for t in triangles]
-    if not tris:
+    by the planar sweep; distinct planes intersect in measure zero. All
+    triangles in R^2 share one plane."""
+    tris = np.asarray(triangles, dtype=float)
+    if len(tris) == 0:
         return 0.0
-    groups = {}
-    for t in tris:
-        groups.setdefault(_canonical_plane_key(t), []).append(t)
+    n = tris.shape[2]
+    if n not in (2, 3):
+        raise ValueError(f"triangles must lie in R^2 or R^3, got R^{n}")
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    if n == 3:
+        nrm = np.cross(e1, e2)
+    else:  # the one component np.cross gives for 2-vectors
+        nrm = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None]
+    length = np.sqrt(_rowdot(nrm, nrm))
+    if n == 3:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nrm = _canonical_signs(nrm / length[:, None])
+        offset = [round(o, 9) for o in _rowdot(tris[:, 0], nrm).tolist()]
+        keys = [(*k, o) for k, o in zip(np.round(nrm, 9).tolist(), offset)]
+        groups = _group_rows(keys)
+    else:
+        groups = [list(range(len(tris)))]
+    half = (0.5 * length).tolist()
     total = 0.0
-    for key, group in groups.items():
-        if len(group) == 1:  # nothing to merge
-            a, b, c = group[0]
-            total += 0.5 * np.linalg.norm(np.cross(b - a, c - a))
+    for rows in groups:
+        if len(rows) == 1:  # nothing to merge
+            total += half[rows[0]]
             continue
+        group = tris[rows]
         t0 = group[0]
         a0 = t0[0]
         e1 = t0[1] - t0[0]
@@ -262,7 +283,7 @@ def triangles_union_measure(triangles) -> float:
         e2 = t0[2] - t0[0]
         w = e2 - np.dot(e2, u) * u
         nw = np.linalg.norm(w)
-        if nw <= 1e-14 and len(group) > 1:
+        if nw <= 1e-14:
             for alt in group[1:]:
                 e2 = alt[2] - alt[0]
                 w = e2 - np.dot(e2, u) * u
@@ -272,6 +293,6 @@ def triangles_union_measure(triangles) -> float:
         if nw <= 1e-14:
             continue
         v = w / nw
-        flat = [np.column_stack([(t - a0) @ u, (t - a0) @ v]) for t in group]
-        total += polygon_union_area(flat)
+        rel = (group - a0).reshape(-1, n)
+        total += polygon_union_area(np.stack([rel @ u, rel @ v], axis=1).reshape(-1, 3, 2))
     return float(total)

@@ -279,3 +279,15 @@ class TestCLI:
                              "--params", str(params_path)])
             assert code == cli.EXIT_CONFIG
             assert message in capsys.readouterr().err
+
+    def test_audit_qm_image_refinement_budget_exit_2(self, tmp_path, capsys):
+        # a tiny snap lattice asks the image refinement for billions of
+        # pieces; the piece budget turns that into a config error
+        set_path = tmp_path / "seg.json"
+        save_set(segment_set(32), set_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"vertex_snap": {"frac": 1e-6}}))
+        code = cli.main(["audit-qm", str(set_path), "--domain", "0.5,0,0.5",
+                         "--params", str(params_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "400000 pieces" in capsys.readouterr().err

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, ahlfors_ratios,
+from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _meets, _rowdot,
+                              _simplex_measures_and_frames, ahlfors_ratios,
                               distance_to_set, load_set, measure, rescale,
                               restrict, save_set, translate)
 from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
@@ -278,3 +280,139 @@ class TestDiskSet:
         for r in (0.0, 0.25, 0.5, 1.0):
             ok |= np.abs(radii - r) < 1e-12
         assert ok.all()
+
+
+class TestRowdot:
+    """The invariant every bit-exact batched kernel rests on: the stacked
+    matmul row dot is the 1-D np.dot, and its square root the 1-D norm.
+    A numpy or BLAS upgrade that breaks it fails here first."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    def test_matches_one_row_dot_and_norm(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-9, 9, (500, 1))
+        edges = rng.standard_normal((500, 3, n)) * scale[:, :, None]
+        x = rng.standard_normal((500, n)) * scale
+        for a, b in ((x, edges[:, 1, :]), (edges[:, 0, :], edges[:, 2, :]),
+                     (x[::3], edges[::3, 1, :])):
+            assert np.array_equal(_rowdot(a, b), [np.dot(p, q) for p, q in zip(a, b)])
+            assert np.array_equal(np.sqrt(_rowdot(a, a)), [np.linalg.norm(p) for p in a])
+        # rows strided within: still np.dot's bits, but np.linalg.norm first
+        # copies such a row to unit stride, which BLAS sums in another order
+        f = np.asfortranarray(x)
+        assert np.array_equal(_rowdot(f, x), [np.dot(p, q) for p, q in zip(f, x)])
+
+
+def frames_oracle(vertices, simplices):
+    """The per-triangle Gram-Schmidt loop that the batched frames replaced."""
+    corners = vertices[simplices]
+    e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    frames = np.zeros((len(simplices), vertices.shape[1], 2))
+    for i in range(len(simplices)):
+        a, b = e1[i], e2[i]
+        na = np.linalg.norm(a)
+        if na == 0:
+            continue
+        u1 = a / na
+        b2 = b - np.dot(b, u1) * u1
+        nb = np.linalg.norm(b2)
+        if nb == 0:
+            continue
+        frames[i, :, 0] = u1
+        frames[i, :, 1] = b2 / nb
+    return frames
+
+
+class TestBatchedFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+    def test_soups_with_degenerate_rows(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tris = rng.standard_normal((60, 3, n)) * 10.0 ** rng.integers(-6, 4, (60, 1, 1))
+        axis = np.zeros(n)
+        axis[rng.integers(n)] = 1.0
+        tris[:5, 1] = tris[:5, 0]                               # zero first edge
+        tris[5:10, 1] = tris[5:10, 0] + axis                    # second edge exactly
+        tris[5:10, 2] = tris[5:10, 0] + 3.0 * axis              # along the first
+        tris[10:15, 2] = tris[10:15, 0] + 2.0 * (tris[10:15, 1] - tris[10:15, 0])
+        tris[15:20] = tris[15:20, :1]                           # a point
+        v = tris.reshape(-1, n)
+        s = np.arange(len(v)).reshape(-1, 3)
+        _, frames = _simplex_measures_and_frames(v, s, 2)
+        assert np.array_equal(frames, frames_oracle(v, s))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_disk_sets(self, k):
+        e = scenario_sequence("disk", k)
+        assert np.array_equal(e.simplex_frames, frames_oracle(e.vertices, e.simplices))
+
+    def test_restricted_disk(self):
+        e = restrict(scenario_sequence("disk", 1), Ball(np.array([0.9, 0.0, 0.05]), 0.3))
+        assert len(e.simplices) > 2000
+        assert np.array_equal(e.simplex_frames, frames_oracle(e.vertices, e.simplices))
+
+
+def height_field(n_grid, bend):
+    """A triangulated sheet z = bend * x * y over [0, 1]^2 in R^3 (bend 0:
+    flat), or the flat square in R^2 (bend None)."""
+    g = np.linspace(0.0, 1.0, n_grid + 1)
+    x, y = np.meshgrid(g, g, indexing="ij")
+    pts = np.column_stack([x.ravel(), y.ravel()])
+    if bend is not None:
+        pts = np.column_stack([pts, bend * pts[:, 0] * pts[:, 1]])
+    idx = np.arange((n_grid + 1) ** 2).reshape(n_grid + 1, n_grid + 1)
+    a, b, c, d = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(), idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    simplices = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    return SimplicialSet(pts.shape[1], 2, pts, simplices)
+
+
+MEETS_SETS = {
+    "zigzag": lambda: scenario_sequence("zigzag", 4),
+    "segment": lambda: segment_set(16),
+    "flat_sheet": lambda: height_field(5, 0.0),
+    "bent_sheet": lambda: height_field(5, 0.7),
+    "square_2d": lambda: height_field(4, None),
+}
+
+
+def probe_balls(e, rng):
+    """Random balls, balls tangent to or grazing the set (distance r
+    exactly, or r times 1 +- 1e-12, from a point of it), tiny balls at
+    vertices, and near misses beyond the far corner."""
+    n = e.ambient_dim
+    lo, hi = e.vertices.min(axis=0), e.vertices.max(axis=0)
+    balls = [Ball(rng.uniform(lo - 0.3, hi + 0.3), rng.uniform(0.01, 0.6)) for _ in range(4)]
+    normal = np.zeros(n)
+    normal[-1] = 1.0
+    for _ in range(4):
+        i = rng.integers(len(e.simplices))
+        w = rng.dirichlet(np.ones(e.dim + 1))
+        foot = w @ e.simplex_points(i)
+        r = rng.uniform(0.01, 0.3)
+        for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-12):
+            balls.append(Ball(foot + f * r * normal, r))
+    v = e.vertices[rng.integers(len(e.vertices))]
+    balls.append(Ball(v, 1e-9))
+    r = rng.uniform(0.01, 0.3)
+    for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-9):
+        balls.append(Ball(hi + f * r * np.ones(n) / np.sqrt(n), r))
+    return balls
+
+
+class TestMeets:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(MEETS_SETS)))
+    def test_agrees_with_restrict(self, seed, name):
+        e = MEETS_SETS[name]()
+        for ball in probe_balls(e, np.random.default_rng(seed)):
+            assert _meets(e, ball) == (not restrict(e, ball).is_empty())
+
+    def test_polygon_of_slivers_adds_nothing(self):
+        # a ball grazing a triangle's corner clips a polygon whose fan
+        # triangles are all below the sliver threshold
+        tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        e = SimplicialSet.from_triangles([tri])
+        ball = Ball(np.array([-1e-7, -1e-7, 0.0]), 1.5e-7)
+        assert not _meets(e, ball)
+        assert restrict(e, ball).is_empty()

@@ -217,3 +217,177 @@ class TestUnionInvariance:
         assert triangles_union_measure(shuffled) == pytest.approx(base, rel=1e-9)
         move = rigid_motion(rng, 3)
         assert triangles_union_measure([move(t) for t in tris]) == pytest.approx(base, rel=1e-9)
+
+
+# The per-piece loops that the batched union measures replaced, kept as
+# bitwise oracles: the batched code must give exactly their bits.
+
+def _sign_oracle(u):
+    for comp in u:
+        if abs(comp) > 1e-9:
+            return -u if comp < 0 else u
+    return u
+
+
+def segments_union_oracle(segments):
+    groups = {}
+    for seg in segments:
+        p, q = np.asarray(seg[0], dtype=float), np.asarray(seg[1], dtype=float)
+        d = q - p
+        ln = np.linalg.norm(d)
+        if ln <= 1e-14:
+            continue
+        u = _sign_oracle(d / ln)
+        t0, t1 = float(np.dot(p, u)), float(np.dot(q, u))
+        offset = p - np.dot(p, u) * u
+        key = tuple(np.round(u, 9)) + tuple(np.round(offset, 9))
+        groups.setdefault(key, []).append((min(t0, t1), max(t0, t1)))
+    total = 0.0
+    for iv in groups.values():
+        if len(iv) == 1:
+            total += iv[0][1] - iv[0][0]
+        else:
+            total += interval_union_length(iv)
+    return float(total)
+
+
+def _cross_oracle(a, b):
+    # np.cross, including the z-component it returns for 2-vectors
+    return np.cross(a, b) if len(a) == 3 else a[0] * b[1] - a[1] * b[0]
+
+
+def _plane_key_oracle(tri):
+    a, b, c = tri
+    if len(a) != 3:
+        return ("planar2d",)
+    nrm = np.cross(b - a, c - a)
+    nrm = _sign_oracle(nrm / np.linalg.norm(nrm))
+    off = float(np.dot(a, nrm))
+    return tuple(np.round(nrm, 9)) + (round(off, 9),)
+
+
+def triangles_union_oracle(triangles):
+    tris = [np.asarray(t, dtype=float) for t in triangles]
+    if not tris:
+        return 0.0
+    groups = {}
+    for t in tris:
+        groups.setdefault(_plane_key_oracle(t), []).append(t)
+    total = 0.0
+    for group in groups.values():
+        if len(group) == 1:
+            a, b, c = group[0]
+            total += 0.5 * np.linalg.norm(_cross_oracle(b - a, c - a))
+            continue
+        t0 = group[0]
+        a0 = t0[0]
+        e1 = t0[1] - t0[0]
+        u = e1 / np.linalg.norm(e1)
+        e2 = t0[2] - t0[0]
+        w = e2 - np.dot(e2, u) * u
+        nw = np.linalg.norm(w)
+        if nw <= 1e-14:
+            for alt in group[1:]:
+                e2 = alt[2] - alt[0]
+                w = e2 - np.dot(e2, u) * u
+                nw = np.linalg.norm(w)
+                if nw > 1e-14:
+                    break
+        if nw <= 1e-14:
+            continue
+        v = w / nw
+        flat = [np.column_stack([(t - a0) @ u, (t - a0) @ v]) for t in group]
+        total += polygon_union_area(flat)
+    return float(total)
+
+
+def awkward_segments(rng, n):
+    """Collinear groups plus duplicates, reversed copies, zero-length and
+    sub-1e-14 segments, and directions whose first component is within
+    1e-9 of zero (so the sign is decided by a later component)."""
+    segs, _ = collinear_segments(rng, n)
+    for _ in range(rng.integers(0, 4)):
+        p = rng.uniform(-1.0, 1.0, n)
+        d = rng.standard_normal(n)
+        d[0] = rng.choice([0.0, 1e-10, -1e-10, 5e-10, -9e-10])
+        segs.append((p, p + rng.uniform(0.1, 1.0) * d))
+    for _ in range(rng.integers(0, 3)):
+        p = rng.uniform(-1.0, 1.0, n)
+        segs.append((p, p + rng.choice([0.0, 1e-15, 1e-12]) * rng.standard_normal(n)))
+    picks = rng.integers(0, len(segs), rng.integers(0, 4))
+    segs += [segs[i][::-1] if rng.random() < 0.5 else segs[i] for i in picks]
+    return [segs[i] for i in rng.permutation(len(segs))]
+
+
+def awkward_triangles(rng, n):
+    """Coplanar groups (R^3) or overlapping fat triangles (R^2) plus
+    duplicates, zero-area triangles, and planes whose normal has its first
+    component within 1e-9 of zero."""
+    if n == 3:
+        tris, _ = coplanar_triangles(rng)
+        for _ in range(rng.integers(0, 4)):
+            # a plane whose normal (eps, 1, s) has a first component below 1e-9
+            eps = rng.choice([0.0, 1e-10, -1e-10, 8e-10])
+            nrm = np.array([eps, 1.0, rng.uniform(-1.0, 1.0)])
+            frame = np.linalg.qr(np.column_stack([nrm, rng.standard_normal((3, 2))]))[0][:, 1:]
+            origin = rng.uniform(-1.0, 1.0, 3)
+            for _ in range(rng.integers(1, 4)):  # all hold origin; either orientation
+                t = rng.uniform(-1.0, 1.0, (3, 2))
+                t = (t - t.mean(axis=0))[::rng.choice([-1, 1])]
+                tris.append(origin + t @ frame.T)
+    else:
+        tris = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(rng.integers(1, 5))]
+    for _ in range(rng.integers(0, 3)):
+        a, b = rng.uniform(-1.0, 1.0, (2, n))
+        tris.append(rng.choice([np.array([a, a, a]), np.array([a, b, a]),
+                                np.array([a, b, 0.5 * (a + b)])]))
+    picks = rng.integers(0, len(tris), rng.integers(0, 3))
+    tris += [np.roll(tris[i], rng.integers(0, 3), axis=0) for i in picks]
+    return [tris[i] for i in rng.permutation(len(tris))]
+
+
+class TestBatchedUnionsMatchLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+    def test_segments(self, seed, n):
+        segs = awkward_segments(np.random.default_rng(seed), n)
+        expected = segments_union_oracle(segs)
+        assert segments_union_measure(segs) == expected
+        assert segments_union_measure(np.array(segs)) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+    def test_triangles(self, seed, n):
+        tris = awkward_triangles(np.random.default_rng(seed), n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = triangles_union_oracle(tris)
+        assert triangles_union_measure(tris) == expected
+        assert triangles_union_measure(np.array(tris)) == expected
+
+    def test_single_and_empty(self):
+        tri = np.array([[0.1, 0.2], [1.3, 0.4], [0.2, 0.9]])
+        assert triangles_union_measure([tri]) == triangles_union_oracle([tri])
+        assert triangles_union_measure([]) == 0.0
+        assert segments_union_measure([]) == 0.0
+
+    def test_zero_area_triangles_stay_apart(self):
+        a = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])  # NaN plane key
+        b = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert triangles_union_measure([a, a, b, a]) == triangles_union_oracle([a, a, b, a]) == 0.5
+
+    def test_planes_that_differ_by_zero_sign_share_a_key(self):
+        a = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])   # normal (0, 0, 1)
+        b = np.array([[0.0, 0, 0], [0, 1, 0], [1, 1, 0]])   # normal (0, 0, -1)
+        assert triangles_union_measure([a, b]) == triangles_union_oracle([a, b]) == 0.75
+
+    def test_plane_offsets_round_like_python(self):
+        # round(o, 9) puts the offsets 2.5e-9 and 2.5000001e-9 in one
+        # grid cell; np.round would split the two planes
+        a = np.array([[0.0, 0, 2.5e-9], [1, 0, 2.5e-9], [0, 1, 2.5e-9]])
+        b = a + [0.25, 0.25, 1e-16]
+        assert triangles_union_measure([a, b]) == triangles_union_oracle([a, b])
+        assert triangles_union_measure([a, b]) == pytest.approx(0.875, abs=1e-12)
+
+    def test_other_ambient_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
+            triangles_union_measure([np.eye(4)[:3], np.eye(4)[1:]])
