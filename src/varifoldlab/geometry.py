@@ -1,6 +1,10 @@
 """Linear-algebra substrate: m-planes in R^n, orthogonal projections,
 the Grassmannian operator-norm metric, and uniform (Haar) sampling of planes.
 
+The pairwise Grassmann matrix takes one SVD per pair of bitwise-distinct
+projection matrices (a discretized surface repeats few tangent planes), so
+it keeps the bits of the SVD on every pair.
+
 All values are immutable after construction and all operations are pure.
 Randomness is always drawn from a caller-supplied seed or Generator.
 """
@@ -165,21 +169,36 @@ def grassmann_distance(p: Plane, q: Plane) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _distinct_rows(x):
+    """The bitwise-distinct rows of a 2-d array in order of first
+    appearance, and for each row the index of its copy among them. Rows are
+    keyed by their bytes, so -0.0 and 0.0 stay apart, as does each NaN bit
+    pattern."""
+    x = np.ascontiguousarray(x)
+    index = {}
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel().tolist()
+    inverse = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    return np.frombuffer(b"".join(index), dtype=x.dtype).reshape(len(index), x.shape[1]), inverse
+
+
 def grassmann_distance_matrix(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     """Pairwise operator-norm distances between two stacks of frames.
 
     ``frames_a`` has shape (A, n, m); ``frames_b`` shape (B, n, m).
-    Returns an (A, B) array. Batched over the projection-difference SVD.
+    Returns an (A, B) array. Batched over the projection-difference SVD,
+    which runs once per pair of bitwise-distinct projection matrices: an
+    identical input matrix gives the identical singular values.
     """
     fa = np.asarray(frames_a, dtype=float)
     fb = np.asarray(frames_b, dtype=float)
     if fa.shape[1:] != fb.shape[1:]:
         raise DimensionMismatchError("frame stacks must share (n, m)")
-    pa = np.einsum("aij,akj->aik", fa, fa)
-    pb = np.einsum("bij,bkj->bik", fb, fb)
-    diff = pa[:, None, :, :] - pb[None, :, :, :]
-    s = np.linalg.svd(diff, compute_uv=False)
-    return s[..., 0]
+    n = fa.shape[1]
+    pa, ia = _distinct_rows(np.einsum("aij,akj->aik", fa, fa).reshape(len(fa), n * n))
+    pb, ib = _distinct_rows(np.einsum("bij,bkj->bik", fb, fb).reshape(len(fb), n * n))
+    diff = pa.reshape(-1, 1, n, n) - pb.reshape(1, -1, n, n)
+    s = np.linalg.svd(diff, compute_uv=False)[..., 0]
+    return s[ia][:, ib]
 
 
 def tangent_jacobian(q: Plane, t: Plane) -> float:

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .geometry import Plane, axis_plane, grassmann_distance_matrix
-from .sets import (Ball, PointCloudSet, SimplicialSet, distance_to_set,
+from .sets import (Ball, PointCloudSet, SimplicialSet, _rowdot, distance_to_set,
                    measure, rescale, restrict)
 from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
@@ -52,12 +52,22 @@ SUP_REFINE_TOL = 1e-4  # relative to r, stopping rule for the sup refinement
 # normalized local Hausdorff distance
 
 def _max_edge_length(edges):
-    """max over the rows of ``np.linalg.norm(row)``. The one-dimensional call
-    goes through a BLAS dot, which the row-wise norm does not match bit for
-    bit, so the near-longest rows are measured again the one-dimensional way."""
-    rowwise = np.linalg.norm(edges, axis=1)
-    longest = edges[rowwise >= rowwise.max() * (1 - 1e-9)]
-    return max(float(np.linalg.norm(e)) for e in longest)
+    """max over the rows of the one-dimensional ``np.linalg.norm(row)``."""
+    return float(np.sqrt(_rowdot(edges, edges)).max())
+
+
+def _lattice(m, level):
+    """The barycentric lattice of step 2**-level on the m-simplex: the
+    weights of corners 1..m at each point, in sampling order, and the mask
+    of the points that the lattice one level coarser does not hold. The
+    step is a power of two, so the coarser points are bitwise the points
+    whose indices are all even."""
+    k = 2 ** level
+    if m == 1:
+        i = np.arange(k + 1)
+        return (i / k)[:, None], i % 2 == 1
+    ii, jj = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(k + 1)) <= k)
+    return np.column_stack([ii / k, jj / k]), (ii % 2 == 1) | (jj % 2 == 1)
 
 
 def _sample_points(clipped, level):
@@ -68,24 +78,23 @@ def _sample_points(clipped, level):
         return clipped.points, 0.0
     if clipped.is_empty():
         return np.zeros((0, clipped.ambient_dim)), 0.0
-    k = 2 ** level
     corners = clipped.vertices[clipped.simplices]  # (S, m+1, n)
     a = corners[:, 0, None, :]
-    if clipped.dim == 1:
-        t = np.linspace(0.0, 1.0, k + 1)
-        pts = a + t[None, :, None] * (corners[:, 1, None, :] - a)
-        gap = _max_edge_length(corners[:, 1] - corners[:, 0]) / k
-    else:
-        ii, jj = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)]).T
-        pts = (a + (corners[:, 1, None, :] - a) * (ii / k)[None, :, None]
-               + (corners[:, 2, None, :] - a) * (jj / k)[None, :, None])
-        edges = corners[:, [1, 2, 0]] - corners  # b - a, c - b, a - c
-        gap = _max_edge_length(edges.reshape(-1, clipped.ambient_dim)) / k
+    pts = a
+    for j, w in enumerate(_lattice(clipped.dim, level)[0].T, start=1):
+        pts = pts + (corners[:, j, None, :] - a) * w[None, :, None]
+    # every edge, each way round for a segment: b - a, c - b, a - c
+    edges = np.roll(corners, -1, axis=1) - corners
+    gap = _max_edge_length(edges.reshape(-1, clipped.ambient_dim)) / 2 ** level
     return pts.reshape(-1, clipped.ambient_dim), gap
 
 
 def _one_sided_sup(source_clipped, target, r, samples):
-    """sup over samples of source∩B of dist(., target); 0 on empty source."""
+    """sup over samples of source∩B of dist(., target); 0 on empty source.
+
+    Each refinement level measures only its new lattice points: the points
+    of the level before are bitwise among them, so the max over the level
+    is the max of the previous sup and the new points' distances."""
     if isinstance(source_clipped, PointCloudSet):
         if len(source_clipped.points) == 0:
             return 0.0, 0.0
@@ -102,7 +111,14 @@ def _one_sided_sup(source_clipped, target, r, samples):
         pts, gap = _sample_points(source_clipped, lv)
         if len(pts) == 0:
             return 0.0, 0.0
-        sup = float(distance_to_set(pts, target).max())
+        if lv == level:
+            sup = float(distance_to_set(pts, target).max())
+        else:
+            new = pts[np.tile(_lattice(source_clipped.dim, lv)[1], n_simplices)]
+            if len(new) == 1:
+                # a one-point call takes the dot path; the full level would not
+                new = new[[0, 0]]
+            sup = float(np.max(np.r_[sup, distance_to_set(new, target)]))
         if prev >= 0 and sup - prev < SUP_REFINE_TOL * r:
             break
         if len(pts) > 200_000:

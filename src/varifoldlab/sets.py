@@ -12,7 +12,14 @@ library shares: the row-wise dot product ``_rowdot``, simplex measure,
 midpoint subdivision, the segment-sphere quadratic, polygon signed area,
 direction-sign canonicalization, ball clipping and point-simplex distance.
 Batched code that must give the bits of a per-row loop takes its dot
-products and norms from ``_rowdot``.
+products and norms from ``_rowdot``, and its matrix-vector products
+``rows @ vec`` from ``_pair_dot``, which stacks them in padded blocks of
+``_GEMV_ROWS`` rows per vector.
+
+Point-simplex distance is one batched kernel over (point, candidate
+simplex) pairs, ``_pair_distances``: it evaluates each bitwise-distinct
+query point once, on the simplices that a cKDTree bound cannot exclude,
+with the bits of the per-simplex loop it replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Plane
+from .geometry import Plane, _distinct_rows
 
 __all__ = [
     "Ball",
@@ -304,14 +311,21 @@ def _clip_segment_to_ball(p, q, center, radius):
 
 
 def _triangle_plane_basis(tri):
-    """Orthonormal basis (u, v) of the triangle's own affine plane."""
+    """Orthonormal basis (u, v) of the triangle's own affine plane, with
+    its first corner: u along the first edge, v along the part of the
+    second edge orthogonal to u."""
     a, b, c = tri
     e1 = b - a
     u = e1 / np.linalg.norm(e1)
-    e2 = c - a
-    w = e2 - np.dot(e2, u) * u
-    v = w / np.linalg.norm(w)
-    return a, u, v
+    return a, u, _unit_rejection(c - a, u)[0]
+
+
+def _unit_rejection(e, u):
+    """The part of e orthogonal to the unit vector u, scaled to unit
+    length, and its length before scaling."""
+    w = e - np.dot(e, u) * u
+    nw = np.linalg.norm(w)
+    return w / nw, nw
 
 
 def _polygon_area(poly):
@@ -521,52 +535,110 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     return out
 
 
-def _point_segment_distance(points, a, b):
-    """Distances from an array of points to segment [a, b]."""
-    d = b - a
-    denom = float(np.dot(d, d))
-    if denom == 0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ d / denom, 0.0, 1.0)
-    foot = a + t[:, None] * d
-    return np.linalg.norm(points - foot, axis=1)
+_GEMV_ROWS = 8         # rows per block of the grouped matrix-vector product
+_PAIR_BLOCK = 1 << 18  # (point, simplex) pairs per pass of the distance kernel
 
 
-def _point_triangle_distance(points, tri):
-    """Distances from an array of points to a filled triangle."""
-    a0, u, v = _triangle_plane_basis(tri)
-    rel = points - a0
-    x = rel @ u
-    y = rel @ v
+def _gemv_layout(simplex):
+    """Blocks of ``_GEMV_ROWS`` slots over pairs sorted by simplex: each
+    block holds pairs of one simplex and is padded with that simplex's
+    first pair. Returns the pair at each slot, the simplex of each block
+    and the slot of each pair."""
+    starts = np.flatnonzero(np.r_[True, simplex[1:] != simplex[:-1]])
+    counts = np.diff(np.r_[starts, len(simplex)])
+    blocks = -(-counts // _GEMV_ROWS)
+    slots = blocks * _GEMV_ROWS
+    first_slot = np.cumsum(slots) - slots
+    offset = np.arange(slots.sum()) - np.repeat(first_slot, slots)
+    src = np.repeat(starts, slots) + np.where(offset < np.repeat(counts, slots), offset, 0)
+    slot = np.arange(len(simplex)) + np.repeat(first_slot - starts, counts)
+    return src, np.repeat(simplex[starts], blocks), slot
+
+
+def _pair_dot(x, vecs, simplex, layout):
+    """``x[i] . vecs[simplex[i]]`` for each row i of x.
+
+    With a ``_gemv_layout`` of ``simplex``, one stacked matrix-vector
+    product over its blocks: a stack of (R, k) @ (k, 1) products with
+    R >= 2 gives each row the bits of the BLAS matrix-vector product
+    ``rows @ vec`` over the rows of its simplex. With None, ``_rowdot``:
+    the BLAS dot that a one-row product takes instead.
+    """
+    if layout is None:
+        return _rowdot(x, vecs[simplex])
+    src, block_simplex, slot = layout
+    blocks = x[src].reshape(-1, _GEMV_ROWS, x.shape[1])
+    return (blocks @ vecs[block_simplex][:, :, None]).reshape(-1)[slot]
+
+
+def _simplex_constants(target: SimplicialSet):
+    """Per-simplex terms of the point-simplex distance. Segments: first
+    end ``a``, direction ``d`` and ``d.d``. Triangles: first corner ``a``,
+    the in-plane basis (u along the first edge), the in-plane corners
+    ``t2``, their edge vectors and the edges' ``d.d``."""
+    corners = target.vertices[target.simplices]  # (S, m+1, n)
+    a = corners[:, 0]
+    if target.dim == 1:
+        d = corners[:, 1] - a
+        return a, d, _rowdot(d, d)
+    e1 = corners[:, 1] - a
+    u = e1 / np.sqrt(_rowdot(e1, e1))[:, None]
+    e2 = corners[:, 2] - a
+    w = e2 - _rowdot(e2, u)[:, None] * u
+    v = w / np.sqrt(_rowdot(w, w))[:, None]
+    rel = corners - a[:, None, :]  # a (3, n) @ (n, 1) stack: the matrix-vector path
+    t2 = np.stack([(rel @ u[:, :, None])[:, :, 0], (rel @ v[:, :, None])[:, :, 0]], axis=2)
+    d = np.roll(t2, -1, axis=1) - t2  # edge i runs from corner i to corner i + 1
+    return a, u, v, t2, d, _rowdot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(-1, 3)
+
+
+def _clamped_foot_distance(p, a, d, denom, simplex, layout):
+    """Distances from the rows of p to the segments [a, a + d] of their
+    simplices: the foot of the perpendicular clamped to the segment (to a
+    when d.d is 0)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip(_pair_dot(p - a[simplex], d, simplex, layout) / denom[simplex], 0.0, 1.0)
+    t[denom[simplex] == 0] = 0.0
+    foot = a[simplex] + t[:, None] * d[simplex]
+    return np.linalg.norm(p - foot, axis=1)
+
+
+def _pair_distances(p, simplex, const, layout):
+    """Distance from each row of p to the target simplex paired with it."""
+    if len(const) == 3:  # segments
+        return _clamped_foot_distance(p, *const, simplex, layout)
+    a, u, v, t2, d, denom = const
+    rel = p - a[simplex]
+    x = _pair_dot(rel, u, simplex, layout)
+    y = _pair_dot(rel, v, simplex, layout)
     perp2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - x * x - y * y, 0.0)
     p2 = np.column_stack([x, y])
-    t2 = np.column_stack([(tri - a0) @ u, (tri - a0) @ v])
     # barycentric inside test
-    d = np.full(len(points), np.inf)
-    v0, v1, v2 = t2
-    den = (v1[1] - v2[1]) * (v0[0] - v2[0]) + (v2[0] - v1[0]) * (v0[1] - v2[1])
-    l1 = ((v1[1] - v2[1]) * (p2[:, 0] - v2[0]) + (v2[0] - v1[0]) * (p2[:, 1] - v2[1])) / den
-    l2 = ((v2[1] - v0[1]) * (p2[:, 0] - v2[0]) + (v0[0] - v2[0]) * (p2[:, 1] - v2[1])) / den
+    v0, v1, v2 = t2[:, 0], t2[:, 1], t2[:, 2]
+    den = ((v1[:, 1] - v2[:, 1]) * (v0[:, 0] - v2[:, 0])
+           + (v2[:, 0] - v1[:, 0]) * (v0[:, 1] - v2[:, 1]))[simplex]
+    dx, dy = p2[:, 0] - v2[simplex, 0], p2[:, 1] - v2[simplex, 1]
+    l1 = ((v1[:, 1] - v2[:, 1])[simplex] * dx + (v2[:, 0] - v1[:, 0])[simplex] * dy) / den
+    l2 = ((v2[:, 1] - v0[:, 1])[simplex] * dx + (v0[:, 0] - v2[:, 0])[simplex] * dy) / den
     l3 = 1.0 - l1 - l2
     inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
-    d[inside] = 0.0
+    dist = np.where(inside, 0.0, np.inf)
     for i in range(3):
-        e0, e1 = t2[i], t2[(i + 1) % 3]
-        de = _point_segment_distance(p2, e0, e1)
-        d = np.minimum(d, de)
-    return np.sqrt(d * d + perp2)
+        edge = _clamped_foot_distance(p2, t2[:, i], d[:, i], denom[:, i], simplex, layout)
+        dist = np.minimum(dist, edge)
+    return np.sqrt(dist * dist + perp2)
 
 
-def _candidate_rows(pts, target):
-    """For each simplex, the ascending indices of the points it can be
-    nearest to.
+def _candidate_pairs(pts, target):
+    """The (row, simplex) pairs of points and the simplices each can be
+    nearest to, ordered by row.
 
     A point's distance to the nearest vertex or centroid, both points of
     the set, is an upper bound ``ub`` of its distance to the set, and no
     point of a simplex lies farther than its bounding radius ``R_s`` from
-    its centroid. So only the points within ``R_s + ub + margin`` of the
-    centroid are kept. The margin exceeds the rounding of the distance
-    kernels (the ``perp2`` cancellation in ``_point_triangle_distance`` is
+    its centroid. So only the simplices whose centroid is within
+    ``R_s + ub + margin`` are kept. The margin exceeds the rounding of the
+    distance kernel (the ``perp2`` cancellation of the triangle distance is
     near 1e-8 * |p - a|), so no pruned simplex can round to a distance at
     or below a kept one's.
     """
@@ -582,10 +654,7 @@ def _candidate_rows(pts, target):
     row = np.repeat(np.arange(len(pts)), counts)
     keep = (np.linalg.norm(pts[row] - centroids[simplex], axis=1)
             <= radii[simplex] + ub[row] + margin)
-    row, simplex = row[keep], simplex[keep]
-    order = np.argsort(simplex, kind="stable")  # rows stay ascending
-    bounds = np.searchsorted(simplex[order], np.arange(len(centroids) + 1))
-    return np.split(row[order], bounds[1:-1])
+    return row[keep], simplex[keep]
 
 
 def nearest_simplex(points, target: SimplicialSet):
@@ -593,30 +662,37 @@ def nearest_simplex(points, target: SimplicialSet):
     index of its first nearest simplex (-1 on an empty set).
 
     Bit for bit the result of evaluating every simplex in ascending order
-    on every point and keeping strict improvements: each simplex is
-    evaluated by the same per-simplex kernel, on the rows that
-    ``_candidate_rows`` cannot exclude.
+    on every point with the per-simplex kernel and keeping strict
+    improvements. Each bitwise-distinct point is evaluated once, on the
+    simplices that ``_candidate_pairs`` cannot exclude, in one batched
+    kernel per block of about ``_PAIR_BLOCK`` pairs. The kernel's products
+    are stacked matrix-vector products, which keep the bits of the
+    per-simplex ``rows @ vec``; a one-point call takes the dot path, as a
+    one-row product does.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    best = np.full(len(pts), np.inf)
-    index = np.full(len(pts), -1, dtype=np.int64)
     if target.is_empty() or len(pts) == 0:
-        return best, index
-    for i, rows in enumerate(_candidate_rows(pts, target)):
-        if len(rows) == 0:
-            continue
-        # a one-row product takes BLAS's dot path, which can round
-        # differently from the matrix-vector path a longer input takes
-        sub = pts[rows] if len(rows) > 1 or len(pts) == 1 else pts[rows[[0, 0]]]
-        sp = target.simplex_points(i)
-        if target.dim == 1:
-            di = _point_segment_distance(sub, sp[0], sp[1])[: len(rows)]
-        else:
-            di = _point_triangle_distance(sub, sp)[: len(rows)]
-        better = di < best[rows]
-        best[rows[better]] = di[better]
-        index[rows[better]] = i
-    return best, index
+        return np.full(len(pts), np.inf), np.full(len(pts), -1, dtype=np.int64)
+    distinct, inverse = _distinct_rows(pts)
+    best = np.full(len(distinct), np.inf)
+    index = np.full(len(distinct), -1, dtype=np.int64)
+    const = _simplex_constants(target)
+    row, simplex = _candidate_pairs(distinct, target)
+    # blocks of whole rows, each starting at the row of every _PAIR_BLOCK-th pair
+    starts = np.unique(np.searchsorted(row, row[::_PAIR_BLOCK]))
+    for lo, hi in zip(starts, np.r_[starts[1:], len(row)]):
+        order = np.argsort(simplex[lo:hi], kind="stable")
+        r, s = row[lo:hi][order], simplex[lo:hi][order]
+        layout = None if len(pts) == 1 else _gemv_layout(s)
+        dist = _pair_distances(distinct[r], s, const, layout)
+        # per row, the smallest distance at the lowest simplex: the loop's
+        # first strict improvement; NaN sorts last and never wins
+        first = np.lexsort((s, dist, r))
+        first = first[np.r_[True, r[first[1:]] != r[first[:-1]]]]
+        found = first[dist[first] < np.inf]
+        best[r[found]] = dist[found]
+        index[r[found]] = s[found]
+    return best[inverse], index[inverse]
 
 
 def distance_to_set(points, target) -> np.ndarray:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import _canonical_signs, _polygon_area, _rowdot
+from .sets import (_canonical_signs, _polygon_area, _rowdot, _triangle_plane_basis,
+                   _unit_rejection)
 
 __all__ = [
     "interval_union_length",
@@ -276,23 +277,18 @@ def triangles_union_measure(triangles) -> float:
             total += half[rows[0]]
             continue
         group = tris[rows]
-        t0 = group[0]
-        a0 = t0[0]
-        e1 = t0[1] - t0[0]
-        u = e1 / np.linalg.norm(e1)
-        e2 = t0[2] - t0[0]
-        w = e2 - np.dot(e2, u) * u
-        nw = np.linalg.norm(w)
-        if nw <= 1e-14:
-            for alt in group[1:]:
-                e2 = alt[2] - alt[0]
-                w = e2 - np.dot(e2, u) * u
-                nw = np.linalg.norm(w)
-                if nw > 1e-14:
-                    break
+        # origin and u from the first triangle whose first edge is not zero
+        t0 = group[np.argmax((group[:, 1] != group[:, 0]).any(axis=1))]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a0, u, v = _triangle_plane_basis(t0)
+            nw = _unit_rejection(t0[2] - t0[0], u)[1]
+            if nw <= 1e-14:  # a second edge along u: take v from another triangle
+                for alt in group[1:]:
+                    v, nw = _unit_rejection(alt[2] - alt[0], u)
+                    if nw > 1e-14:
+                        break
         if nw <= 1e-14:
             continue
-        v = w / nw
         rel = (group - a0).reshape(-1, n)
         total += polygon_union_area(np.stack([rel @ u, rel @ v], axis=1).reshape(-1, 3, 2))
     return float(total)

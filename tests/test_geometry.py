@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varifoldlab.geometry import (DegenerateFrameError, DimensionMismatchError,
-                                  GrassmannSample, Plane, axis_plane,
+                                  GrassmannSample, Plane, _distinct_rows, axis_plane,
                                   grassmann_distance, grassmann_distance_matrix,
                                   haar_sample, orthonormalize, project,
                                   tangent_jacobian)
@@ -149,6 +149,52 @@ class TestGrassmannDistance:
         for i, p in enumerate(ps):
             for j, q in enumerate(qs):
                 assert abs(mat[i, j] - grassmann_distance(p, q)) < 1e-12
+
+
+def grassmann_matrix_oracle(fa, fb):
+    """The projection-difference SVD on every pair, duplicates included."""
+    pa = np.einsum("aij,akj->aik", fa, fa)
+    pb = np.einsum("bij,bkj->bik", fb, fb)
+    return np.linalg.svd(pa[:, None] - pb[None], compute_uv=False)[..., 0]
+
+
+class TestDistinctProjections:
+    """grassmann_distance_matrix runs the SVD once per distinct pair of
+    projection matrices and must keep the bits of the SVD on every pair."""
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 2)])
+    def test_matches_full_svd(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        base = np.stack([random_plane(rng, n, m).frame for _ in range(6)])
+        axes = np.zeros((3, n, m))
+        for j in range(m):
+            axes[:, j, j] = 1.0
+        axes[1, -1, :] = -0.0                 # -0.0 and 0.0 entries
+        axes[2] *= -1.0                       # a sign-flipped axis frame
+        for trial in range(5):
+            pool = np.concatenate([base, -base, base[:, :, ::-1], axes])
+            fa = pool[rng.integers(0, len(pool), 40)]
+            fb = pool[rng.integers(0, len(pool), 25)]
+            assert np.array_equal(grassmann_distance_matrix(fa, fb),
+                                  grassmann_matrix_oracle(fa, fb))
+            assert np.array_equal(grassmann_distance_matrix(fa, fa[:1]),
+                                  grassmann_matrix_oracle(fa, fa[:1]))
+
+    def test_nan_frame_fails_like_full_svd(self):
+        rng = np.random.default_rng(5)
+        fa = np.stack([random_plane(rng, 3, 2).frame for _ in range(4)])
+        fa[2, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            grassmann_matrix_oracle(fa, fa)
+        with pytest.raises(np.linalg.LinAlgError):
+            grassmann_distance_matrix(fa, fa)
+
+    def test_rows_keyed_by_bytes(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 1.0]])
+        rows, inverse = _distinct_rows(x)
+        assert len(rows) == 3
+        assert np.array_equal(rows[inverse], x, equal_nan=True)
+        assert inverse[0] == inverse[2] != inverse[1]
 
 
 class TestJacobianInequalities:

@@ -3,8 +3,10 @@ import pytest
 
 from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
 from varifoldlab.lab import _var_with_target_atoms
-from varifoldlab.metrics import (_sample_points, bl_distance, filling_check,
+from varifoldlab.metrics import (SUP_REFINE_TOL, _max_edge_length, _one_sided_sup,
+                                 _sample_points, bl_distance, filling_check,
                                  hausdorff_local, hausdorff_local_report, projected_mass)
+from varifoldlab.sets import distance_to_set
 from varifoldlab.scenarios import disk_set, get_family, scenario_sequence, segment_set
 from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
 from varifoldlab.varifold import DiscreteVarifold, var_of_set
@@ -238,6 +240,60 @@ def test_sample_points_match_loop(family):
                 want_pts, want_gap = sample_points_loop(clipped, level)
                 assert np.array_equal(pts, want_pts) and pts.shape == want_pts.shape
                 assert gap == want_gap
+
+
+def test_max_edge_length_is_the_one_dimensional_norm():
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        edges = rng.standard_normal((2000, n)) * 10.0 ** rng.integers(-3, 3, (2000, 1))
+        assert _max_edge_length(edges) == max(float(np.linalg.norm(e)) for e in edges)
+    # a near tie: two edges whose lengths differ in the last bit
+    e = np.array([0.6, 0.8, 1.3])
+    f = e.copy()
+    while np.linalg.norm(f) == np.linalg.norm(e):
+        f[2] = np.nextafter(f[2], 2.0)
+    longest = float(np.linalg.norm(f))
+    assert np.nextafter(float(np.linalg.norm(e)), 2.0) == longest
+    assert _max_edge_length(np.stack([e, f])) == _max_edge_length(np.stack([f, e])) == longest
+
+
+def one_sided_sup_full(source_clipped, target, r, samples):
+    """The refinement loop measuring every lattice point of every level."""
+    per = max(1, int(np.ceil(samples / len(source_clipped.simplices))))
+    level = max(0, int(np.ceil(np.log2(per))))
+    prev = -np.inf
+    for lv in range(level, level + 8):
+        pts, gap = sample_points_loop(source_clipped, lv)
+        sup = float(distance_to_set(pts, target).max())
+        if prev >= 0 and sup - prev < SUP_REFINE_TOL * r:
+            break
+        if len(pts) > 200_000:
+            break
+        prev = sup
+    return sup, gap
+
+
+@pytest.mark.parametrize("family", ["disk", "zigzag", "ycone_approx"])
+def test_nested_sup_matches_full_recompute(family):
+    fam = get_family(family)
+    e, limit = fam.make(1 if family == "disk" else 4), fam.limit()
+    for r in fam.base_radii:
+        ball = Ball(np.asarray(fam.base_point, dtype=float), r)
+        for source, target in ((e, limit), (limit, e)):
+            clipped = restrict(source, ball)
+            for samples in (1, 256):
+                assert (_one_sided_sup(clipped, target, r, samples)
+                        == one_sided_sup_full(clipped, target, r, samples))
+
+
+def test_nested_sup_with_one_new_point():
+    # one clipped segment at level 0 has two points; level 1 adds only its midpoint
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        seg = SimplicialSet.from_segments([rng.standard_normal((2, 3))])
+        target = SimplicialSet.from_triangles(list(rng.standard_normal((6, 3, 3))))
+        assert (_one_sided_sup(seg, target, 1.0, 1)
+                == one_sided_sup_full(seg, target, 1.0, 1))
 
 
 class TestProjectedMass:

@@ -1,5 +1,7 @@
 """nearest_simplex against the per-simplex loop it replaces: distances equal
-bit for bit, and the index is the loop's first minimizer."""
+bit for bit, and the index is the loop's first minimizer. The loop and its
+per-simplex point-segment and point-triangle kernels are kept here as the
+oracle."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,49 @@ from hypothesis import given, settings, strategies as st
 from varifoldlab.metrics import _sample_points
 from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
 from varifoldlab.scenarios import get_family
-from varifoldlab.sets import (Ball, SimplicialSet, _point_segment_distance,
-                              _point_triangle_distance, distance_to_set,
-                              nearest_simplex, restrict)
+from varifoldlab import sets
+from varifoldlab.sets import Ball, SimplicialSet, distance_to_set, nearest_simplex, restrict
+
+
+def point_segment_distance(points, a, b):
+    """Distances from an array of points to segment [a, b]."""
+    d = b - a
+    denom = float(np.dot(d, d))
+    if denom == 0:
+        return np.linalg.norm(points - a, axis=1)
+    t = np.clip((points - a) @ d / denom, 0.0, 1.0)
+    foot = a + t[:, None] * d
+    return np.linalg.norm(points - foot, axis=1)
+
+
+def point_triangle_distance(points, tri):
+    """Distances from an array of points to a filled triangle."""
+    a0, b, c = tri
+    e1 = b - a0
+    u = e1 / np.linalg.norm(e1)
+    e2 = c - a0
+    w = e2 - np.dot(e2, u) * u
+    v = w / np.linalg.norm(w)
+    rel = points - a0
+    x = rel @ u
+    y = rel @ v
+    perp2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - x * x - y * y, 0.0)
+    p2 = np.column_stack([x, y])
+    t2 = np.column_stack([(tri - a0) @ u, (tri - a0) @ v])
+    # barycentric inside test
+    d = np.full(len(points), np.inf)
+    v0, v1, v2 = t2
+    den = (v1[1] - v2[1]) * (v0[0] - v2[0]) + (v2[0] - v1[0]) * (v0[1] - v2[1])
+    l1 = ((v1[1] - v2[1]) * (p2[:, 0] - v2[0]) + (v2[0] - v1[0]) * (p2[:, 1] - v2[1])) / den
+    l2 = ((v2[1] - v0[1]) * (p2[:, 0] - v2[0]) + (v0[0] - v2[0]) * (p2[:, 1] - v2[1])) / den
+    l3 = 1.0 - l1 - l2
+    inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
+    d[inside] = 0.0
+    for i in range(3):
+        e0, e1 = t2[i], t2[(i + 1) % 3]
+        de = point_segment_distance(p2, e0, e1)
+        d = np.minimum(d, de)
+    return np.sqrt(d * d + perp2)
 
 
 def oracle(points, target):
@@ -22,9 +64,9 @@ def oracle(points, target):
     for i in range(len(target.simplices)):
         sp = target.simplex_points(i)
         if target.dim == 1:
-            d = _point_segment_distance(pts, sp[0], sp[1])
+            d = point_segment_distance(pts, sp[0], sp[1])
         else:
-            d = _point_triangle_distance(pts, sp)
+            d = point_triangle_distance(pts, sp)
         better = d < best
         best[better] = d[better]
         index[better] = i
@@ -104,6 +146,35 @@ def test_matches_oracle_on_random_soup(seed, simplices, count, dim):
     pts = np.concatenate([rng.standard_normal((count, n)),
                           corners.reshape(-1, n)[: count]])
     assert_matches_oracle(pts, target)
+
+
+@pytest.mark.parametrize("surface", [False, True])
+def test_duplicate_points(surface):
+    rng = np.random.default_rng(21 + surface)
+    target = height_field_set(rng, 4, 0.3) if surface else grid_polyline_set(rng, 4)
+    pts = query_points(rng, target, 60)
+    dup = pts[rng.integers(0, len(pts), 3 * len(pts))]
+    assert_matches_oracle(dup, target)
+    zeros = np.zeros((3, target.ambient_dim))
+    zeros[1] = -0.0  # a distinct row by its bytes
+    assert_matches_oracle(zeros, target)
+    lo, hi = target.vertices.min(axis=0), target.vertices.max(axis=0)
+    for p in lo + (hi - lo) * rng.random((40, target.ambient_dim)):
+        assert_matches_oracle(np.repeat(p[None], 3, axis=0), target)  # all one point
+        assert_matches_oracle(p[None], target)  # a single point: the dot path
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_several_pair_blocks(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    for target in (height_field_set(rng, 5, 0.3), grid_polyline_set(rng, 5)):
+        pts = query_points(rng, target, 300)
+        want = nearest_simplex(pts, target)
+        monkeypatch.setattr(sets, "_PAIR_BLOCK", block)
+        got = nearest_simplex(pts, target)
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_matches_oracle(pts, target)
 
 
 def test_empty_target_and_no_points():

@@ -279,7 +279,8 @@ def triangles_union_oracle(triangles):
             a, b, c = group[0]
             total += 0.5 * np.linalg.norm(_cross_oracle(b - a, c - a))
             continue
-        t0 = group[0]
+        # origin and u from the first triangle whose first edge is not zero
+        t0 = next((t for t in group if np.any(t[1] != t[0])), group[0])
         a0 = t0[0]
         e1 = t0[1] - t0[0]
         u = e1 / np.linalg.norm(e1)
@@ -387,6 +388,13 @@ class TestBatchedUnionsMatchLoop:
         b = a + [0.25, 0.25, 1e-16]
         assert triangles_union_measure([a, b]) == triangles_union_oracle([a, b])
         assert triangles_union_measure([a, b]) == pytest.approx(0.875, abs=1e-12)
+
+    def test_first_triangle_with_zero_first_edge(self):
+        # its first edge cannot give the in-plane basis of the R^2 group
+        a, b = np.array([0.3, 0.2]), np.array([0.7, 0.9])
+        tris = [np.array([a, a, b]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+        assert triangles_union_measure(tris) == triangles_union_measure(tris[::-1]) == 0.5
+        assert triangles_union_measure(tris) == triangles_union_oracle(tris)
 
     def test_other_ambient_dimensions_rejected(self):
         with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
