@@ -7,9 +7,12 @@ functional that links them.
   under the product metric |x - y| + grassmann_distance. The exact method
   solves the mass-transshipment LP with unit-rate slack for unmatched mass
   (so moving mass farther than 2 is dominated by destroy + create, matching
-  |phi| <= 1). The dictionary method maximizes over a fixed published
-  family of certified 1-Lipschitz, bounded-by-1 test functions and is
-  always a lower bound of the LP value.
+  |phi| <= 1). The value is a norm of mu - nu, so the mass that both
+  measures hold on coincident atoms (bitwise-equal position and
+  projection) cancels first and the LP runs on the residual only. The
+  dictionary method maximizes over a fixed published family of certified
+  1-Lipschitz, bounded-by-1 test functions and is always a lower bound of
+  the LP value.
 - ``projected_mass``: m-measure of the image (overlaps counted once) of
   the clipped, rescaled set under projection to a plane.
 - ``filling_check``: tabulates projected_mass over (k, r) and flags whether
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .geometry import Plane, axis_plane, grassmann_distance_matrix
+from .geometry import Plane, _distinct_rows, axis_plane, grassmann_distance_matrix
 from .sets import (Ball, PointCloudSet, SimplicialSet, _rowdot, distance_to_set,
                    measure, rescale, restrict)
 from .unions import interval_union_length, polygon_union_area
@@ -196,12 +200,60 @@ def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold, chunk: int = 1 << 22)
     return pos + gd
 
 
+def _atom_keys(v: DiscreteVarifold) -> np.ndarray:
+    """One row per atom: its position, then its projection ``f f^T`` by the
+    einsum of ``grassmann_distance_matrix``. Bitwise-equal rows are at cost
+    exactly 0 from each other; frames f and -f share a row."""
+    n = v.ambient_dim
+    proj = np.einsum("aij,akj->aik", v.frames, v.frames).reshape(len(v), n * n)
+    return np.concatenate([v.positions, proj], axis=1)
+
+
+def _cancel_coincident(v: DiscreteVarifold, w: DiscreteVarifold):
+    """Cancel the mass that the two sides hold on bitwise-coincident atoms:
+    each atom of ``v`` in index order takes ``min`` of the masses left with
+    the atoms of ``w`` of its key, in index order. Returns the cancelled
+    ``(i, j, mass)`` triples and the residual masses of both sides."""
+    _, ids = _distinct_rows(np.concatenate([_atom_keys(v), _atom_keys(w)]))
+    mu, nu = v.masses.copy(), w.masses.copy()
+    queues = {}
+    for j, key in enumerate(ids[len(v):].tolist()):
+        queues.setdefault(key, deque()).append(j)
+    pairs = []
+    for i, key in enumerate(ids[: len(v)].tolist()):
+        queue = queues.get(key)
+        while queue and mu[i] > 0:
+            j = queue[0]
+            m = min(mu[i], nu[j])
+            pairs.append((i, j, float(m)))
+            mu[i] -= m  # the smaller side reaches exactly 0
+            nu[j] -= m
+            if nu[j] == 0:
+                queue.popleft()
+    return pairs, mu, nu
+
+
 def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
-    mu, nu = v.masses, w.masses
+    """The transshipment LP of ``mu - nu`` after the mass on coincident
+    atoms cancels: the LP value is a norm of ``mu - nu`` and a pair of
+    coincident atoms costs 0, so the residual LP has the same value. When
+    nothing cancels, the LP is built from the inputs unchanged."""
+    pairs, mu, nu = _cancel_coincident(v, w)
+    keep_a, keep_b = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    cancelled = len(v) + len(w) - len(keep_a) - len(keep_b)
+    if pairs:
+        v = DiscreteVarifold(v.ambient_dim, v.dim, v.positions[keep_a], v.frames[keep_a],
+                             mu[keep_a])
+        w = DiscreteVarifold(w.ambient_dim, w.dim, w.positions[keep_b], w.frames[keep_b],
+                             nu[keep_b])
+        mu, nu = v.masses, w.masses
     total = float(mu.sum() + nu.sum())
     if len(v) == 0 or len(w) == 0:
-        return BLDistanceReport(total, "exact-LP", witness=[],
-                                detail={"lp_status": "degenerate-empty-side"})
+        return BLDistanceReport(total, "exact-LP", witness=pairs,
+                                detail={"lp_status": "degenerate-empty-side",
+                                        "lp_lower": total, "lp_upper": total,
+                                        "lp_rows": 0, "lp_cols": 0,
+                                        "cancelled_atoms": cancelled})
     cost = _cost_matrix(v, w)
     a, b = cost.shape
     c = (cost - 2.0).ravel()
@@ -215,11 +267,13 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     value = total + float(res.fun)
     plan = res.x.reshape(a, b)
     nz = np.argwhere(plan > 1e-12)
-    witness = [(int(i), int(j), float(plan[i, j])) for i, j in nz]
+    witness = sorted(pairs + [(int(keep_a[i]), int(keep_b[j]), float(plan[i, j]))
+                              for i, j in nz])
     lp_lower, lp_upper = _lp_certificate(cost, mu, nu, plan, res.ineqlin.marginals)
     return BLDistanceReport(max(value, 0.0), "exact-LP", witness=witness,
                             detail={"lp_status": "optimal", "lp_lower": lp_lower,
-                                    "lp_upper": lp_upper})
+                                    "lp_upper": lp_upper, "lp_rows": a + b,
+                                    "lp_cols": a * b, "cancelled_atoms": cancelled})
 
 
 def _lp_certificate(cost, mu, nu, plan, marginals):
@@ -297,30 +351,31 @@ def _reference_planes(n, m):
     return refs[:12]
 
 
+def _plane_columns(frames, n, m):
+    """What the plane features read from a frame stack, computed once: the
+    projections ``f f^T`` and the distance to each reference plane."""
+    refs = np.stack([ref.frame for _, ref in _reference_planes(n, m)])
+    return (np.einsum("aij,akj->aik", frames, frames),
+            grassmann_distance_matrix(frames, refs))
+
+
 def _plane_features(n, m):
-    """[(name, eval(frames)->vals, sup_abs, lip_T)] under the operator metric."""
-    feats = [("1", lambda f: np.ones(len(f)), 1.0, 0.0)]
-
-    def entry(f, k, l):
-        p = np.einsum("aij,akj->aik", f, f)
-        return p[:, k, l]
-
+    """[(name, eval(columns)->vals, sup_abs, lip_T)] under the operator
+    metric, where ``columns`` is ``_plane_columns`` of a frame stack."""
+    feats = [("1", lambda c: np.ones(len(c[0])), 1.0, 0.0)]
     for k in range(n):
         for l in range(k, n):
-            feats.append((f"P{k}{l}", lambda f, k=k, l=l: entry(f, k, l), 1.0, 1.0))
+            feats.append((f"P{k}{l}", lambda c, k=k, l=l: c[0][:, k, l], 1.0, 1.0))
     pairs = [(k, l) for k in range(n) for l in range(k, n)]
     for a in range(len(pairs)):
         for b in range(a, len(pairs)):
             (k1, l1), (k2, l2) = pairs[a], pairs[b]
             feats.append((f"P{k1}{l1}*P{k2}{l2}",
-                          lambda f, k1=k1, l1=l1, k2=k2, l2=l2:
-                          entry(f, k1, l1) * entry(f, k2, l2), 1.0, 2.0))
-    for name, ref in _reference_planes(n, m):
-        rf = ref.frame[None, :, :]
-        feats.append((f"gd_{name}",
-                      lambda f, rf=rf: grassmann_distance_matrix(f, rf)[:, 0], 1.0, 1.0))
-        feats.append((f"gd2_{name}",
-                      lambda f, rf=rf: grassmann_distance_matrix(f, rf)[:, 0] ** 2, 1.0, 2.0))
+                          lambda c, k1=k1, l1=l1, k2=k2, l2=l2:
+                          c[0][:, k1, l1] * c[0][:, k2, l2], 1.0, 2.0))
+    for r, (name, _) in enumerate(_reference_planes(n, m)):
+        feats.append((f"gd_{name}", lambda c, r=r: c[1][:, r], 1.0, 1.0))
+        feats.append((f"gd2_{name}", lambda c, r=r: c[1][:, r] ** 2, 1.0, 2.0))
     return feats
 
 
@@ -346,7 +401,8 @@ def _bl_dictionary(v: DiscreteVarifold, w: DiscreteVarifold, domain) -> BLDistan
                     np.zeros(0))
         window = _smooth_window(np.linalg.norm(var.positions, axis=1) / r0)
         fp = np.stack([f(var.positions) for _, f, _, _ in pos_feats])
-        ft = np.stack([g(var.frames) for _, g, _, _ in plane_feats])
+        cols = _plane_columns(var.frames, n, m)
+        ft = np.stack([g(cols) for _, g, _, _ in plane_feats])
         return fp, ft, window * var.masses
 
     fp_v, ft_v, wm_v = tables(v)

@@ -8,8 +8,8 @@ import pytest
 from varifoldlab import cli, metrics
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
-from varifoldlab.scenarios import segment_set
-from varifoldlab.sets import save_set
+from varifoldlab.scenarios import FAMILIES, segment_set
+from varifoldlab.sets import PointCloudSet, save_set
 from varifoldlab.varifold import save_varifold, var_of_set
 
 
@@ -122,6 +122,21 @@ class TestRunScenario:
         assert len(rep.rows) == 2
 
 
+SIMPLICIAL_LIMIT_FAMILIES = sorted(
+    name for name, fam in FAMILIES.items() if not isinstance(fam.limit(), PointCloudSet))
+
+
+@pytest.mark.parametrize("family", SIMPLICIAL_LIMIT_FAMILIES)
+def test_pipeline_flags_match_declared_truths(family):
+    # the hausdorff and mass flags read only the first and the last row, so
+    # the two ends of the default schedule decide them as the whole would
+    fam = FAMILIES[family]
+    rep = run_scenario(ScenarioSpec(family=family, k_schedule=(1, 64), atoms=32, samples=32))
+    assert rep.flags["hausdorff"] == fam.hausdorff_holds
+    assert rep.flags["mass"] == fam.mass_holds
+    assert (rep.flags["filling"] is True) == fam.filling_holds
+
+
 class TestCLI:
     def test_hausdorff_identical_files(self, tmp_path):
         path = tmp_path / "seg.json"
@@ -139,11 +154,13 @@ class TestCLI:
         assert json.loads(res.stdout)["value"] < 1e-9
 
     def test_failed_lp_exit_3(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "v.json"
-        save_varifold(var_of_set(segment_set(8), 1), path)
+        # two different varifolds: between identical ones no LP runs
+        paths = [tmp_path / "v.json", tmp_path / "w.json"]
+        for subdiv, path in zip((8, 4), paths):
+            save_varifold(var_of_set(segment_set(subdiv), 1), path)
         failed = SimpleNamespace(status=4, message="numerical difficulties")
         monkeypatch.setattr(metrics, "linprog", lambda *args, **kwargs: failed)
-        code = cli.main(["distance", "--kind", "bl", str(path), str(path)])
+        code = cli.main(["distance", "--kind", "bl", *map(str, paths)])
         assert code == cli.EXIT_RESOLUTION
         assert "error: transshipment LP failed" in capsys.readouterr().err
 

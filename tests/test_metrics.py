@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
+from varifoldlab import metrics
+from varifoldlab.geometry import (Plane, axis_plane, grassmann_distance,
+                                  grassmann_distance_matrix, haar_sample)
 from varifoldlab.lab import _var_with_target_atoms
-from varifoldlab.metrics import (SUP_REFINE_TOL, _max_edge_length, _one_sided_sup,
-                                 _sample_points, bl_distance, filling_check,
-                                 hausdorff_local, hausdorff_local_report, projected_mass)
+from varifoldlab.metrics import (SUP_REFINE_TOL, _cost_matrix, _lp_certificate,
+                                 _max_edge_length, _one_sided_sup, _plane_columns,
+                                 _reference_planes, _sample_points, bl_distance,
+                                 filling_check, hausdorff_local, hausdorff_local_report,
+                                 projected_mass)
 from varifoldlab.sets import distance_to_set
 from varifoldlab.scenarios import disk_set, get_family, scenario_sequence, segment_set
 from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
@@ -204,6 +211,156 @@ class TestBLDistance:
         rep = bl_distance(v, w)
         moved = sum(m for _, _, m in rep.witness)
         assert moved == pytest.approx(1.0, abs=1e-6)
+
+
+def bl_exact_dense(v, w):
+    """The exact BL value over every atom pair, with no mass cancelled:
+    (value, lp_lower, lp_upper)."""
+    mu, nu = v.masses, w.masses
+    total = float(mu.sum() + nu.sum())
+    if len(v) == 0 or len(w) == 0:
+        return total, total, total
+    cost = _cost_matrix(v, w)
+    a, b = cost.shape
+    c = (cost - 2.0).ravel()
+    row = sp.kron(sp.eye(a, format="csr"), np.ones((1, b)), format="csr")
+    col = sp.kron(np.ones((1, a)), sp.eye(b, format="csr"), format="csr")
+    a_ub = sp.vstack([row, col], format="csr")
+    b_ub = np.concatenate([mu, nu])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    assert res.status == 0
+    value = total + float(res.fun)
+    lower, upper = _lp_certificate(cost, mu, nu, res.x.reshape(a, b), res.ineqlin.marginals)
+    return max(value, 0.0), lower, upper
+
+
+def assert_matches_dense(v, w):
+    rep = bl_distance(v, w)
+    value, lower, upper = bl_exact_dense(v, w)
+    d = rep.detail
+    for val in (rep.value, value):
+        for lo, hi in ((d["lp_lower"], d["lp_upper"]), (lower, upper)):
+            assert lo - 1e-12 <= val <= hi + 1e-12
+    if d["lp_rows"]:
+        assert d["lp_rows"] + d["cancelled_atoms"] == len(v) + len(w)
+    return rep
+
+
+def with_atoms(v, positions, frames, masses):
+    return DiscreteVarifold(v.ambient_dim, v.dim, positions, frames, masses)
+
+
+class TestBLCancellation:
+    def test_identical_varifolds_exactly_zero(self):
+        rng = np.random.default_rng(4)
+        for n, m in ((2, 1), (3, 2)):
+            v = random_varifold(rng, 7, n, m)
+            flipped = with_atoms(v, v.positions, -v.frames, v.masses)
+            for w in (v, flipped):
+                rep = bl_distance(v, w)
+                assert rep.value == 0.0
+                assert rep.detail["lp_rows"] == rep.detail["lp_cols"] == 0
+                assert rep.detail["cancelled_atoms"] == 14
+                assert rep.detail["lp_lower"] == rep.detail["lp_upper"] == 0.0
+                assert sorted(rep.witness) == [(i, i, float(v.masses[i])) for i in range(7)]
+        disk = _var_with_target_atoms(get_family("disk").limit(), 256)
+        assert bl_distance(disk, disk).value == 0.0
+
+    def test_signed_zero_positions_stay_apart(self):
+        v = atoms(([0.0, 0.3], H.frame, 1.0))
+        w = atoms(([-0.0, 0.3], H.frame, 1.0))
+        rep = assert_matches_dense(v, w)
+        assert rep.detail["cancelled_atoms"] == 0 and rep.detail["lp_rows"] == 2
+        assert rep.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_flipped_frame_cancels_position_alone_does_not(self):
+        diag = Plane.from_span([1.0, 1.0])
+        v = atoms(([0.2, 0.0], H.frame, 1.0), ([0.5, 0.5], H.frame, 0.5))
+        w = atoms(([0.2, 0.0], -H.frame, 1.0), ([0.5, 0.5], diag.frame, 0.5))
+        rep = assert_matches_dense(v, w)
+        assert rep.detail["cancelled_atoms"] == 2 and rep.detail["lp_rows"] == 2
+        assert rep.value == pytest.approx(0.5 * grassmann_distance(H, diag), abs=1e-12)
+
+    def test_partial_cancellation_witness(self):
+        v = atoms(([0.0, 0.0], H.frame, 2.0), ([0.0, 0.0], H.frame, 1.0),
+                  ([0.4, 0.0], H.frame, 1.0))
+        w = atoms(([0.1, 0.0], H.frame, 1.0), ([0.0, 0.0], H.frame, 2.5))
+        rep = assert_matches_dense(v, w)
+        # atom 1 of w cancels atom 0 of v and half of atom 1; the LP moves
+        # the other half and half of atom 2 onto atom 0 of w
+        assert rep.witness == [(0, 1, 2.0), (1, 0, pytest.approx(0.5, abs=1e-9)),
+                               (1, 1, 0.5), (2, 0, pytest.approx(0.5, abs=1e-9))]
+        assert rep.detail["cancelled_atoms"] == 2
+        assert rep.value == pytest.approx(0.5 * 0.1 + 0.5 * 0.3 + 0.5, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
+           shared=st.integers(1, 6), extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           duplicate=st.booleans(), flip=st.booleans(), equal_masses=st.booleans(),
+           signed_zero=st.booleans(), same_spot=st.booleans())
+    def test_shared_atoms_match_dense_oracle(self, seed, nm, shared, extra, duplicate,
+                                             flip, equal_masses, signed_zero, same_spot):
+        # mu = sigma + alpha, nu = sigma + beta, both sides shuffled
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        sigma = random_varifold(rng, shared, n, m)
+        sides = []
+        for s, count in enumerate(extra):
+            pos, fr, ms = sigma.positions.copy(), sigma.frames.copy(), sigma.masses.copy()
+            if s == 1:
+                if flip:
+                    fr = -fr
+                if not equal_masses:
+                    ms = ms * rng.uniform(0.5, 1.5, len(ms))
+                if signed_zero:
+                    pos[0, 0] = -0.0
+            elif signed_zero:
+                pos[0, 0] = 0.0
+            if duplicate and s == 0:
+                pos, fr, ms = np.r_[pos, pos[:1]], np.r_[fr, fr[:1]], np.r_[ms, 0.3]
+            if count:
+                other = random_varifold(rng, count, n, m)
+                # same positions as shared atoms, other planes
+                opos = pos[rng.integers(0, len(pos), count)] if same_spot else other.positions
+                pos, fr = np.r_[pos, opos], np.r_[fr, other.frames]
+                ms = np.r_[ms, other.masses]
+            order = rng.permutation(len(ms))
+            sides.append(with_atoms(sigma, pos[order], fr[order], ms[order]))
+        rep = assert_matches_dense(*sides)
+        assert rep.detail["cancelled_atoms"] >= (0 if signed_zero else 1)
+
+    def test_shrinking_bump_matches_dense_oracle(self):
+        fam = get_family("shrinking_bump")
+        v = _var_with_target_atoms(fam.make(2), 256)
+        w = _var_with_target_atoms(fam.limit(), 256)
+        rep = assert_matches_dense(v, w)
+        assert rep.detail["cancelled_atoms"] == 128
+        assert (rep.detail["lp_rows"], rep.detail["lp_cols"]) == (640, 256 * 384)
+
+
+def test_plane_columns_keep_the_per_reference_bits():
+    rng = np.random.default_rng(6)
+    for n, m in ((2, 1), (3, 2)):
+        frames = random_varifold(rng, 50, n, m).frames
+        p, gd = _plane_columns(frames, n, m)
+        assert np.array_equal(p, np.einsum("aij,akj->aik", frames, frames))
+        for r, (_, ref) in enumerate(_reference_planes(n, m)):
+            assert np.array_equal(gd[:, r],
+                                  grassmann_distance_matrix(frames, ref.frame[None])[:, 0])
+
+
+def test_dictionary_one_grassmann_call_per_side(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(b))
+        return grassmann_distance_matrix(a, b)
+
+    monkeypatch.setattr(metrics, "grassmann_distance_matrix", counted)
+    rng = np.random.default_rng(7)
+    v, w = random_varifold(rng, 4, 3, 2), random_varifold(rng, 5, 3, 2)
+    bl_distance(v, w, "dictionary")
+    assert calls == [len(_reference_planes(3, 2))] * 2
 
 
 def sample_points_loop(clipped, level):
