@@ -23,7 +23,7 @@ from .lab import ScenarioSpec, run_scenario
 from .metrics import SolverError, bl_distance, hausdorff_local_report, projected_mass
 from .quasimin import GaugeFunction, qm_audit
 from .scenarios import UnknownFamilyError
-from .sets import Ball, load_set
+from .sets import Ball, PointCloudSet, load_set
 from .varifold import density_report, load_varifold
 
 EXIT_OK = 0
@@ -65,14 +65,19 @@ def _load_integrand(spec: str):
     return get_integrand(spec)
 
 
+def _load_simplicial_set(path):
+    e = load_set(path)
+    if isinstance(e, PointCloudSet):
+        raise ConfigError(f"{path} holds a point cloud; this command needs a simplicial set")
+    return e
+
+
 def _cmd_run(args):
     spec = ScenarioSpec.from_json(args.spec)
     report = run_scenario(spec)
-    doc = report.to_dict()
-    _emit(doc, args.output or spec.output_json)
-    csv_path = args.csv or spec.output_csv
-    if csv_path:
-        report.save_csv(csv_path)
+    _emit(report.to_dict(), args.output)
+    if args.csv:
+        report.save_csv(args.csv)
     warned = bool(report.warnings)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -125,7 +130,7 @@ def _cmd_audit_ellipticity(args):
 
 
 def _cmd_audit_qm(args):
-    e = load_set(args.set)
+    e = _load_simplicial_set(args.set)
     gauge = GaugeFunction(kind=args.h_kind, h0=args.h0, delta=args.h_delta)
     if args.domain:
         vals = [float(c) for c in args.domain.split(",")]
@@ -150,7 +155,7 @@ def _cmd_audit_qm(args):
 
 
 def _cmd_projected_mass(args):
-    e = load_set(args.set)
+    e = _load_simplicial_set(args.set)
     center = np.array([float(c) for c in args.center.split(",")])
     t = _parse_plane(args, e.ambient_dim)
     value = projected_mass(e, center, args.radius, t)

@@ -178,12 +178,12 @@ def _aniso_nonelliptic_evaluate(points, frames):
 INTEGRAND_NAMES = ("area", "x_weighted", "aniso_quadratic", "aniso_nonelliptic")
 
 
-def get_integrand(name: str, domain_radius: float = 2.0) -> Integrand:
+def get_integrand(name: str) -> Integrand:
     if name == "area":
         return Integrand("area", _area_evaluate, 1.0, 1.0, modulus_c=lambda x: 1.0)
     if name == "x_weighted":
-        return Integrand("x_weighted", _x_weighted_evaluate, 1.0,
-                         1.0 + domain_radius ** 2, modulus_c=lambda x: 1.0)
+        return Integrand("x_weighted", _x_weighted_evaluate, 1.0, 5.0,
+                         modulus_c=lambda x: 1.0)
     if name == "aniso_quadratic":
         return Integrand("aniso_quadratic", _aniso_quadratic_evaluate, 1.0, 1.1,
                          modulus_c=lambda x: 0.5)
@@ -393,19 +393,20 @@ def semi_ellipticity_audit(f: Integrand, x, t: Plane, competitors=None,
     return EllipticityReport(f.name, x, tuple(rows), tuple(certs), c_val)
 
 
-def best_c_scan(f: Integrand, x, t: Plane, c_grid=None, **audit_kwargs) -> float:
-    """Convenience linear scan: the largest c in the grid for which every
-    registry margin Φ(S) - Φ(D) - c (H(S) - H(D)) stays nonnegative.
+def best_c_scan(f: Integrand, x, t: Plane, **audit_kwargs) -> float:
+    """The largest c for which every registry margin
+    Φ(S) - Φ(D) - c (H(S) - H(D)) stays at or above -1e-9.
 
-    Returns 0.0 when even the smallest grid value fails (the audit is then
-    already reporting semi-ellipticity counterexamples). This scans a grid,
-    it does not optimize c."""
-    grid = sorted(c_grid) if c_grid is not None else [j / 16 for j in range(1, 17)]
+    Each audit row bounds c on one side, by the sign of its measure excess
+    H(S) - H(D); the result is the upper end of the interval they leave, and
+    inf when no competitor has a positive excess. Returns 0.0 when that
+    interval is empty or lies below 0 (the audit is then already reporting
+    semi-ellipticity counterexamples)."""
     rep = semi_ellipticity_audit(f, x, t, **audit_kwargs)
-    best = 0.0
-    for c in grid:
-        ok = all(sm - c * (cm - dm) >= -1e-9
-                 for (_, _, sm, _, cm, dm) in rep.rows)
-        if ok:
-            best = float(c)
-    return best
+    semi = np.array([r[2] for r in rep.rows]) + 1e-9
+    excess = np.array([r[4] - r[5] for r in rep.rows])
+    up, down = excess > 0, excess < 0
+    hi = np.min(semi[up] / excess[up], initial=np.inf)
+    lo = np.max(semi[down] / excess[down], initial=-np.inf)
+    feasible = lo <= hi and hi >= 0 and np.all(semi[excess == 0] >= 0)
+    return float(hi) if feasible else 0.0

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -40,12 +40,28 @@ def _thread_count() -> int:
     env = os.environ.get("VARIFOLD_LAB_THREADS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _positive_int(name, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+_JSON_NAMES = {"M": "m_factor", "h": "gauge"}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one convergence experiment."""
+    """Declarative description of one convergence experiment.
+
+    ``atoms`` and ``samples`` are floors, not targets: every simplex of a
+    set gets at least one atom and at least one sample point, so a set
+    with more simplices than ``atoms`` gets one atom per simplex.
+    """
 
     family: str
     k_schedule: tuple = (1, 2, 4, 8, 16, 32, 64)
@@ -58,14 +74,24 @@ class ScenarioSpec:
     base_point: Optional[tuple] = None
     radii: Optional[tuple] = None
     domain: Optional[tuple] = None  # (center..., radius)
-    output_json: Optional[str] = None
-    output_csv: Optional[str] = None
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_schedule)
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
+        for name in ("k_schedule", "base_point", "radii", "domain"):
+            value = getattr(self, name)
+            if isinstance(value, (list, tuple, np.ndarray)):
+                object.__setattr__(self, name, tuple(value))
+            elif value is not None or name == "k_schedule":
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        ks = tuple(_positive_int("every k", k) for k in self.k_schedule)
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or not ks:
             raise ValueError("k schedule must be nonempty and strictly increasing")
         object.__setattr__(self, "k_schedule", ks)
+        for name in ("atoms", "samples"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+        if self.domain is not None and len(self.domain) < 2:
+            raise ValueError("domain needs the center coordinates, then the radius")
 
     def to_dict(self):
         return {
@@ -81,29 +107,28 @@ class ScenarioSpec:
             "base_point": None if self.base_point is None else list(self.base_point),
             "radii": None if self.radii is None else list(self.radii),
             "domain": None if self.domain is None else list(self.domain),
-            "output_json": self.output_json,
-            "output_csv": self.output_csv,
         }
 
     @classmethod
     def from_dict(cls, doc):
-        if doc.get("schema", 1) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported spec schema {doc.get('schema')!r}")
-        return cls(
-            family=doc["family"],
-            k_schedule=tuple(doc.get("k_schedule", (1, 2, 4, 8, 16, 32, 64))),
-            integrand=doc.get("integrand", "area"),
-            m_factor=doc.get("M", 1.0),
-            gauge=GaugeFunction.from_dict(doc.get("h", {})),
-            seed=doc.get("seed", 0),
-            atoms=doc.get("atoms", 256),
-            samples=doc.get("samples", 256),
-            base_point=None if doc.get("base_point") is None else tuple(doc["base_point"]),
-            radii=None if doc.get("radii") is None else tuple(doc["radii"]),
-            domain=None if doc.get("domain") is None else tuple(doc["domain"]),
-            output_json=doc.get("output_json"),
-            output_csv=doc.get("output_csv"),
-        )
+        """Inverse of ``to_dict``; a key left out takes the field's default."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a scenario spec must be a JSON object, got {type(doc).__name__}")
+        doc = dict(doc)
+        schema = doc.pop("schema", SCHEMA_VERSION)
+        if schema != SCHEMA_VERSION:
+            raise ValueError(f"unsupported spec schema {schema!r}")
+        known = {f.name for f in fields(cls)} - set(_JSON_NAMES.values()) | set(_JSON_NAMES)
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            hint = ("; report paths are the run options --output and --csv"
+                    if unknown[0].startswith("output") else "")
+            raise ValueError(f"unknown spec key {unknown[0]!r}{hint}")
+        if "family" not in doc:
+            raise ValueError("a scenario spec needs a family")
+        if "h" in doc:
+            doc["h"] = GaugeFunction.from_dict(doc["h"])
+        return cls(**{_JSON_NAMES.get(k, k): v for k, v in doc.items()})
 
     @classmethod
     def from_json(cls, path):
@@ -161,10 +186,6 @@ class ConvergenceReport:
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
-    def save_json(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
-
     def save_csv(self, path):
         cols = ["k"] + [f"hausdorff_r{r:g}" for r in self.radii] + \
                ["measure", "energy", "bl", "bl_dictionary"]
@@ -218,12 +239,8 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
         row["energy"] = energy(integrand, v) if integrand else None
         return row
 
-    workers = min(_thread_count(), len(spec.k_schedule))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_for, spec.k_schedule))
-    else:
-        rows = [row_for(k) for k in spec.k_schedule]
+    with ThreadPoolExecutor(max_workers=min(_thread_count(), len(spec.k_schedule))) as pool:
+        rows = list(pool.map(row_for, spec.k_schedule))
 
     filling_verdict = None
     if family.limit_tangent is not None:

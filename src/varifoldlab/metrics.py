@@ -21,8 +21,6 @@ functional that links them.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,7 +42,6 @@ __all__ = [
     "hausdorff_local",
     "hausdorff_local_report",
     "bl_distance",
-    "bl_dictionary_size",
     "projected_mass",
     "filling_check",
 ]
@@ -78,8 +75,6 @@ def _sample_points(clipped, level):
     """Sample points of a ball-clipped set at the given refinement level:
     per simplex, the barycentric lattice of step 2**-level, and the largest
     simplex diameter times that step as the sampling gap."""
-    if isinstance(clipped, PointCloudSet):
-        return clipped.points, 0.0
     if clipped.is_empty():
         return np.zeros((0, clipped.ambient_dim)), 0.0
     corners = clipped.vertices[clipped.simplices]  # (S, m+1, n)
@@ -237,16 +232,13 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     """The transshipment LP of ``mu - nu`` after the mass on coincident
     atoms cancels: the LP value is a norm of ``mu - nu`` and a pair of
     coincident atoms costs 0, so the residual LP has the same value. When
-    nothing cancels, the LP is built from the inputs unchanged."""
+    nothing cancels, the residual arrays equal the inputs bit for bit."""
     pairs, mu, nu = _cancel_coincident(v, w)
     keep_a, keep_b = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
     cancelled = len(v) + len(w) - len(keep_a) - len(keep_b)
-    if pairs:
-        v = DiscreteVarifold(v.ambient_dim, v.dim, v.positions[keep_a], v.frames[keep_a],
-                             mu[keep_a])
-        w = DiscreteVarifold(w.ambient_dim, w.dim, w.positions[keep_b], w.frames[keep_b],
-                             nu[keep_b])
-        mu, nu = v.masses, w.masses
+    v = DiscreteVarifold(v.ambient_dim, v.dim, v.positions[keep_a], v.frames[keep_a], mu[keep_a])
+    w = DiscreteVarifold(w.ambient_dim, w.dim, w.positions[keep_b], w.frames[keep_b], nu[keep_b])
+    mu, nu = v.masses, w.masses
     total = float(mu.sum() + nu.sum())
     if len(v) == 0 or len(w) == 0:
         return BLDistanceReport(total, "exact-LP", witness=pairs,
@@ -379,10 +371,6 @@ def _plane_features(n, m):
     return feats
 
 
-def bl_dictionary_size(n, m) -> int:
-    return len(_position_features(n, 1.0)) * len(_plane_features(n, m))
-
-
 def _bl_dictionary(v: DiscreteVarifold, w: DiscreteVarifold, domain) -> BLDistanceReport:
     n, m = v.ambient_dim, v.dim
     all_pos = [p for var in (v, w) if len(var) for p in (var.positions,)]
@@ -407,9 +395,7 @@ def _bl_dictionary(v: DiscreteVarifold, w: DiscreteVarifold, domain) -> BLDistan
 
     fp_v, ft_v, wm_v = tables(v)
     fp_w, ft_w, wm_w = tables(w)
-    s_v = (fp_v * wm_v) @ ft_v.T if len(v) else np.zeros((len(pos_feats), len(plane_feats)))
-    s_w = (fp_w * wm_w) @ ft_w.T if len(w) else np.zeros((len(pos_feats), len(plane_feats)))
-    diff = np.abs(s_v - s_w)
+    diff = np.abs((fp_v * wm_v) @ ft_v.T - (fp_w * wm_w) @ ft_w.T)
 
     sup_f = np.array([s for _, _, s, _ in pos_feats])
     lip_f = np.array([l for _, _, _, l in pos_feats])
@@ -509,19 +495,6 @@ class FillingReport:
             "tol": self.tol,
             "verdict": self.verdict,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "r", "value", "flag"])
-            for k, r, val in self.rows:
-                flag = "ok" if val >= (1 - self.tol) * self.omega else "low"
-                writer.writerow([k, r, val, flag])
 
 
 def filling_check(make_set, x, t: Plane, radii, k_schedule, tol: float = 0.02) -> FillingReport:

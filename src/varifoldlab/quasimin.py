@@ -3,8 +3,8 @@ against a registry of explicit deformations, plus the mass semicontinuity
 and upper-bound checks along scenario sequences.
 
 A deformation is represented by its endpoint map phi, required to fix the
-complement of its ball; the straight-line homotopy to the identity is
-recorded as a flag, not verified. The moved region W1 is resolved
+complement of its ball; the homotopy to the identity is taken to be the
+straight line, and is not verified. The moved region W1 is resolved
 combinatorially: simplices whose sampled displacements disagree are split
 until concordant. The image measure counts overlaps once (it is the
 measure of an image set).
@@ -13,6 +13,7 @@ measure of an image set).
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,6 +58,9 @@ class GaugeFunction:
     def __post_init__(self):
         if self.kind not in ("constant", "step", "power"):
             raise ValueError(f"unknown gauge kind {self.kind!r}")
+        for name in ("h0", "delta", "exponent"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"gauge {name} must be a number, got {getattr(self, name)!r}")
         if self.h0 < 0:
             raise ValueError("h0 must be nonnegative")
         if self.kind == "power" and self.exponent <= 0:
@@ -83,19 +87,23 @@ class GaugeFunction:
         """h(0+): the limit from the right at 0."""
         return 0.0 if self.kind == "power" else self.h0
 
-    def dominates(self, other: "GaugeFunction", grid=None) -> bool:
-        """True when self >= other pointwise on a scan grid."""
-        grid = grid if grid is not None else np.linspace(0.0, 2.0, 41)
-        return all(self(t) >= other(t) - 1e-15 for t in grid)
+    def dominates(self, other: "GaugeFunction") -> bool:
+        """True when self >= other pointwise on a scan grid of [0, 2]."""
+        return all(self(t) >= other(t) - 1e-15 for t in np.linspace(0.0, 2.0, 41))
 
     def to_dict(self):
-        return {"kind": self.kind, "h0": self.h0, "delta": self.delta,
+        """JSON fields; an infinite ``delta`` (no cutoff) is written as null."""
+        return {"kind": self.kind, "h0": self.h0,
+                "delta": None if self.delta == np.inf else self.delta,
                 "exponent": self.exponent}
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"a gauge must be a JSON object, got {type(doc).__name__}")
+        delta = doc.get("delta")
         return cls(kind=doc.get("kind", "constant"), h0=doc.get("h0", 0.0),
-                   delta=doc.get("delta", np.inf), exponent=doc.get("exponent", 1.0))
+                   delta=np.inf if delta is None else delta, exponent=doc.get("exponent", 1.0))
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,6 @@ class Deformation:
     ball: Ball
     phi: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    straight_line_homotopy: bool = True
 
     def __post_init__(self):
         n = len(self.ball.center)
@@ -280,7 +287,7 @@ def _probe_displacements(pieces, d, m):
     return disp.reshape(len(pieces), m + 2)
 
 
-def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None):
+def _collect_moved(e: SimplicialSet, d: Deformation):
     """Concordant moved pieces of E under the deformation, as an
     (N, m+1, n) array.
 
@@ -291,8 +298,7 @@ def _collect_moved(e: SimplicialSet, d: Deformation, max_depth=None):
     classified by their interior probe (their displacement is ~0 there,
     so the gap is insensitive to the choice)."""
     m, n = e.dim, e.ambient_dim
-    if max_depth is None:
-        max_depth = 22 if m == 1 else 9
+    max_depth = 22 if m == 1 else 9
     ball = d.ball
     current = e.vertices[e.simplices]
     moved = [np.zeros((0, m + 1, n))]

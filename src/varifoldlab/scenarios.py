@@ -22,7 +22,7 @@ Families registered by name:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,12 +64,12 @@ _Y_ANGLES = (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
 _Y_DIRS = np.array([[np.cos(a), np.sin(a)] for a in _Y_ANGLES])
 
 
-def ycone_set(subdiv: int = 512, arm_length: float = 1.0) -> SimplicialSet:
+def ycone_set(subdiv: int = 512) -> SimplicialSet:
     """Three arms at 120 degrees from the origin, each dyadically subdivided
     from the vertex outward (so dyadic ball boundaries avoid atom centers)."""
     segs = []
     for d in _Y_DIRS:
-        t = np.linspace(0.0, arm_length, subdiv + 1)
+        t = np.linspace(0.0, 1.0, subdiv + 1)
         pts = t[:, None] * d[None, :]
         segs.extend([(pts[i], pts[i + 1]) for i in range(subdiv)])
     return SimplicialSet.from_segments(segs)
@@ -170,7 +170,6 @@ class ScenarioFamily:
     mass_holds: bool
     filling_holds: bool
     notes: str = ""
-    defaults: dict = field(default_factory=dict)
 
 
 _H_LINE = Plane(np.array([[1.0], [0.0]]))

@@ -199,11 +199,10 @@ class SimplicialSet:
         return cls(ambient_dim, dim, np.zeros((0, ambient_dim)), np.zeros((0, dim + 1), dtype=np.int64))
 
     @classmethod
-    def from_polyline(cls, points, ambient_dim=None) -> "SimplicialSet":
+    def from_polyline(cls, points) -> "SimplicialSet":
         pts = np.asarray(points, dtype=float)
-        n = pts.shape[1] if ambient_dim is None else ambient_dim
         segs = np.column_stack([np.arange(len(pts) - 1), np.arange(1, len(pts))])
-        return cls(n, 1, pts, segs)
+        return cls(pts.shape[1], 1, pts, segs)
 
     @classmethod
     def from_segments(cls, segments) -> "SimplicialSet":

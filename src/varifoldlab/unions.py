@@ -32,16 +32,14 @@ __all__ = [
 ]
 
 
-def interval_union_length(intervals, merge_tol=None) -> float:
+def interval_union_length(intervals) -> float:
     """Total length of a union of closed 1-d intervals [lo, hi]."""
     iv = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if len(iv) == 0:
         return 0.0
     lo = np.minimum(iv[:, 0], iv[:, 1])
     hi = np.maximum(iv[:, 0], iv[:, 1])
-    if merge_tol is None:
-        span = float(hi.max() - lo.min())
-        merge_tol = 1e-12 * (1.0 + span)
+    merge_tol = 1e-12 * (1.0 + float(hi.max() - lo.min()))
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     total = 0.0

@@ -181,6 +181,23 @@ class TestSemiEllipticityAudit:
                             scan_haar=4, seed=0)
         assert c_bad == 0.0
 
+    @pytest.mark.parametrize("x, t, expected", [
+        (np.zeros(2), H, 0.9115),                 # a 1/16 grid found 0.875
+        (np.zeros(3), axis_plane(3, [0, 1]), 1.019),  # a grid capped at 1 found 1.0
+    ])
+    def test_best_c_scan_plugs_back(self, x, t, expected):
+        # the returned c keeps every margin at or above -1e-9, and a slightly
+        # larger c breaks one: it is the upper end of the feasible interval
+        f = get_integrand("aniso_quadratic")
+        c = best_c_scan(f, x, t, scan_haar=4, seed=0)
+        assert c == pytest.approx(expected, abs=5e-4)
+        rows = semi_ellipticity_audit(f, x, t, scan_haar=4, seed=0).rows
+
+        def worst(c):
+            return min(sm - c * (cm - dm) for (_, _, sm, _, cm, dm) in rows)
+        assert worst(c) >= -1e-9
+        assert worst(c + 1e-6) < -1e-9
+
     def test_registry_spans(self):
         comps = competitor_registry(H)
         names = [c[0] for c in comps]

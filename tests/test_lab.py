@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from varifoldlab import cli, metrics
+from varifoldlab import cli, lab, metrics
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
 from varifoldlab.scenarios import FAMILIES, segment_set
@@ -48,6 +50,18 @@ class TestScenarioSpec:
     def test_schema_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict({"schema": 9, "family": "zigzag"})
+
+    def test_null_delta_is_no_cutoff(self):
+        spec = ScenarioSpec.from_dict({"family": "zigzag", "h": {"delta": None}})
+        assert spec.gauge == GaugeFunction()
+        assert spec.to_dict()["h"]["delta"] is None
+
+    def test_readme_spec_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("A scenario spec is JSON")[1].split("```json\n")[1].split("```")[0]
+        spec = ScenarioSpec.from_dict(json.loads(block))
+        assert spec.family == "graph_decay" and spec.atoms == 256
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestRunScenario:
@@ -120,6 +134,22 @@ class TestRunScenario:
         spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
         rep = run_scenario(spec)
         assert len(rep.rows) == 2
+
+    def test_thread_default_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("VARIFOLD_LAB_THREADS", raising=False)
+        monkeypatch.setattr(lab.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert lab._thread_count() == 3
+        monkeypatch.delattr(lab.os, "sched_getaffinity")
+        assert lab._thread_count() == 64
+
+    def test_report_is_strict_json(self):
+        spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        doc = json.loads(run_scenario(spec).to_json_bytes(), parse_constant=reject)
+        assert ScenarioSpec.from_dict(doc["spec"]) == spec
 
 
 SIMPLICIAL_LIMIT_FAMILIES = sorted(
@@ -250,17 +280,46 @@ class TestCLI:
         assert res.returncode == 3
         assert "warning" in res.stderr
 
-    def test_spec_output_paths_honored(self, tmp_path):
-        out_json = tmp_path / "report.json"
-        out_csv = tmp_path / "rows.csv"
-        spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16,
-                            samples=16, output_json=str(out_json),
-                            output_csv=str(out_csv))
+    def test_spec_output_paths_rejected(self, tmp_path, capsys):
+        # the spec's old output_<kind> keys: report paths are run's options
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
-        res = run_cli("run", str(spec_path))
-        assert res.returncode == 0
-        assert out_json.exists() and out_csv.exists()
+        for kind in ("json", "csv"):
+            doc = ScenarioSpec(family="segment", k_schedule=(1, 2)).to_dict()
+            doc[f"output_{kind}"] = str(tmp_path / "out")
+            spec_path.write_text(json.dumps(doc))
+            assert cli.main(["run", str(spec_path)]) == cli.EXIT_CONFIG
+            assert "--output and --csv" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"family": "zigzag"}], "must be a JSON object"),
+        ({"family": "zigzag", "atom": 64}, "unknown spec key 'atom'"),
+        ({"family": "zigzag", "samples": "x"}, "samples must be a positive integer"),
+        ({"family": "zigzag", "atoms": 0}, "atoms must be a positive integer"),
+        ({"family": "zigzag", "k_schedule": [0, 1]}, "every k must be a positive integer"),
+        ({"family": "graph_decay", "k_schedule": [-1, 1]}, "every k must be a positive"),
+        ({"family": "zigzag", "k_schedule": 4}, "k_schedule must be a list"),
+        ({"family": "zigzag", "h": 0.1}, "a gauge must be a JSON object"),
+        ({"family": "zigzag", "h": {"h0": "x"}}, "gauge h0 must be a number"),
+        ({"family": "zigzag", "domain": [0.5]}, "domain needs the center"),
+        ({"k_schedule": [1]}, "needs a family"),
+    ])
+    def test_bad_spec_exit_2(self, tmp_path, capsys, doc, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(spec_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit-qm"],
+        ["projected-mass", "--center", "0,0", "--radius", "0.5", "--plane-angle", "0"],
+    ])
+    def test_point_cloud_set_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "pc.json"
+        save_set(PointCloudSet(2, 1, np.array([[0.0, 0.0], [0.5, 0.0]]), np.ones(2)), path)
+        assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_CONFIG
+        assert "error: " in capsys.readouterr().err
 
     def test_audit_qm_registry_and_params(self, tmp_path):
         set_path = tmp_path / "seg.json"
