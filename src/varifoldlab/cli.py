@@ -36,7 +36,7 @@ class ConfigError(Exception):
 
 
 def _emit(doc, output):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)

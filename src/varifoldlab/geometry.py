@@ -181,6 +181,11 @@ def _distinct_rows(x):
     return np.frombuffer(b"".join(index), dtype=x.dtype).reshape(len(index), x.shape[1]), inverse
 
 
+def _projections(frames):
+    """The projection matrices ``f f^T`` of an (A, n, m) frame stack."""
+    return np.einsum("aij,akj->aik", frames, frames)
+
+
 def grassmann_distance_matrix(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     """Pairwise operator-norm distances between two stacks of frames.
 
@@ -194,8 +199,8 @@ def grassmann_distance_matrix(frames_a: np.ndarray, frames_b: np.ndarray) -> np.
     if fa.shape[1:] != fb.shape[1:]:
         raise DimensionMismatchError("frame stacks must share (n, m)")
     n = fa.shape[1]
-    pa, ia = _distinct_rows(np.einsum("aij,akj->aik", fa, fa).reshape(len(fa), n * n))
-    pb, ib = _distinct_rows(np.einsum("bij,bkj->bik", fb, fb).reshape(len(fb), n * n))
+    pa, ia = _distinct_rows(_projections(fa).reshape(len(fa), n * n))
+    pb, ib = _distinct_rows(_projections(fb).reshape(len(fb), n * n))
     diff = pa.reshape(-1, 1, n, n) - pb.reshape(1, -1, n, n)
     s = np.linalg.svd(diff, compute_uv=False)[..., 0]
     return s[ia][:, ib]

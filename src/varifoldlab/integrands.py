@@ -324,9 +324,6 @@ class EllipticityReport:
     def all_elliptic_nonnegative(self) -> bool:
         return all(r[3] is None or r[3] >= -1e-9 for r in self.rows)
 
-    def min_semi_margin(self) -> float:
-        return min(r[2] for r in self.rows)
-
     def to_dict(self):
         return {
             "integrand": self.integrand,

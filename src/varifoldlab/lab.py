@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -45,9 +46,10 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _positive_int(name, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _int_at_least(name, value, low) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 
@@ -84,14 +86,16 @@ class ScenarioSpec:
                 object.__setattr__(self, name, tuple(value))
             elif value is not None or name == "k_schedule":
                 raise ValueError(f"{name} must be a list, got {value!r}")
-        ks = tuple(_positive_int("every k", k) for k in self.k_schedule)
+        ks = tuple(_int_at_least("every k", k, 1) for k in self.k_schedule)
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or not ks:
             raise ValueError("k schedule must be nonempty and strictly increasing")
         object.__setattr__(self, "k_schedule", ks)
         for name in ("atoms", "samples"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
-        if self.domain is not None and len(self.domain) < 2:
-            raise ValueError("domain needs the center coordinates, then the radius")
+            object.__setattr__(self, name, _int_at_least(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _int_at_least("seed", self.seed, 0))
+        m = self.m_factor
+        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not m >= 1:
+            raise ValueError(f"M must be a real number >= 1, got {m!r}")
 
     def to_dict(self):
         return {
@@ -209,6 +213,10 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
     if isinstance(limit, PointCloudSet):
         raise ValueError(f"family {spec.family!r} has a point-cloud limit; "
                          "the convergence pipeline needs a simplicial limit")
+    if spec.domain is not None and len(spec.domain) != limit.ambient_dim + 1:
+        raise ValueError(f"domain needs the center coordinates, then the radius: "
+                         f"{limit.ambient_dim + 1} numbers for family {spec.family!r}, "
+                         f"got {len(spec.domain)}")
     base = np.asarray(spec.base_point if spec.base_point is not None
                       else family.base_point, dtype=float)
     radii = tuple(float(r) for r in (spec.radii if spec.radii is not None
@@ -237,15 +245,15 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
             "atoms": len(v),
         }
         row["energy"] = energy(integrand, v) if integrand else None
-        return row
+        return row, e
 
     with ThreadPoolExecutor(max_workers=min(_thread_count(), len(spec.k_schedule))) as pool:
-        rows = list(pool.map(row_for, spec.k_schedule))
+        rows, sets = zip(*pool.map(row_for, spec.k_schedule))
 
     filling_verdict = None
     if family.limit_tangent is not None:
-        rep = filling_check(family.make, base, family.limit_tangent, radii,
-                            spec.k_schedule)
+        rep = filling_check(dict(zip(spec.k_schedule, sets)), base, family.limit_tangent,
+                            radii)
         filling_verdict = rep.verdict
     else:
         warnings.append("no declared limit tangent; filling check skipped")
@@ -279,7 +287,7 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
 
     return ConvergenceReport(
         spec=spec,
-        rows=tuple(rows),
+        rows=rows,
         radii=radii,
         flags=flags,
         filling_verdict=filling_verdict,

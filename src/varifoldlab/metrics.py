@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .geometry import Plane, _distinct_rows, axis_plane, grassmann_distance_matrix
-from .sets import (Ball, PointCloudSet, SimplicialSet, _rowdot, distance_to_set,
-                   measure, rescale, restrict)
+from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
+from .sets import (Ball, PointCloudSet, SimplicialSet, _check_ball, _clip_simplices, _rowdot,
+                   distance_to_set, restrict)
 from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
 
@@ -196,11 +196,11 @@ def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold, chunk: int = 1 << 22)
 
 
 def _atom_keys(v: DiscreteVarifold) -> np.ndarray:
-    """One row per atom: its position, then its projection ``f f^T`` by the
-    einsum of ``grassmann_distance_matrix``. Bitwise-equal rows are at cost
+    """One row per atom: its position, then its projection ``f f^T`` as
+    ``grassmann_distance_matrix`` computes it. Bitwise-equal rows are at cost
     exactly 0 from each other; frames f and -f share a row."""
     n = v.ambient_dim
-    proj = np.einsum("aij,akj->aik", v.frames, v.frames).reshape(len(v), n * n)
+    proj = _projections(v.frames).reshape(len(v), n * n)
     return np.concatenate([v.positions, proj], axis=1)
 
 
@@ -347,8 +347,7 @@ def _plane_columns(frames, n, m):
     """What the plane features read from a frame stack, computed once: the
     projections ``f f^T`` and the distance to each reference plane."""
     refs = np.stack([ref.frame for _, ref in _reference_planes(n, m)])
-    return (np.einsum("aij,akj->aik", frames, frames),
-            grassmann_distance_matrix(frames, refs))
+    return _projections(frames), grassmann_distance_matrix(frames, refs)
 
 
 def _plane_features(n, m):
@@ -445,19 +444,22 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
         raise ValueError("radius must be positive")
     if t.dim != e.dim or t.ambient_dim != e.ambient_dim:
         raise ValueError("projection plane must match the set's (n, m)")
-    clipped = restrict(e, Ball(np.asarray(x, dtype=float), float(r)))
-    if clipped.is_empty():
+    x = np.asarray(x, dtype=float)
+    ball = Ball(x, float(r))
+    _check_ball(e, ball)
+    pieces, loops = [], []
+    for got, loop, _, _ in _clip_simplices(e, ball):
+        pieces += got
+        loops.append(loop)
+    if not pieces:
         return 0.0
-    unit = rescale(clipped, x, r)
     if e.dim == 1:
-        coords = unit.vertices @ t.frame  # (V, 1) coordinates on the line
-        iv = np.sort(coords[unit.simplices][:, :, 0], axis=1)
-        return interval_union_length(iv)
+        ends = (np.reshape(pieces, (-1, e.ambient_dim)) - x) / r
+        return interval_union_length(np.sort((ends @ t.frame).reshape(-1, 2), axis=1))
     # project the convex clipped regions as whole polygons; projections of
     # convex planar regions stay convex, and the sweep is linear in their
     # boundary size (fanning them into triangles first would not be)
-    return polygon_union_area([np.asarray(p) @ t.frame
-                               for p in unit.diagnostics["clip_polygons"]])
+    return polygon_union_area([(loop - x) / r @ t.frame for loop in loops])
 
 
 @dataclass(frozen=True)
@@ -484,39 +486,21 @@ class FillingReport:
     def holds(self) -> bool:
         return self.verdict == "HOLDS"
 
-    def to_dict(self):
-        return {
-            "rows": [list(r) for r in self.rows],
-            "radii": list(self.radii),
-            "k_schedule": list(self.k_schedule),
-            "k_start": {str(k): v for k, v in self.k_start.items()},
-            "tail_inf": {str(k): v for k, v in self.tail_inf.items()},
-            "omega": self.omega,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
 
-
-def filling_check(make_set, x, t: Plane, radii, k_schedule, tol: float = 0.02) -> FillingReport:
+def filling_check(sets, x, t: Plane, radii, tol: float = 0.02) -> FillingReport:
     """Evaluate projected_mass(E_k, x, r, T) over a (k, r) grid and decide
     whether the projections fill the unit disk of T in the double limit.
 
-    ``make_set`` maps a scheduled k to the k-th set. ``radii`` must be
-    strictly decreasing.
+    ``sets`` maps each scheduled k, in schedule order, to the k-th set.
+    ``radii`` must be strictly decreasing.
     """
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    ks = [int(k) for k in k_schedule]
-    sets = {k: make_set(k) for k in ks}
+    ks = [int(k) for k in sets]
     om = unit_ball_volume(t.dim)
-    rows = []
-    values = {}
-    for k in ks:
-        for r in radii:
-            val = projected_mass(sets[k], x, r, t)
-            rows.append((k, r, val))
-            values[(k, r)] = val
+    values = {(int(k), r): projected_mass(e, x, r, t) for k, e in sets.items() for r in radii}
+    rows = [(k, r, val) for (k, r), val in values.items()]
     threshold = (1 - tol) * om
     k_start, tail_inf = {}, {}
     for r in radii:

@@ -442,12 +442,15 @@ class QMAuditReport:
         return self.min_gap >= -1e-9
 
     def to_dict(self):
+        """JSON fields; a +inf gap (the gauge is infinite at that radius)
+        is written as null."""
         return {
             "rows": [
-                {"center": list(c), "radius": r, "deformation": name, "gap": g}
+                {"center": list(c), "radius": r, "deformation": name,
+                 "gap": None if g == np.inf else g}
                 for (c, r, name, g) in self.rows
             ],
-            "min_gap": self.min_gap,
+            "min_gap": None if self.min_gap == np.inf else self.min_gap,
             "argmin": None if self.argmin is None else
                 {"center": list(self.argmin[0]), "radius": self.argmin[1],
                  "deformation": self.argmin[2]},
@@ -520,45 +523,27 @@ class SemicontinuityReport:
     c_const: float
     tol: float
 
-    def to_dict(self):
-        return {
-            "open_rows": [
-                {"center": list(c), "radius": r, "limit_mass": lm,
-                 "tail_min": tm, "pass": ok}
-                for (c, r, lm, tm, ok) in self.open_rows
-            ],
-            "compact_rows": [
-                {"center": list(c), "radius": r, "tail_max": tm,
-                 "bound": b, "pass": ok}
-                for (c, r, tm, b, ok) in self.compact_rows
-            ],
-            "lower_semicontinuity_pass": self.lower_semicontinuity_pass,
-            "upper_bound_pass": self.upper_bound_pass,
-            "c_const": self.c_const,
-            "tol": self.tol,
-        }
 
-
-def semicontinuity_check(make_set, k_schedule, limit_set, opens, compacts,
+def semicontinuity_check(sets, limit_set, opens, compacts,
                          m_factor: float, gauge: GaugeFunction,
                          c_const: float = 1.0, tol: float = 0.01) -> SemicontinuityReport:
     """Check, over the tail half of the schedule:
 
     (1) for each open ball O: H(limit ∩ O) <= min_k H(E_k ∩ O) + tol;
     (3) for each compact ball K: max_k H(E_k ∩ K) <= (1 + C h(0+)) M H(limit ∩ K) + tol.
+
+    ``sets`` maps each scheduled k, in schedule order, to the k-th set.
     """
-    ks = [int(k) for k in k_schedule]
-    tail = ks[len(ks) // 2:]
-    sets = {k: make_set(k) for k in tail}
+    tail = list(sets.values())[len(sets) // 2:]
     open_rows = []
     for ball in opens:
         lm = measure(restrict(limit_set, ball))
-        tm = min(measure(restrict(sets[k], ball)) for k in tail)
+        tm = min(measure(restrict(e, ball)) for e in tail)
         open_rows.append((tuple(ball.center), ball.radius, lm, tm, lm <= tm + tol))
     compact_rows = []
     factor = (1.0 + c_const * gauge.zero_plus) * m_factor
     for ball in compacts:
-        tmax = max(measure(restrict(sets[k], ball)) for k in tail)
+        tmax = max(measure(restrict(e, ball)) for e in tail)
         bound = factor * measure(restrict(limit_set, ball)) + tol
         compact_rows.append((tuple(ball.center), ball.radius, tmax, bound, tmax <= bound))
     return SemicontinuityReport(

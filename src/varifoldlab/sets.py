@@ -143,6 +143,14 @@ def _simplex_measures_and_frames(vertices, simplices, m):
     return meas, frames
 
 
+def _plane_rows(e):
+    """The columns of each simplex frame as unit-stride rows, shape
+    (m, S, n). For a triangle, row 0 is u and row 1 is v of
+    ``_triangle_plane_basis``, bit for bit; products with them keep the
+    bits of that basis only because the rows have unit stride."""
+    return np.ascontiguousarray(e.simplex_frames.transpose(2, 0, 1))
+
+
 @dataclass(frozen=True)
 class SimplicialSet:
     """Weighted m-dimensional simplicial complex in R^n, m in {1, 2}.
@@ -259,27 +267,16 @@ def measure(e: SimplicialSet) -> float:
 
 
 def translate(e: SimplicialSet, offset) -> SimplicialSet:
-    off = np.asarray(offset, dtype=float)
-    return SimplicialSet(e.ambient_dim, e.dim, e.vertices + off, e.simplices,
-                         diagnostics=_transform_diagnostics(e.diagnostics,
-                                                            lambda p: p + off))
-
-
-def _transform_diagnostics(diag, fn):
-    out = dict(diag)
-    if "clip_polygons" in out:
-        out["clip_polygons"] = [fn(np.asarray(p, dtype=float)) for p in out["clip_polygons"]]
-    return out
+    return SimplicialSet(e.ambient_dim, e.dim, e.vertices + np.asarray(offset, dtype=float),
+                         e.simplices)
 
 
 def rescale(e: SimplicialSet, x, r: float) -> SimplicialSet:
     """Map vertices y -> (y - x) / r. Measure scales by r^{-m} exactly."""
     if r <= 0:
         raise ValueError("rescale radius must be positive")
-    x = np.asarray(x, dtype=float)
-    return SimplicialSet(e.ambient_dim, e.dim, (e.vertices - x) / r, e.simplices,
-                         diagnostics=_transform_diagnostics(e.diagnostics,
-                                                            lambda p: (p - x) / r))
+    return SimplicialSet(e.ambient_dim, e.dim, (e.vertices - np.asarray(x, dtype=float)) / r,
+                         e.simplices)
 
 
 def _sphere_crossings(p, d, center, radius):
@@ -458,13 +455,14 @@ def _clip_simplices(e: SimplicialSet, ball: Ball):
     # Angular step chosen so that the summed inscribed-arc defect over the
     # call is below CLIP_AREA_TOL * r^2:  total <= (2*pi/step)*(rho^2 step^3)/12.
     max_arc_step = np.sqrt(6.0 * CLIP_AREA_TOL / np.pi)  # rho <= r cancels r^2
+    u_rows, v_rows = _plane_rows(e)
     for i in range(len(e.simplices)):
         tri = e.simplex_points(i)
         dist2 = np.einsum("ij,ij->i", tri - c, tri - c)
         if (dist2 <= r * r * (1 + 1e-14)).all():
             yield [tri], np.array(tri), 0, 0.0  # wholly inside: kept exactly
             continue
-        a0, u, v = _triangle_plane_basis(tri)
+        a0, u, v = tri[0], u_rows[i], v_rows[i]
         rel = c - a0
         in_plane = np.array([np.dot(rel, u), np.dot(rel, v)])
         off2 = float(np.dot(rel, rel)) - float(np.dot(in_plane, in_plane))
@@ -492,6 +490,12 @@ def _clip_simplices(e: SimplicialSet, ball: Ball):
                max(0, int(np.ceil(arc_angle / max_arc_step)) - 1), defect)
 
 
+def _check_ball(e, ball: Ball):
+    """Raise ValueError unless the ball lies in the set's ambient space."""
+    if e.ambient_dim != len(ball.center):
+        raise ValueError("ball and set ambient dimensions differ")
+
+
 def _meets(e: SimplicialSet, ball: Ball) -> bool:
     """``not restrict(e, ball).is_empty()``, decided without building the
     clipped set: the clipping stops at the first simplex that adds a piece."""
@@ -508,29 +512,22 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     of the call stays below 1e-6 * r^m; the defect bound and arc point
     count are recorded in the result's diagnostics.
     """
-    if e.ambient_dim != len(ball.center):
-        raise ValueError("ball and set ambient dimensions differ")
+    _check_ball(e, ball)
     if isinstance(e, PointCloudSet):
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
     pieces = []
-    loops = []  # convex boundary loop per clipped region (union-sweep sidecar)
     arc_points = 0
     err_bound = 0.0
-    for got, loop, arcs, defect in _clip_simplices(e, ball):
+    for got, _, arcs, defect in _clip_simplices(e, ball):
         pieces += got
-        loops.append(loop)
         arc_points += arcs
         err_bound += defect
     if not pieces:
         return SimplicialSet.empty(e.ambient_dim, e.dim)
-    diagnostics = {"clip_area_error_bound": float(err_bound), "arc_points": int(arc_points)}
-    if e.dim == 1:
-        out = SimplicialSet.from_segments(pieces)
-    else:
-        out = SimplicialSet.from_triangles(pieces)
-        diagnostics["clip_polygons"] = loops
-    object.__setattr__(out, "diagnostics", diagnostics)
+    out = (SimplicialSet.from_segments if e.dim == 1 else SimplicialSet.from_triangles)(pieces)
+    object.__setattr__(out, "diagnostics", {"clip_area_error_bound": float(err_bound),
+                                            "arc_points": int(arc_points)})
     return out
 
 
@@ -580,11 +577,7 @@ def _simplex_constants(target: SimplicialSet):
     if target.dim == 1:
         d = corners[:, 1] - a
         return a, d, _rowdot(d, d)
-    e1 = corners[:, 1] - a
-    u = e1 / np.sqrt(_rowdot(e1, e1))[:, None]
-    e2 = corners[:, 2] - a
-    w = e2 - _rowdot(e2, u)[:, None] * u
-    v = w / np.sqrt(_rowdot(w, w))[:, None]
+    u, v = _plane_rows(target)
     rel = corners - a[:, None, :]  # a (3, n) @ (n, 1) stack: the matrix-vector path
     t2 = np.stack([(rel @ u[:, :, None])[:, :, 0], (rel @ v[:, :, None])[:, :, 0]], axis=2)
     d = np.roll(t2, -1, axis=1) - t2  # edge i runs from corner i to corner i + 1

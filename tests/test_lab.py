@@ -303,6 +303,13 @@ class TestCLI:
         ({"family": "zigzag", "h": {"h0": "x"}}, "gauge h0 must be a number"),
         ({"family": "zigzag", "domain": [0.5]}, "domain needs the center"),
         ({"k_schedule": [1]}, "needs a family"),
+        ({"family": "zigzag", "k_schedule": [1], "domain": [0, 0, 0, 1]},
+         "3 numbers for family 'zigzag', got 4"),
+        ({"family": "zigzag", "seed": "x", "M": "y"}, "seed must be a non-negative integer"),
+        ({"family": "zigzag", "M": 0.5, "seed": -3}, "seed must be a non-negative integer"),
+        ({"family": "zigzag", "seed": True}, "seed must be a non-negative integer"),
+        ({"family": "zigzag", "M": 0.5}, "M must be a real number >= 1"),
+        ({"family": "zigzag", "M": "y"}, "M must be a real number >= 1"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, doc, message):
         spec_path = tmp_path / "spec.json"
@@ -334,6 +341,42 @@ class TestCLI:
         names = {row["deformation"] for row in doc["rows"]}
         assert names == {"identity", "vertex_snap"}
         assert doc["min_gap"] >= -1e-9
+
+    def test_every_subcommand_writes_strict_json(self, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        seg, var = tmp_path / "seg.json", tmp_path / "v.json"
+        save_set(segment_set(64), seg)
+        save_varifold(var_of_set(segment_set(8), 4), var)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ScenarioSpec(family="segment", k_schedule=(1, 2),
+                                                atoms=16, samples=16).to_dict()))
+        calls = [
+            ["run", str(spec)],
+            ["distance", "--kind", "hausdorff", str(seg), str(seg), "--center", "0.5,0"],
+            ["density", str(var), "--center", "0.5,0", "--radii", "0.25,0.125"],
+            ["audit-ellipticity", "area", "--plane-angle", "0.5"],
+            # the step gauge is +inf at r >= delta: those gaps are written as null
+            ["audit-qm", str(seg), "--h-kind", "step", "--h-delta", "0.1",
+             "--domain", "0.5,0,0.5"],
+            ["projected-mass", str(seg), "--center", "0.5,0", "--radius", "0.25",
+             "--plane-angle", "0"],
+        ]
+        for argv in calls:
+            assert cli.main(argv) == cli.EXIT_OK
+            doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+            if argv[0] == "audit-qm":
+                assert None in [row["gap"] for row in doc["rows"]]
+
+    def test_non_finite_report_exit_2(self, tmp_path, capsys, monkeypatch):
+        seg = tmp_path / "seg.json"
+        save_set(segment_set(8), seg)
+        monkeypatch.setattr(cli, "projected_mass", lambda *args: float("nan"))
+        code = cli.main(["projected-mass", str(seg), "--center", "0.5,0", "--radius", "0.25",
+                         "--plane-angle", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_plane_axes_out_of_range_exit_2(self, capsys):
         for axes in ("5", "-1"):

@@ -515,28 +515,28 @@ class TestFillingCheck:
     RADII = [0.5, 0.25, 0.125]
     KS = [1, 2, 4, 8, 16, 32, 64]
 
-    def make(self, family):
-        return lambda k: scenario_sequence(family, k)
+    def sets(self, family, ks):
+        return {k: scenario_sequence(family, k) for k in ks}
 
     def test_graph_decay_holds(self):
-        rep = filling_check(self.make("graph_decay"), self.X, H, self.RADII, self.KS)
+        rep = filling_check(self.sets("graph_decay", self.KS), self.X, H, self.RADII)
         assert rep.verdict == "HOLDS"
         assert rep.holds
 
     def test_zigzag_holds(self):
         # the projections fill the chord even though the mass hypothesis fails
-        rep = filling_check(self.make("zigzag"), self.X, H, self.RADII, self.KS)
+        rep = filling_check(self.sets("zigzag", self.KS), self.X, H, self.RADII)
         assert rep.verdict == "HOLDS"
 
     def test_escape_fails(self):
-        rep = filling_check(self.make("escape"), self.X, H, self.RADII, [1, 2, 4])
+        rep = filling_check(self.sets("escape", [1, 2, 4]), self.X, H, self.RADII)
         assert rep.verdict == "FAILS"
         assert not rep.holds
 
     def test_table_complete(self):
-        rep = filling_check(self.make("graph_decay"), self.X, H, [0.5, 0.25], [1, 2])
+        rep = filling_check(self.sets("graph_decay", [1, 2]), self.X, H, [0.5, 0.25])
         assert len(rep.rows) == 4
 
     def test_radii_validation(self):
         with pytest.raises(ValueError):
-            filling_check(self.make("zigzag"), self.X, H, [0.1, 0.5], [1, 2])
+            filling_check(self.sets("zigzag", [1, 2]), self.X, H, [0.1, 0.5])

@@ -169,27 +169,27 @@ class TestSemicontinuity:
 
     def test_graph_decay_passes_both(self):
         rep = semicontinuity_check(
-            lambda k: scenario_sequence("graph_decay", k), self.KS,
+            {k: scenario_sequence("graph_decay", k) for k in self.KS},
             segment_set(256), self.OPENS, self.COMPACTS, 1.0, H0)
         assert rep.lower_semicontinuity_pass
         assert rep.upper_bound_pass
 
     def test_zigzag_upper_bound_fails_m1(self):
         rep = semicontinuity_check(
-            lambda k: scenario_sequence("zigzag", k), self.KS,
+            {k: scenario_sequence("zigzag", k) for k in self.KS},
             segment_set(256), self.OPENS, self.COMPACTS, 1.0, H0)
         assert rep.lower_semicontinuity_pass       # mass only goes up
         assert not rep.upper_bound_pass            # sqrt(2) x chord > chord
 
     def test_constant_sequence_trivially_passes(self):
         rep = semicontinuity_check(
-            lambda k: segment_set(64), self.KS, segment_set(64),
+            {k: segment_set(64) for k in self.KS}, segment_set(64),
             self.OPENS, self.COMPACTS, 1.0, H0)
         assert rep.lower_semicontinuity_pass and rep.upper_bound_pass
 
     def test_gauge_term_loosens_bound(self):
         rep = semicontinuity_check(
-            lambda k: scenario_sequence("zigzag", k), self.KS,
+            {k: scenario_sequence("zigzag", k) for k in self.KS},
             segment_set(256), self.OPENS, self.COMPACTS, 1.0,
             GaugeFunction(h0=1.0), c_const=1.0)
         assert rep.upper_bound_pass  # (1 + 1) * 1 * chord now dominates

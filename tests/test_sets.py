@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varifoldlab.geometry import axis_plane, haar_sample
+from varifoldlab.integrands import competitor_registry
 from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _gemv_layout, _meets,
-                              _pair_dot, _rowdot, _simplex_measures_and_frames,
-                              ahlfors_ratios,
+                              _pair_dot, _plane_rows, _rowdot, _simplex_measures_and_frames,
+                              _triangle_plane_basis, ahlfors_ratios,
                               distance_to_set, load_set, measure, rescale,
                               restrict, save_set, translate)
 from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
@@ -382,6 +384,35 @@ class TestBatchedFrames:
         e = restrict(scenario_sequence("disk", 1), Ball(np.array([0.9, 0.0, 0.05]), 0.3))
         assert len(e.simplices) > 2000
         assert np.array_equal(e.simplex_frames, frames_oracle(e.vertices, e.simplices))
+
+
+def plane_row_sets(name):
+    rng = np.random.default_rng(11)
+    if name in ("r3", "r4"):
+        n = int(name[1])
+        return [SimplicialSet.from_triangles(rng.standard_normal((200, 3, n))
+                                             * 10.0 ** rng.integers(-3, 3, (200, 1, 1)))]
+    if name == "disk":
+        return [scenario_sequence("disk", 1)]
+    planes = [axis_plane(3, [0, 1]), *haar_sample(3, 2, 2, rng).planes,
+              *haar_sample(4, 2, 1, rng).planes]
+    return [e for t in planes for _, e in competitor_registry(t)]
+
+
+class TestPlaneRows:
+    """Ball clipping and the point-triangle kernel read each triangle's
+    in-plane basis from the set's frames; these must be the rows of
+    ``_triangle_plane_basis`` bit for bit, with unit stride."""
+
+    @pytest.mark.parametrize("name", ["r3", "r4", "disk", "competitors"])
+    def test_rows_are_the_triangle_basis(self, name):
+        for e in plane_row_sets(name):
+            u, v = _plane_rows(e)
+            assert u.strides[-1] == v.strides[-1] == u.itemsize
+            for i in range(len(e.simplices)):
+                _, bu, bv = _triangle_plane_basis(e.simplex_points(i))
+                assert u[i].tobytes() == bu.tobytes()
+                assert v[i].tobytes() == bv.tobytes()
 
 
 def height_field(n_grid, bend):
