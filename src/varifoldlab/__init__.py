@@ -13,7 +13,7 @@ from .geometry import (GrassmannSample, Plane, axis_plane, grassmann_distance,
 from .sets import (Ball, PointCloudSet, SimplicialSet, ahlfors_ratios,
                    distance_to_set, load_set, measure, nearest_simplex, rescale,
                    restrict, save_set, translate)
-from .scenarios import (FAMILIES, ScenarioFamily, disk_set, get_family,
+from .scenarios import (FAMILIES, ScenarioFamily, cantor4_set, disk_set, get_family,
                         scenario_sequence, segment_set, ycone_set)
 from .varifold import (DensityReport, DiscreteVarifold, blowup, density_report,
                        load_varifold, mass_in_ball, restrict_to_ball,

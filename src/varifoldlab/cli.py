@@ -233,9 +233,11 @@ def _build_parser():
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, UnknownFamilyError, FileNotFoundError, KeyError,

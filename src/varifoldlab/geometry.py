@@ -85,7 +85,7 @@ class Plane:
     projection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=float)
+        f = np.array(self.frame, dtype=float)
         if f.ndim != 2:
             raise ValueError("frame must be 2-d (n, m)")
         n, m = f.shape
@@ -122,9 +122,6 @@ class Plane:
     def from_span(cls, *vecs) -> "Plane":
         """Build a plane spanned by the given vectors (each a length-n sequence)."""
         return cls.from_vectors(np.column_stack([np.asarray(v, dtype=float) for v in vecs]))
-
-    def project(self, point: np.ndarray) -> np.ndarray:
-        return project(self, point)
 
     def __repr__(self):
         return f"Plane(n={self.ambient_dim}, m={self.dim})"
@@ -225,7 +222,7 @@ class GrassmannSample:
 
     def __post_init__(self):
         planes = tuple(self.planes)
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if len(planes) == 0:
             raise ValueError("empty sample")
         if w.shape != (len(planes),):

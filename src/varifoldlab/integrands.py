@@ -75,10 +75,10 @@ def energy(f: Integrand, v: DiscreteVarifold) -> float:
     return float(np.dot(v.masses, f.evaluate(v.positions, v.frames)))
 
 
-def set_energy(f: Integrand, e: SimplicialSet, quadrature: int = 1) -> float:
-    """Energy of var(E) at the given quadrature (exact when F is constant
+def set_energy(f: Integrand, e: SimplicialSet) -> float:
+    """Energy of var(E), one atom per simplex (exact when F is constant
     in position, since atoms carry the exact simplex tangents/measures)."""
-    return energy(f, var_of_set(e, quadrature))
+    return energy(f, var_of_set(e, 1))
 
 
 def frozen(f: Integrand, x) -> Integrand:
@@ -111,24 +111,22 @@ def rescaled(f: Integrand, x, r: float) -> Integrand:
     return Integrand(f"{f.name}@rescaled", ev, f.inf_value, f.sup_value, c2)
 
 
-def frozen_deviation(f: Integrand, x, r: float, grid: int = 9, planes=None,
-                     seed: int = 0) -> float:
-    """sup over a grid of B(0, 1) x planes of |F(x + r z, T) - F(x, T)|.
+def frozen_deviation(f: Integrand, x, r: float) -> float:
+    """sup over a grid of B(0, 1) x lines of |F(x + r z, T) - F(x, T)|: the
+    9-point grid per axis, and the 8 Haar lines of seed 0.
 
     The grid includes the unit axis points, so radially monotone deviations
     are attained exactly. Tends to 0 as r -> 0 for continuous integrands.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    axes = np.linspace(-1.0, 1.0, grid)
+    axes = np.linspace(-1.0, 1.0, 9)
     mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= 1.0 + 1e-12]
-    if planes is None:
-        planes = [pl for pl in haar_sample(n, 1, 8, seed).planes]
     worst = 0.0
     fr = rescaled(f, x, r)
     fz = frozen(f, x)
-    for pl in planes:
+    for pl in haar_sample(n, 1, 8, 0).planes:
         frames = np.broadcast_to(pl.frame, (len(mesh), n, pl.dim))
         dev = np.abs(fr.evaluate(mesh, frames) - fz.evaluate(mesh, frames))
         worst = max(worst, float(dev.max()))
@@ -175,21 +173,20 @@ def _aniso_nonelliptic_evaluate(points, frames):
     return 1.0 + 9.0 * (1.0 - np.linalg.norm(proj, axis=1))
 
 
-INTEGRAND_NAMES = ("area", "x_weighted", "aniso_quadratic", "aniso_nonelliptic")
+_INTEGRANDS = {f.name: f for f in (
+    Integrand("area", _area_evaluate, 1.0, 1.0, modulus_c=lambda x: 1.0),
+    Integrand("x_weighted", _x_weighted_evaluate, 1.0, 5.0, modulus_c=lambda x: 1.0),
+    Integrand("aniso_quadratic", _aniso_quadratic_evaluate, 1.0, 1.1, modulus_c=lambda x: 0.5),
+    Integrand("aniso_nonelliptic", _aniso_nonelliptic_evaluate, 1.0, 10.0),
+)}
+INTEGRAND_NAMES = tuple(_INTEGRANDS)
 
 
 def get_integrand(name: str) -> Integrand:
-    if name == "area":
-        return Integrand("area", _area_evaluate, 1.0, 1.0, modulus_c=lambda x: 1.0)
-    if name == "x_weighted":
-        return Integrand("x_weighted", _x_weighted_evaluate, 1.0, 5.0,
-                         modulus_c=lambda x: 1.0)
-    if name == "aniso_quadratic":
-        return Integrand("aniso_quadratic", _aniso_quadratic_evaluate, 1.0, 1.1,
-                         modulus_c=lambda x: 0.5)
-    if name == "aniso_nonelliptic":
-        return Integrand("aniso_nonelliptic", _aniso_nonelliptic_evaluate, 1.0, 10.0)
-    raise KeyError(f"unknown integrand {name!r}; known: {INTEGRAND_NAMES}")
+    try:
+        return _INTEGRANDS[name]
+    except KeyError:
+        raise KeyError(f"unknown integrand {name!r}; known: {INTEGRAND_NAMES}") from None
 
 
 def load_tabulated_integrand(path) -> Integrand:
@@ -249,16 +246,15 @@ def _normal_direction(t: Plane) -> np.ndarray:
     raise ValueError("plane has no orthogonal complement")  # m == n
 
 
-def flat_disk(t: Plane, subdiv: int = 64) -> SimplicialSet:
-    """The unit disk of the plane: a diameter segment for m = 1, a
-    ring-triangulated polygon disk for m = 2 (inscribed, area short of
-    omega_2 by about 2e-3 at the default resolution)."""
+def flat_disk(t: Plane) -> SimplicialSet:
+    """The unit disk of the plane: a diameter segment of 64 pieces for
+    m = 1, a ring-triangulated polygon disk of 128 angular steps for m = 2
+    (inscribed, area short of omega_2 by about 2e-3)."""
     if t.dim == 1:
         u = t.frame[:, 0]
-        pts = np.linspace(-1.0, 1.0, subdiv + 1)[:, None] * u[None, :]
+        pts = np.linspace(-1.0, 1.0, 65)[:, None] * u[None, :]
         return SimplicialSet.from_polyline(pts)
-    return disk_set(center=np.zeros(t.ambient_dim), radius=1.0, plane=t,
-                    angular=max(subdiv, 128))
+    return disk_set(center=np.zeros(t.ambient_dim), radius=1.0, plane=t, angular=128)
 
 
 def competitor_registry(t: Plane) -> list:
@@ -351,6 +347,8 @@ def semi_ellipticity_audit(f: Integrand, x, t: Plane, competitors=None,
     default) 16 Haar-sampled planes. Negative margins are collected as
     counterexample certificates.
     """
+    if scan_haar < 0:
+        raise ValueError(f"scan_haar must be >= 0, got {scan_haar!r}")
     x = np.asarray(x, dtype=float)
     fx = frozen(f, x)
     c_val = float(f.modulus_c(x)) if f.modulus_c is not None else None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -21,9 +20,9 @@ import numpy as np
 
 from .integrands import energy, get_integrand
 from .metrics import bl_distance, filling_check, hausdorff_local
-from .quasimin import GaugeFunction
+from .quasimin import GaugeFunction, _check_m_factor
 from .scenarios import get_family
-from .sets import Ball, PointCloudSet, measure
+from .sets import Ball, measure
 from .varifold import var_of_set
 
 __all__ = ["ScenarioSpec", "ConvergenceReport", "run_scenario", "spearman_rank"]
@@ -93,9 +92,7 @@ class ScenarioSpec:
         for name in ("atoms", "samples"):
             object.__setattr__(self, name, _int_at_least(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _int_at_least("seed", self.seed, 0))
-        m = self.m_factor
-        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not m >= 1:
-            raise ValueError(f"M must be a real number >= 1, got {m!r}")
+        _check_m_factor(self.m_factor)
 
     def to_dict(self):
         return {
@@ -153,8 +150,6 @@ def spearman_rank(a, b) -> float:
 
 
 def _var_with_target_atoms(e, target):
-    if isinstance(e, PointCloudSet):
-        raise TypeError("point clouds need an explicit Haar sample; use var_of_pointcloud")
     per = max(1, int(np.ceil(target / max(len(e.simplices), 1))))
     return var_of_set(e, per)
 
@@ -210,9 +205,6 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
     hypothesis and conclusion flags from the table."""
     family = get_family(spec.family)
     limit = family.limit()
-    if isinstance(limit, PointCloudSet):
-        raise ValueError(f"family {spec.family!r} has a point-cloud limit; "
-                         "the convergence pipeline needs a simplicial limit")
     if spec.domain is not None and len(spec.domain) != limit.ambient_dim + 1:
         raise ValueError(f"domain needs the center coordinates, then the radius: "
                          f"{limit.ambient_dim + 1} numbers for family {spec.family!r}, "

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 SUP_REFINE_TOL = 1e-4  # relative to r, stopping rule for the sup refinement
+COST_CHUNK = 1 << 22  # Grassmann temporary entries per block of cost-matrix rows
+FILLING_TOL = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,8 @@ class HausdorffReport:
 def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffReport:
     if r <= 0:
         raise ValueError("radius must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     ball = Ball(np.asarray(x, dtype=float), float(r))
     xc = restrict(x_set, ball)
     yc = restrict(y_set, ball)
@@ -184,11 +188,11 @@ class BLDistanceReport:
                 **{k: v for k, v in self.detail.items()}}
 
 
-def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold, chunk: int = 1 << 22) -> np.ndarray:
+def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold) -> np.ndarray:
     pos = np.linalg.norm(v.positions[:, None, :] - w.positions[None, :, :], axis=2)
     a, b = len(v), len(w)
     gd = np.empty((a, b))
-    rows_per = max(1, chunk // max(b * v.ambient_dim ** 2, 1))
+    rows_per = max(1, COST_CHUNK // max(b * v.ambient_dim ** 2, 1))
     for s in range(0, a, rows_per):
         t = min(a, s + rows_per)
         gd[s:t] = grassmann_distance_matrix(v.frames[s:t], w.frames)
@@ -487,9 +491,10 @@ class FillingReport:
         return self.verdict == "HOLDS"
 
 
-def filling_check(sets, x, t: Plane, radii, tol: float = 0.02) -> FillingReport:
+def filling_check(sets, x, t: Plane, radii) -> FillingReport:
     """Evaluate projected_mass(E_k, x, r, T) over a (k, r) grid and decide
-    whether the projections fill the unit disk of T in the double limit.
+    whether the projections fill the unit disk of T in the double limit,
+    with tol = FILLING_TOL.
 
     ``sets`` maps each scheduled k, in schedule order, to the k-th set.
     ``radii`` must be strictly decreasing.
@@ -501,7 +506,7 @@ def filling_check(sets, x, t: Plane, radii, tol: float = 0.02) -> FillingReport:
     om = unit_ball_volume(t.dim)
     values = {(int(k), r): projected_mass(e, x, r, t) for k, e in sets.items() for r in radii}
     rows = [(k, r, val) for (k, r), val in values.items()]
-    threshold = (1 - tol) * om
+    threshold = (1 - FILLING_TOL) * om
     k_start, tail_inf = {}, {}
     for r in radii:
         start = None
@@ -515,8 +520,8 @@ def filling_check(sets, x, t: Plane, radii, tol: float = 0.02) -> FillingReport:
     if any(k_start[r] is None for r in radii):
         verdict = "FAILS"
     else:
-        trend_ok = all(tail_inf[r2] >= tail_inf[r1] - tol * om
+        trend_ok = all(tail_inf[r2] >= tail_inf[r1] - FILLING_TOL * om
                        for r1, r2 in zip(radii, radii[1:]))
         verdict = "HOLDS" if trend_ok else "INCONCLUSIVE"
     return FillingReport(tuple(rows), tuple(radii), tuple(ks), k_start, tail_inf,
-                         om, tol, verdict)
+                         om, FILLING_TOL, verdict)

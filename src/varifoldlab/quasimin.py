@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +38,15 @@ __all__ = [
 
 MOVE_TOL = 1e-12
 PIECE_BUDGET = 400_000  # pieces one qm_gap may split E ∩ W1 into
+SEMICONTINUITY_C = 1.0  # the constant C of the mass upper bound
+SEMICONTINUITY_TOL = 0.01
+
+
+def _check_m_factor(m):
+    """The rule for the M of QM(U, M, h): a real number >= 1 (NaN and
+    bools fail)."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Real) or not m >= 1:
+        raise ValueError(f"M must be a real number >= 1, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +55,9 @@ class GaugeFunction:
 
     Kinds: ``constant`` (h = h0 everywhere), ``step`` (h0 below delta,
     +inf at and above delta), ``power`` (h0 * t^exponent below delta, +inf
-    at and above delta; has h(0+) = 0). Nondecreasing is validated on a
-    scanned grid at construction.
+    at and above delta; has h(0+) = 0). Every kind is nondecreasing once
+    h0 is finite and >= 0, delta > 0 and exponent > 0, which construction
+    checks (NaN fails each check).
     """
 
     kind: str = "constant"
@@ -61,14 +71,12 @@ class GaugeFunction:
         for name in ("h0", "delta", "exponent"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"gauge {name} must be a number, got {getattr(self, name)!r}")
-        if self.h0 < 0:
-            raise ValueError("h0 must be nonnegative")
-        if self.kind == "power" and self.exponent <= 0:
-            raise ValueError("power gauge needs a positive exponent")
-        grid = np.linspace(0.0, min(self.delta, 10.0) * 0.999 + 1e-9, 64)
-        vals = np.array([self(t) for t in grid])
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("gauge must be nondecreasing")
+        if not 0 <= self.h0 < np.inf:
+            raise ValueError(f"gauge h0 must be finite and nonnegative, got {self.h0!r}")
+        if not self.delta > 0:
+            raise ValueError(f"gauge delta must be positive, got {self.delta!r}")
+        if not self.exponent > 0:
+            raise ValueError(f"gauge exponent must be positive, got {self.exponent!r}")
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -113,12 +121,15 @@ class Deformation:
     ``phi`` maps an (A, n) array of points to an (A, n) array and must be
     the identity outside the ball (tested on boundary samples at
     construction). The homotopy to the identity is the straight line.
+    ``feature_scale``, when set, is the size of the map's finest feature
+    (the vertex_snap lattice pitch); ``qm_gap`` refines the image below a
+    quarter of it.
     """
 
     name: str
     ball: Ball
     phi: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
+    feature_scale: Optional[float] = None
 
     def __post_init__(self):
         n = len(self.ball.center)
@@ -234,12 +245,8 @@ def _make_vertex_snap(ball: Ball, e: SimplicialSet, frac=None) -> Deformation:
         g = np.clip(1.0 - 2.0 * np.abs(d).max(axis=1) / delta, 0.0, 1.0)
         return p + (w * g)[:, None] * d
 
-    return Deformation("vertex_snap", ball, phi,
-                       params={"delta": delta, "feature_scale": delta})
+    return Deformation("vertex_snap", ball, phi, feature_scale=delta)
 
-
-DEFORMATION_NAMES = ("identity", "radial_collapse", "tangent_project",
-                     "tooth_flatten", "vertex_snap")
 
 _FACTORIES = {
     "identity": _make_identity,
@@ -248,6 +255,7 @@ _FACTORIES = {
     "tooth_flatten": _make_tooth_flatten,
     "vertex_snap": _make_vertex_snap,
 }
+DEFORMATION_NAMES = tuple(_FACTORIES)
 
 
 def make_deformation(name: str, ball: Ball, e: SimplicialSet, **params):
@@ -268,13 +276,9 @@ def make_deformation(name: str, ball: Ball, e: SimplicialSet, **params):
 # ---------------------------------------------------------------------------
 # the quasiminimality gap
 
-def _piece_diameters(pieces, m):
-    if m == 1:
-        return np.linalg.norm(pieces[:, 1] - pieces[:, 0], axis=1)
-    e01 = np.linalg.norm(pieces[:, 1] - pieces[:, 0], axis=1)
-    e12 = np.linalg.norm(pieces[:, 2] - pieces[:, 1], axis=1)
-    e20 = np.linalg.norm(pieces[:, 0] - pieces[:, 2], axis=1)
-    return np.maximum(e01, np.maximum(e12, e20))
+def _piece_diameters(pieces):
+    """Longest edge of each piece; a segment's one edge is taken both ways round."""
+    return np.linalg.norm(np.roll(pieces, -1, axis=1) - pieces, axis=2).max(axis=1)
 
 
 def _probe_displacements(pieces, d, m):
@@ -309,7 +313,7 @@ def _collect_moved(e: SimplicialSet, d: Deformation):
         spent += len(current)
         # cheap rejection: pieces entirely outside the ball cannot move
         dc = np.linalg.norm(current - ball.center, axis=2).min(axis=1)
-        current = current[dc - _piece_diameters(current, m) <= ball.radius]
+        current = current[dc - _piece_diameters(current) <= ball.radius]
         if len(current) == 0:
             break
         disp = _probe_displacements(current, d, m)
@@ -336,7 +340,7 @@ def _refine_for_image(pieces, m, target):
         if kept + len(current) > PIECE_BUDGET:
             raise ValueError(f"image refinement to diameter {target:.3g} needs more "
                              f"than {PIECE_BUDGET} pieces")
-        diam = _piece_diameters(current, m)
+        diam = _piece_diameters(current)
         fine = diam <= target
         done.append(current[fine])
         kept += len(done[-1])
@@ -394,8 +398,7 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
     once. Nonnegative gaps over all deformations of all balls is the
     membership inequality; a negative gap is a violation certificate.
     """
-    if m_factor < 1:
-        raise ValueError("M must be >= 1")
+    _check_m_factor(m_factor)
     ball = deformation.ball
     if domain is not None:
         if (np.linalg.norm(ball.center - domain.center) + ball.radius
@@ -410,9 +413,8 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
         return result if detail else result.gap
     source = float(_simplex_measures(moved, m).sum())
     target = r / 128 if m == 1 else r / 16
-    feature = deformation.params.get("feature_scale")
-    if feature:
-        target = min(target, feature / 4)
+    if deformation.feature_scale:
+        target = min(target, deformation.feature_scale / 4)
     fine = _refine_for_image(moved, m, target)
     flat = fine.reshape(-1, fine.shape[2])
     images = deformation.phi(flat).reshape(fine.shape)
@@ -461,8 +463,8 @@ class QMAuditReport:
         }
 
 
-def _default_balls(e: SimplicialSet, domain: Ball, radii=None):
-    radii = radii if radii is not None else (0.15 * domain.radius, 0.3 * domain.radius)
+def _default_balls(e: SimplicialSet, domain: Ball):
+    radii = (0.15 * domain.radius, 0.3 * domain.radius)
     v = var_of_set(e, 1)
     idx = np.linspace(0, len(v) - 1, min(3, len(v))).astype(int)
     centers = [v.positions[i] for i in idx]
@@ -488,6 +490,7 @@ def qm_audit(e: SimplicialSet, m_factor: float, gauge: GaugeFunction, domain: Ba
     arguments (e.g. the vertex_snap grid fraction). Deformations that do
     not apply to a ball (collapse center on the set, empty intersection)
     are reported as skipped, not failed."""
+    _check_m_factor(m_factor)
     registry = registry if registry is not None else DEFORMATION_NAMES
     balls = balls if balls is not None else _default_balls(e, domain)
     params = params or {}
@@ -525,9 +528,9 @@ class SemicontinuityReport:
 
 
 def semicontinuity_check(sets, limit_set, opens, compacts,
-                         m_factor: float, gauge: GaugeFunction,
-                         c_const: float = 1.0, tol: float = 0.01) -> SemicontinuityReport:
-    """Check, over the tail half of the schedule:
+                         m_factor: float, gauge: GaugeFunction) -> SemicontinuityReport:
+    """Check, over the tail half of the schedule, with C = SEMICONTINUITY_C
+    and tol = SEMICONTINUITY_TOL:
 
     (1) for each open ball O: H(limit ∩ O) <= min_k H(E_k ∩ O) + tol;
     (3) for each compact ball K: max_k H(E_k ∩ K) <= (1 + C h(0+)) M H(limit ∩ K) + tol.
@@ -539,14 +542,14 @@ def semicontinuity_check(sets, limit_set, opens, compacts,
     for ball in opens:
         lm = measure(restrict(limit_set, ball))
         tm = min(measure(restrict(e, ball)) for e in tail)
-        open_rows.append((tuple(ball.center), ball.radius, lm, tm, lm <= tm + tol))
+        open_rows.append((tuple(ball.center), ball.radius, lm, tm, lm <= tm + SEMICONTINUITY_TOL))
     compact_rows = []
-    factor = (1.0 + c_const * gauge.zero_plus) * m_factor
+    factor = (1.0 + SEMICONTINUITY_C * gauge.zero_plus) * m_factor
     for ball in compacts:
         tmax = max(measure(restrict(e, ball)) for e in tail)
-        bound = factor * measure(restrict(limit_set, ball)) + tol
+        bound = factor * measure(restrict(limit_set, ball)) + SEMICONTINUITY_TOL
         compact_rows.append((tuple(ball.center), ball.radius, tmax, bound, tmax <= bound))
     return SemicontinuityReport(
         tuple(open_rows), tuple(compact_rows),
         all(r[4] for r in open_rows), all(r[4] for r in compact_rows),
-        c_const, tol)
+        SEMICONTINUITY_C, SEMICONTINUITY_TOL)

@@ -10,14 +10,16 @@ Families registered by name:
 - ``ycone_approx``  three 120-degree arms with the junction jittered by
                     ~1/k; limit is the exact Y cone.
 - ``shrinking_bump`` segment with a tent bump of size ~1/k; all hold.
-- ``cantor4``       4-corner Cantor iterate as a PointCloudSet (the sampled
-                    irregular demonstration set).
 - ``escape``        segment translated 2 units away for every k; the local
                     Hausdorff hypothesis fails (degenerate control).
 - ``segment``       constant sequence, the unit segment itself.
 - ``ycone``         constant sequence, the exact Y cone.
 - ``disk``          constant sequence, a ring-triangulated horizontal disk
                     in R^3 (the m = 2 plane scenario).
+
+``cantor4_set(k)`` builds the 4-corner Cantor iterate as a PointCloudSet,
+the sampled irregular demonstration set. It is not a family: the
+convergence pipeline runs on simplicial sets.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "FAMILIES",
     "get_family",
     "scenario_sequence",
+    "cantor4_set",
     "disk_set",
     "segment_set",
     "ycone_set",
@@ -48,11 +51,10 @@ class UnknownFamilyError(KeyError):
 
 def _subdivided_polyline(points, per_edge):
     pts = np.asarray(points, dtype=float)
-    out = [pts[0]]
-    for a, b in zip(pts[:-1], pts[1:]):
-        for j in range(1, per_edge + 1):
-            out.append(a + (b - a) * (j / per_edge))
-    return SimplicialSet.from_polyline(np.asarray(out))
+    t = np.arange(1, per_edge + 1)[:, None] / per_edge
+    a, b = pts[:-1, None, :], pts[1:, None, :]
+    steps = (a + (b - a) * t).reshape(-1, pts.shape[1])
+    return SimplicialSet.from_polyline(np.concatenate([pts[:1], steps]))
 
 
 def segment_set(subdiv: int = 512) -> SimplicialSet:
@@ -64,15 +66,17 @@ _Y_ANGLES = (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
 _Y_DIRS = np.array([[np.cos(a), np.sin(a)] for a in _Y_ANGLES])
 
 
+def _arm_segments(arms):
+    """The segments between consecutive points of each arm of a (3, P, n)
+    array, arm by arm."""
+    return SimplicialSet.from_segments(np.stack([arms[:, :-1], arms[:, 1:]], axis=2))
+
+
 def ycone_set(subdiv: int = 512) -> SimplicialSet:
     """Three arms at 120 degrees from the origin, each dyadically subdivided
     from the vertex outward (so dyadic ball boundaries avoid atom centers)."""
-    segs = []
-    for d in _Y_DIRS:
-        t = np.linspace(0.0, 1.0, subdiv + 1)
-        pts = t[:, None] * d[None, :]
-        segs.extend([(pts[i], pts[i + 1]) for i in range(subdiv)])
-    return SimplicialSet.from_segments(segs)
+    t = np.linspace(0.0, 1.0, subdiv + 1)[None, :, None]
+    return _arm_segments(t * _Y_DIRS[:, None, :])
 
 
 def _zigzag(k: int) -> SimplicialSet:
@@ -81,26 +85,23 @@ def _zigzag(k: int) -> SimplicialSet:
     return SimplicialSet.from_polyline(np.column_stack([xs, ys]))
 
 
-def _graph_decay(k: int, samples: int = 256) -> SimplicialSet:
-    xs = np.arange(samples + 1) / samples
+def _graph_decay(k: int) -> SimplicialSet:
+    xs = np.arange(257) / 256
     ys = np.sin(2 * np.pi * xs) / (k * k)
     return SimplicialSet.from_polyline(np.column_stack([xs, ys]))
 
 
-def _ycone_approx(k: int, subdiv: int = 128) -> SimplicialSet:
+def _ycone_approx(k: int) -> SimplicialSet:
     jitter = (0.25 / k) * np.array([0.6, 0.8])
-    segs = []
-    for d in _Y_DIRS:
-        t = np.linspace(0.0, 1.0, subdiv + 1)[:, None]
-        pts = jitter * (1 - t) + d * t  # straight arm from jittered vertex to fixed tip
-        segs.extend([(pts[i], pts[i + 1]) for i in range(subdiv)])
-    return SimplicialSet.from_segments(segs)
+    t = np.linspace(0.0, 1.0, 129)[None, :, None]
+    # straight arms from the jittered vertex to the fixed tips
+    return _arm_segments(jitter * (1 - t) + _Y_DIRS[:, None, :] * t)
 
 
-def _shrinking_bump(k: int, subdiv: int = 64) -> SimplicialSet:
+def _shrinking_bump(k: int) -> SimplicialSet:
     w = 0.25 / k
     pts = [[0.0, 0.0], [0.5 - w, 0.0], [0.5, w], [0.5 + w, 0.0], [1.0, 0.0]]
-    return _subdivided_polyline(pts, subdiv)
+    return _subdivided_polyline(pts, 64)
 
 
 def _escape(k: int) -> SimplicialSet:
@@ -108,8 +109,10 @@ def _escape(k: int) -> SimplicialSet:
     return SimplicialSet(2, 1, base.vertices + np.array([2.0, 0.0]), base.simplices)
 
 
-def _cantor4(k: int) -> PointCloudSet:
-    """k-th iterate of the 4-corner Cantor set (ratio 1/4) in the unit square."""
+def cantor4_set(k: int) -> PointCloudSet:
+    """k-th iterate of the 4-corner Cantor set (ratio 1/4) in the unit square,
+    as a point cloud of equal masses at the centers of its 4^k squares (the
+    sampled irregular demonstration set)."""
     corners = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.75, 0.75]])
     pts = np.array([[0.0, 0.0]])
     scale = 1.0
@@ -137,22 +140,17 @@ def disk_set(center=(0.0, 0.0, 0.0), radius: float = 1.0, plane: Optional[Plane]
     rings = sorted(set(float(r) for r in (ring_radii or [])) | {radius / 4, radius / 2, radius})
     rings = [r for r in rings if 0 < r <= radius]
     ang = np.arange(angular) * (2 * np.pi / angular)
-    cosv, sinv = np.cos(ang), np.sin(ang)
-    tris = []
-    prev_r = 0.0
-    for r in rings:
-        outer = [c + r * (cosv[i] * u + sinv[i] * v) for i in range(angular)]
-        if prev_r == 0.0:
-            for i in range(angular):
-                tris.append(np.array([c, outer[i], outer[(i + 1) % angular]]))
-        else:
-            inner = [c + prev_r * (cosv[i] * u + sinv[i] * v) for i in range(angular)]
-            for i in range(angular):
-                j = (i + 1) % angular
-                tris.append(np.array([inner[i], outer[i], outer[j]]))
-                tris.append(np.array([inner[i], outer[j], inner[j]]))
-        prev_r = r
-    return SimplicialSet.from_triangles(tris)
+    direction = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v
+    outer = c + rings[0] * direction
+    # the central fan, then per ring and angle the triangles (i, o, o+) and (i, o+, i+)
+    blocks = [np.stack([np.broadcast_to(c, outer.shape), outer, np.roll(outer, -1, axis=0)],
+                       axis=1)]
+    for r in rings[1:]:
+        inner, outer = outer, c + r * direction
+        nxt, inner_nxt = np.roll(outer, -1, axis=0), np.roll(inner, -1, axis=0)
+        blocks.append(np.stack([inner, outer, nxt, inner, nxt, inner_nxt], axis=1)
+                      .reshape(-1, 3, n))
+    return SimplicialSet.from_triangles(np.concatenate(blocks))
 
 
 @dataclass(frozen=True)
@@ -237,21 +235,6 @@ _register(ScenarioFamily(
     mass_holds=True,
     filling_holds=True,
     notes="tent bump of width and height ~1/k at the midpoint",
-))
-
-_register(ScenarioFamily(
-    name="cantor4",
-    make=_cantor4,
-    limit=lambda: _cantor4(6),
-    domain=Ball(np.array([0.5, 0.5]), 2.0),
-    base_point=np.array([0.5, 0.5]),
-    base_radii=(0.5, 0.25),
-    limit_tangent=None,
-    hausdorff_holds=True,
-    mass_holds=True,
-    filling_holds=False,
-    notes="purely irregular demonstration set; varifold built by spreading "
-          "tangents over a Haar sample",
 ))
 
 _register(ScenarioFamily(

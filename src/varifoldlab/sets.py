@@ -61,16 +61,16 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(self.center, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + slack
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
 
 def _rowdot(x, y):
@@ -214,20 +214,19 @@ class SimplicialSet:
 
     @classmethod
     def from_segments(cls, segments) -> "SimplicialSet":
-        """Build from a list of (p, q) endpoint pairs (disconnected allowed)."""
-        segs = [np.asarray(s, dtype=float) for s in segments]
-        n = segs[0].shape[1]
-        verts = np.concatenate(segs, axis=0)
-        idx = np.arange(len(verts)).reshape(-1, 2)
-        return cls(n, 1, verts, idx)
+        """Build from (p, q) endpoint pairs, as a sequence or an array of
+        shape (..., 2, n) (disconnected allowed)."""
+        verts = np.asarray(segments, dtype=float)
+        verts = verts.reshape(-1, verts.shape[-1])
+        return cls(verts.shape[1], 1, verts, np.arange(len(verts)).reshape(-1, 2))
 
     @classmethod
     def from_triangles(cls, triangles) -> "SimplicialSet":
-        tris = [np.asarray(t, dtype=float) for t in triangles]
-        n = tris[0].shape[1]
-        verts = np.concatenate(tris, axis=0)
-        idx = np.arange(len(verts)).reshape(-1, 3)
-        return cls(n, 2, verts, idx)
+        """Build from corner triples, as a sequence or an array of shape
+        (..., 3, n)."""
+        verts = np.asarray(triangles, dtype=float)
+        verts = verts.reshape(-1, verts.shape[-1])
+        return cls(verts.shape[1], 2, verts, np.arange(len(verts)).reshape(-1, 3))
 
 
 @dataclass(frozen=True)

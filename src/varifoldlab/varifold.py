@@ -192,12 +192,15 @@ class DensityReport:
         }
 
 
-def density_report(v: DiscreteVarifold, x, radii, min_atoms: int = 10) -> DensityReport:
+DENSITY_MIN_ATOMS = 10
+
+
+def density_report(v: DiscreteVarifold, x, radii) -> DensityReport:
     """Density ratios of ||V|| at x over a strictly decreasing radius list.
 
     The extrapolated density is the ratio at the smallest radius whose ball
-    still contains at least ``min_atoms`` atoms; if no radius qualifies the
-    report is flagged unreliable (a warning, not a failure).
+    still contains at least ``DENSITY_MIN_ATOMS`` atoms; if no radius
+    qualifies the report is flagged unreliable (a warning, not a failure).
     """
     x = np.asarray(x, dtype=float)
     radii = np.asarray([float(r) for r in radii])
@@ -214,7 +217,7 @@ def density_report(v: DiscreteVarifold, x, radii, min_atoms: int = 10) -> Densit
         ratios.append(float(v.masses[inside].sum()) / (om * r ** v.dim))
     ratios = np.array(ratios)
     counts = np.array(counts)
-    ok = counts >= min_atoms
+    ok = counts >= DENSITY_MIN_ATOMS
     warnings = []
     if ok.any():
         idx = int(np.max(np.nonzero(ok)[0]))  # smallest reliable radius
@@ -222,7 +225,7 @@ def density_report(v: DiscreteVarifold, x, radii, min_atoms: int = 10) -> Densit
         reliable = True
         if not ok.all():
             warnings.append(
-                f"radii below {radii[idx]:g} contain fewer than {min_atoms} atoms")
+                f"radii below {radii[idx]:g} contain fewer than {DENSITY_MIN_ATOMS} atoms")
     else:
         extrapolated = float(ratios[-1])
         reliable = False

@@ -44,6 +44,11 @@ class TestPlane:
         with pytest.raises(DegenerateFrameError):
             orthonormalize(v)
 
+    def test_callers_frame_stays_writable(self):
+        f = np.array([[1.0], [0.0]])
+        Plane(f)
+        f[0, 0] = 2.0
+
     def test_orthonormalize_output(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((4, 2))
@@ -248,6 +253,11 @@ class TestHaarSample:
 
 
 class TestGrassmannSample:
+    def test_callers_weights_stay_writable(self):
+        w = np.array([0.5, 0.5])
+        GrassmannSample(tuple(haar_sample(2, 1, 2, seed=0).planes), w)
+        w[0] = 0.25
+
     def test_weight_validation(self):
         pls = tuple(haar_sample(2, 1, 2, seed=0).planes)
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from varifoldlab.metrics import (SUP_REFINE_TOL, _cost_matrix, _lp_certificate,
                                  filling_check, hausdorff_local, hausdorff_local_report,
                                  projected_mass)
 from varifoldlab.sets import distance_to_set
-from varifoldlab.scenarios import disk_set, get_family, scenario_sequence, segment_set
+from varifoldlab.scenarios import cantor4_set, disk_set, get_family, scenario_sequence, segment_set
 from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
 from varifoldlab.varifold import DiscreteVarifold, var_of_set
 
@@ -75,12 +75,12 @@ class TestHausdorffLocal:
         assert d == pytest.approx(4.0 / 0.5, abs=1e-9)
 
     def test_pointcloud_inputs(self):
-        cloud = scenario_sequence("cantor4", 3)
+        cloud = cantor4_set(3)
         d = hausdorff_local(cloud, cloud, np.array([0.5, 0.5]), 0.5)
         assert d == 0.0
 
     def test_mixed_cloud_vs_simplicial(self):
-        cloud = scenario_sequence("cantor4", 4)
+        cloud = cantor4_set(4)
         seg = segment_set(64)
         x = np.array([0.5, 0.0])
         d = hausdorff_local(cloud, seg, x, 0.5)
@@ -457,6 +457,11 @@ class TestProjectedMass:
     def test_identity_m1(self):
         pm = projected_mass(segment_set(64), np.array([0.5, 0.0]), 0.25, H)
         assert pm == pytest.approx(2.0, abs=1e-12)
+
+    def test_callers_center_stays_writable(self):
+        x = np.array([0.5, 0.0])
+        projected_mass(segment_set(64), x, 0.25, H)
+        x[0] = 0.25
 
     def test_chord_at_angle(self):
         theta = np.pi / 3

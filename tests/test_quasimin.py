@@ -191,5 +191,5 @@ class TestSemicontinuity:
         rep = semicontinuity_check(
             {k: scenario_sequence("zigzag", k) for k in self.KS},
             segment_set(256), self.OPENS, self.COMPACTS, 1.0,
-            GaugeFunction(h0=1.0), c_const=1.0)
+            GaugeFunction(h0=1.0))
         assert rep.upper_bound_pass  # (1 + 1) * 1 * chord now dominates

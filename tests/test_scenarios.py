@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from varifoldlab.scenarios import (FAMILIES, UnknownFamilyError, get_family,
+from varifoldlab.scenarios import (FAMILIES, UnknownFamilyError, cantor4_set, get_family,
                                    scenario_sequence, segment_set, ycone_set)
 from varifoldlab.sets import PointCloudSet, SimplicialSet, measure
 
 
 class TestRegistry:
     def test_required_families_present(self):
-        for name in ("zigzag", "graph_decay", "ycone_approx", "shrinking_bump",
-                     "cantor4"):
+        for name in ("zigzag", "graph_decay", "ycone_approx", "shrinking_bump"):
             assert name in FAMILIES
 
     def test_unknown_family_raises(self):
@@ -93,18 +92,18 @@ class TestShrinkingBump:
 class TestCantor4:
     def test_iterate_counts(self):
         for k in (1, 2, 3):
-            cloud = scenario_sequence("cantor4", k)
+            cloud = cantor4_set(k)
             assert isinstance(cloud, PointCloudSet)
             assert len(cloud.points) == 4 ** k
             assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_points_in_unit_square(self):
-        cloud = scenario_sequence("cantor4", 4)
+        cloud = cantor4_set(4)
         assert cloud.points.min() >= 0.0
         assert cloud.points.max() <= 1.0
 
     def test_self_similar_spread(self):
-        cloud = scenario_sequence("cantor4", 3)
+        cloud = cantor4_set(3)
         # quadrant populations are equal by construction
         for qx in (0, 1):
             for qy in (0, 1):

@@ -11,7 +11,7 @@ from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _gemv_layout, 
                               _triangle_plane_basis, ahlfors_ratios,
                               distance_to_set, load_set, measure, rescale,
                               restrict, save_set, translate)
-from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
+from varifoldlab.scenarios import cantor4_set, disk_set, scenario_sequence, segment_set, ycone_set
 
 
 def mc_area_in_ball(e, ball, rng, n=200_000):
@@ -54,6 +54,12 @@ class TestConstruction:
             pl = e.simplex_plane(i)
             pm = pl.projection
             assert np.max(np.abs(pm @ pm - pm)) < 1e-10
+
+    def test_ball_leaves_callers_center_writable(self):
+        c = np.zeros(2)
+        ball = Ball(c, 1.0)
+        c[0] = 5.0
+        assert ball.center[0] == 0.0 and not ball.center.flags.writeable
 
     def test_pointcloud_validation(self):
         with pytest.raises(ValueError):
@@ -261,7 +267,7 @@ class TestSerialization:
         assert set(doc) == {"ambient_dim", "dim", "vertices", "simplices"}
 
     def test_pointcloud_roundtrip(self, tmp_path):
-        cloud = scenario_sequence("cantor4", 3)
+        cloud = cantor4_set(3)
         path = tmp_path / "cloud.json"
         save_set(cloud, path)
         back = load_set(path)

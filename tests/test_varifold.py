@@ -3,7 +3,7 @@ import pytest
 
 from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
 from varifoldlab.metrics import bl_distance
-from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
+from varifoldlab.scenarios import cantor4_set, disk_set, scenario_sequence, segment_set, ycone_set
 from varifoldlab.sets import Ball, PointCloudSet, SimplicialSet, measure, rescale, restrict
 from varifoldlab.varifold import (DiscreteVarifold, blowup, density_report,
                                   load_varifold, mass_in_ball, restrict_to_ball,
@@ -120,7 +120,7 @@ class TestVarOfPointCloud:
         assert v.total_mass == pytest.approx(cloud.total_mass, rel=1e-12)
 
     def test_cantor_mean_projection(self):
-        cloud = scenario_sequence("cantor4", 4)
+        cloud = cantor4_set(4)
         haar = haar_sample(2, 1, 64, seed=3)
         v = var_of_pointcloud(cloud, haar)
         mean_proj = np.einsum("aij,akj,a->ik", v.frames, v.frames, v.masses) / v.total_mass
