@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
-from .sets import (Ball, PointCloudSet, SimplicialSet, _check_ball, _clip_simplices, _rowdot,
+from .sets import (Ball, PointCloudSet, SimplicialSet, _check_ball, _clip, _rowdot,
                    distance_to_set, restrict)
 from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
@@ -451,19 +451,18 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
     x = np.asarray(x, dtype=float)
     ball = Ball(x, float(r))
     _check_ball(e, ball)
-    pieces, loops = [], []
-    for got, loop, _, _ in _clip_simplices(e, ball):
-        pieces += got
-        loops.append(loop)
-    if not pieces:
+    pieces, loops, _, _ = _clip(e, ball)
+    if not len(pieces):
         return 0.0
     if e.dim == 1:
-        ends = (np.reshape(pieces, (-1, e.ambient_dim)) - x) / r
+        ends = (pieces.reshape(-1, e.ambient_dim) - x) / r
         return interval_union_length(np.sort((ends @ t.frame).reshape(-1, 2), axis=1))
     # project the convex clipped regions as whole polygons; projections of
     # convex planar regions stay convex, and the sweep is linear in their
     # boundary size (fanning them into triangles first would not be)
-    return polygon_union_area([(loop - x) / r @ t.frame for loop in loops])
+    points, sizes = loops
+    return polygon_union_area([(loop - x) / r @ t.frame
+                               for loop in np.split(points, np.cumsum(sizes)[:-1])])
 
 
 @dataclass(frozen=True)

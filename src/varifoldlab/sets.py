@@ -2,10 +2,12 @@
 
 SimplicialSet covers the rectifiable case with exact per-simplex measure
 and tangent planes (m = 1 segments, m = 2 triangles). PointCloudSet is the
-weighted-sample stand-in for irregular sets. Restriction to a ball clips
-segments exactly; triangles crossing the sphere get the circular boundary
-replaced by an inscribed polyline whose area defect is budgeted below
-1e-6 * r^m per call and recorded in the diagnostics of the result.
+weighted-sample stand-in for irregular sets. Restriction to a ball cuts
+segments exactly and keeps triangles wholly inside it; triangles the sphere
+cuts get the circular boundary replaced by an inscribed polyline whose area
+defect is budgeted below 1e-6 * r^m per call and recorded in the
+diagnostics of the result. Ball clipping (``_clip``) classifies all
+simplices at once; only the triangles the sphere cuts are walked one by one.
 
 This module is the one home of the simplex primitives that the rest of the
 library shares: the row-wise dot product ``_rowdot``, simplex measure,
@@ -173,8 +175,8 @@ class SimplicialSet:
             raise ValueError("only dimensions m in {1, 2} are supported")
         if n < m:
             raise ValueError("ambient dimension below set dimension")
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, n)
-        s = np.asarray(self.simplices, dtype=np.int64).reshape(-1, m + 1)
+        v = np.array(self.vertices, dtype=float).reshape(-1, n)
+        s = np.array(self.simplices, dtype=np.int64).reshape(-1, m + 1)
         if len(s) and (s.min() < 0 or s.max() >= len(v)):
             raise ValueError("simplex vertex index out of range")
         meas, frames = _simplex_measures_and_frames(v, s, m)
@@ -240,8 +242,8 @@ class PointCloudSet:
 
     def __post_init__(self):
         n = int(self.ambient_dim)
-        pts = np.asarray(self.points, dtype=float).reshape(-1, n)
-        w = np.asarray(self.masses, dtype=float).reshape(-1)
+        pts = np.array(self.points, dtype=float).reshape(-1, n)
+        w = np.array(self.masses, dtype=float).reshape(-1)
         if len(pts) != len(w):
             raise ValueError("one mass per point required")
         if len(w) and w.min() <= 0:
@@ -279,30 +281,18 @@ def rescale(e: SimplicialSet, x, r: float) -> SimplicialSet:
 
 
 def _sphere_crossings(p, d, center, radius):
-    """The parameters t0 < t1 at which the line p + t*d meets the sphere,
-    or None when d is zero or the line misses or only touches it."""
-    a = float(np.dot(d, d))
-    if a == 0.0:
-        return None
+    """Row-wise parameters t0 < t1 at which the lines p + t*d meet the
+    sphere, and the mask of rows where they do: not where d is zero or the
+    line misses or only touches the sphere. ``center`` and ``radius`` are
+    one per row or one for all."""
+    a = _rowdot(d, d)
     f = p - center
-    b = 2.0 * float(np.dot(d, f))
-    c = float(np.dot(f, f)) - radius * radius
+    b = 2.0 * _rowdot(d, f)
+    c = _rowdot(f, f) - radius * radius
     disc = b * b - 4 * a * c
-    if disc <= 0:
-        return None
-    sq = np.sqrt(disc)
-    return (-b - sq) / (2 * a), (-b + sq) / (2 * a)
-
-
-def _clip_segment_to_ball(p, q, center, radius):
-    """Parameter interval of {p + t(q-p)} inside the closed ball, or None."""
-    t = _sphere_crossings(p, q - p, center, radius)
-    if t is None:
-        return None
-    t0, t1 = max(t[0], 0.0), min(t[1], 1.0)
-    if t1 - t0 <= 1e-14:
-        return None
-    return t0, t1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sq = np.sqrt(disc)
+        return (-b - sq) / (2 * a), (-b + sq) / (2 * a), (a != 0) & (disc > 0)
 
 
 def _triangle_plane_basis(tri):
@@ -341,6 +331,17 @@ def _canonical_signs(u):
     return np.where(flip[:, None], -u, u)
 
 
+def _in_plane_corners(corners, u, v):
+    """The corners of each triangle of an (S, 3, n) array in the in-plane
+    basis rows u, v of ``_plane_rows``, with the first corner at the
+    origin: shape (S, 3, 2). They run counter-clockwise, as v points
+    toward the third corner, unless the triangle is collinear to within
+    rounding. The stack of (3, n) @ (n, 1) products gives each triangle
+    the bits of ``(tri - tri[0]) @ u``."""
+    rel = corners - corners[:, :1]
+    return np.stack([(rel @ u[:, :, None])[:, :, 0], (rel @ v[:, :, None])[:, :, 0]], axis=2)
+
+
 def _arc_defect(radius, span, steps):
     """Exact area between an arc of the given span and its inscribed
     polyline with the given number of equal chords."""
@@ -348,145 +349,146 @@ def _arc_defect(radius, span, steps):
     return 0.5 * radius * radius * steps * (theta - np.sin(theta))
 
 
-def _clip_polygon_to_disk(poly, center, radius, max_arc_step):
-    """Clip a convex 2-d polygon against a disk.
+# Angular step of the inscribed arcs, chosen so that the summed defect of
+# one restrict() call is below CLIP_AREA_TOL * r^2:
+# total <= (2*pi/step) * (rho^2 step^3) / 12, and rho <= r cancels r^2.
+_ARC_STEP = np.sqrt(6.0 * CLIP_AREA_TOL / np.pi)
+_ENTER, _EXIT = 1, 2  # the event slots of an edge: 0 its first corner, 1 its entry, 2 its exit
 
-    Straight portions are kept exactly; each circular arc of the boundary is
-    replaced by an inscribed polyline with angular step <= max_arc_step.
-    Returns (boundary points CCW, total arc angle, inscribed-area defect).
-    """
-    if _polygon_area(poly) < 0:
-        poly = poly[::-1]
-    c = np.asarray(center, dtype=float)
-    r2 = radius * radius
-    inside = np.einsum("ij,ij->i", poly - c, poly - c) <= r2 * (1 + 1e-14)
 
-    if inside.all():
-        return [pt for pt in poly], 0.0, 0.0
-
-    # Walk edges, recording kept vertices and circle crossings in order.
-    events = []  # (point, entering_flag or None for interior vertex)
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        if inside[i]:
-            events.append((p, None))
-        d = q - p
-        ts = _sphere_crossings(p, d, c, radius)
-        if ts is None:
-            continue
-        for t, entering in zip(ts, (True, False)):
-            if 1e-14 < t < 1 - 1e-14:
-                events.append((p + t * d, entering))
-
-    if not events:
-        # no crossings and no inside vertices: either disjoint or disk inside polygon
-        if _point_in_convex_polygon(c, poly):
-            steps = max(3, int(np.ceil(2 * np.pi / max_arc_step)))
-            ang = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
-            circle = c + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-            return [pt for pt in circle], 2 * np.pi, _arc_defect(radius, 2 * np.pi, steps)
-        return [], 0.0, 0.0
-
+def _disk_boundary(events, kinds, c, radius):
+    """The boundary of a convex polygon's part in a disk, from the events
+    of a counter-clockwise walk along its edges (corners in the disk, and
+    the edges' entries and exits). Straight portions are kept exactly;
+    each arc from an exit to the next entry is inscribed with angular step
+    <= ``_ARC_STEP``. With no event the disk lies inside the polygon.
+    Returns (boundary points, total arc angle, inscribed-area defect)."""
+    if len(events) == 0:
+        steps = max(3, int(np.ceil(2 * np.pi / _ARC_STEP)))
+        ang = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
+        circle = c + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        return circle, 2 * np.pi, _arc_defect(radius, 2 * np.pi, steps)
     out = []
     arc_total = 0.0
     defect = 0.0
-    ne = len(events)
-    for i in range(ne):
-        pt, flag = events[i]
+    ahead = zip(np.roll(events, -1, axis=0), kinds[1:] + kinds[:1])
+    for pt, kind, (nxt, nxt_kind) in zip(events, kinds, ahead):
         out.append(pt)
-        if flag is False:  # exiting the disk: follow the arc to the next entry point
-            nxt_pt, nxt_flag = events[(i + 1) % ne]
-            if nxt_flag is not True:
-                continue  # tangential grazing; skip arc
+        if kind == _EXIT and nxt_kind == _ENTER:  # follow the arc to the next entry
             a0 = np.arctan2(pt[1] - c[1], pt[0] - c[0])
-            a1 = np.arctan2(nxt_pt[1] - c[1], nxt_pt[0] - c[0])
+            a1 = np.arctan2(nxt[1] - c[1], nxt[0] - c[0])
             while a1 <= a0 + 1e-15:
                 a1 += 2 * np.pi
             span = a1 - a0
             arc_total += span
-            steps = max(1, int(np.ceil(span / max_arc_step)))
+            steps = max(1, int(np.ceil(span / _ARC_STEP)))
             defect += _arc_defect(radius, span, steps)
-            for j in range(1, steps):
-                ang = a0 + span * j / steps
-                out.append(c + radius * np.array([np.cos(ang), np.sin(ang)]))
-    return out, arc_total, defect
+            ang = a0 + span * np.arange(1, steps) / steps
+            out.extend(c + radius * np.column_stack([np.cos(ang), np.sin(ang)]))
+    return np.asarray(out), arc_total, defect
 
 
-def _point_in_convex_polygon(pt, poly):
-    k = len(poly)
-    sign = 0
-    for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
-        cr = (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
-        if abs(cr) < 1e-15:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
-def _clip_simplices(e: SimplicialSet, ball: Ball):
-    """E ∩ B simplex by simplex, in simplex order.
-
-    Yields ``(pieces, loop, arc_points, defect)`` for each simplex that
-    meets the ball: the corner arrays it adds to ``restrict``'s output
-    (possibly none, when every fan triangle of a clipped polygon is a
-    sliver), its convex boundary loop (m = 2; None for m = 1), and the arc
-    points and area defect of its inscribed arcs.
-    """
+def _cut_triangles(e: SimplicialSet, ball: Ball):
+    """Classify every triangle against the ball at once. Returns the
+    indices of the triangles wholly inside, which are kept exactly, and a
+    generator that clips the ones the sphere cuts in their own plane
+    against the disk of intersection, in simplex order, yielding
+    ``(index, fan, loop, arc_points, defect)``: the fan of the clipped
+    polygon from its centroid without slivers (possibly empty), its loop in
+    R^n, and its inscribed arcs' point count and area defect."""
     c, r = ball.center, ball.radius
-    if e.dim == 1:
-        for i in range(len(e.simplices)):
-            p, q = e.simplex_points(i)
-            t = _clip_segment_to_ball(p, q, c, r)
-            if t is None:
-                continue
-            t0, t1 = t
-            d = q - p
-            yield [(p + t0 * d, p + t1 * d)], None, 0, 0.0
-        return
+    corners = e.vertices[e.simplices]
+    dist2 = np.einsum("sij,sij->si", corners - c, corners - c)
+    whole = (dist2 <= r * r * (1 + 1e-14)).all(axis=1)
+    u, v = _plane_rows(e)
+    rel = c - corners[:, 0]
+    centre = np.column_stack([_rowdot(rel, u), _rowdot(rel, v)])
+    rho2 = r * r - (_rowdot(rel, rel) - _rowdot(centre, centre))
+    cut = np.flatnonzero(~whole & (rho2 > 0))
+    corners, u, v, centre, rho = corners[cut], u[cut], v[cut], centre[cut], np.sqrt(rho2[cut])
+    poly = _in_plane_corners(corners, u, v)
+    off = poly - centre[:, None, :]
+    inside = np.einsum("sij,sij->si", off, off) <= (rho * rho)[:, None] * (1 + 1e-14)
+    # edge i runs from corner i to corner i + 1; a triangle with every
+    # corner in the disk is its own clipped polygon, whatever its crossings
+    nxt = np.roll(poly, -1, axis=1)
+    d = nxt - poly
+    t0, t1, hit = _sphere_crossings(poly.reshape(-1, 2), d.reshape(-1, 2),
+                                    np.repeat(centre, 3, axis=0), np.repeat(rho, 3))
+    t = np.stack([t0, t1], axis=1).reshape(-1, 3, 2)
+    crossing = (hit.reshape(-1, 3, 1) & (1e-14 < t) & (t < 1 - 1e-14)
+                & ~inside.all(axis=1)[:, None, None])
+    # per edge in walk order: its first corner if in the disk, its entry, its exit
+    points = np.concatenate([poly[:, :, None], poly[:, :, None] + t[..., None] * d[:, :, None]],
+                            axis=2)
+    events = np.concatenate([inside[:, :, None], crossing], axis=2)
+    # without an event the disk lies inside the triangle or misses it; it
+    # is inside when the centre is on no edge's far side (within 1e-15)
+    side = ((nxt[..., 0] - poly[..., 0]) * (centre[:, None, 1] - poly[..., 1])
+            - (nxt[..., 1] - poly[..., 1]) * (centre[:, None, 0] - poly[..., 0]))
+    contains = ~((side >= 1e-15).any(axis=1) & (side <= -1e-15).any(axis=1))
+    # only a crossing, three corners in the disk or a disk inside make a polygon
+    walk = np.flatnonzero(crossing.any(axis=(1, 2)) | inside.all(axis=1)
+                          | (~inside.any(axis=1) & contains))
 
-    # m == 2: per-triangle in-plane disk clipping.
-    # Angular step chosen so that the summed inscribed-arc defect over the
-    # call is below CLIP_AREA_TOL * r^2:  total <= (2*pi/step)*(rho^2 step^3)/12.
-    max_arc_step = np.sqrt(6.0 * CLIP_AREA_TOL / np.pi)  # rho <= r cancels r^2
-    u_rows, v_rows = _plane_rows(e)
-    for i in range(len(e.simplices)):
-        tri = e.simplex_points(i)
-        dist2 = np.einsum("ij,ij->i", tri - c, tri - c)
-        if (dist2 <= r * r * (1 + 1e-14)).all():
-            yield [tri], np.array(tri), 0, 0.0  # wholly inside: kept exactly
-            continue
-        a0, u, v = tri[0], u_rows[i], v_rows[i]
-        rel = c - a0
-        in_plane = np.array([np.dot(rel, u), np.dot(rel, v)])
-        off2 = float(np.dot(rel, rel)) - float(np.dot(in_plane, in_plane))
-        rho2 = r * r - off2
-        if rho2 <= 0:
-            continue
-        rho = np.sqrt(rho2)
-        poly2 = np.column_stack([ (tri - a0) @ u, (tri - a0) @ v ])
-        clipped, arc_angle, defect = _clip_polygon_to_disk(poly2, in_plane, rho, max_arc_step)
-        if len(clipped) < 3:
-            continue
-        poly = np.asarray(clipped)
-        cen2 = poly.mean(axis=0)
-        kq = len(poly)
-        tris = []
-        for j in range(kq):
-            a2, b2 = poly[j], poly[(j + 1) % kq]
-            area = 0.5 * abs((a2[0] - cen2[0]) * (b2[1] - cen2[1])
-                             - (a2[1] - cen2[1]) * (b2[0] - cen2[0]))
-            if area > 2 * DEGENERATE_MEASURE:
-                tris.append(np.array([a0 + cen2[0] * u + cen2[1] * v,
-                                      a0 + a2[0] * u + a2[1] * v,
-                                      a0 + b2[0] * u + b2[1] * v]))
-        yield (tris, poly @ np.stack([u, v]) + a0,
-               max(0, int(np.ceil(arc_angle / max_arc_step)) - 1), defect)
+    def clipped():
+        for j in walk:
+            ev = events[j]
+            boundary, arc, defect = _disk_boundary(points[j][ev], (np.flatnonzero(ev) % 3).tolist(),
+                                                   centre[j], rho[j])
+            if len(boundary) < 3:
+                continue
+            a0, uj, vj = corners[j, 0], u[j], v[j]
+            cen = boundary.mean(axis=0)
+            ahead = np.roll(boundary, -1, axis=0)
+            area = 0.5 * np.abs((boundary[:, 0] - cen[0]) * (ahead[:, 1] - cen[1])
+                                - (boundary[:, 1] - cen[1]) * (ahead[:, 0] - cen[0]))
+            lifted = a0 + boundary[:, :1] * uj + boundary[:, 1:] * vj
+            hub = np.broadcast_to(a0 + cen[0] * uj + cen[1] * vj, lifted.shape)
+            fan = np.stack([hub, lifted, np.roll(lifted, -1, axis=0)], axis=1)
+            # drop slivers, and lifted pieces that a set would reject as degenerate
+            keep = area > 2 * DEGENERATE_MEASURE
+            fan = fan[keep & (_simplex_measures(fan, 2) > DEGENERATE_MEASURE)]
+            yield (cut[j], fan, boundary @ np.stack([uj, vj]) + a0,
+                   max(0, int(np.ceil(arc / _ARC_STEP)) - 1), defect)
+
+    return np.flatnonzero(whole), clipped()
+
+
+def _clip(e: SimplicialSet, ball: Ball):
+    """E ∩ B as arrays: ``(pieces, loops, arc_points, defect)``.
+
+    ``pieces`` is one (P, m+1, n) corner array in simplex order. For m = 2,
+    ``loops`` is (points, sizes): the boundary loop of each triangle that
+    meets the ball in simplex order, a kept triangle's corners or a cut
+    one's clipped polygon, even when its fan adds no piece (None for m = 1).
+    ``arc_points`` and ``defect`` count the inscribed arcs' points and area.
+    """
+    if e.dim == 1:  # segments are cut exactly at the sphere
+        corners = e.vertices[e.simplices]
+        p, d = corners[:, 0], corners[:, 1] - corners[:, 0]
+        t0, t1, hit = _sphere_crossings(p, d, ball.center, ball.radius)
+        t0, t1 = np.maximum(t0, 0.0), np.minimum(t1, 1.0)
+        pieces = np.stack([p + t0[:, None] * d, p + t1[:, None] * d], axis=1)
+        # a piece of parameter length above 1e-14 can still be one a set would reject
+        keep = hit & (t1 - t0 > 1e-14) & (_simplex_measures(pieces, 1) > DEGENERATE_MEASURE)
+        return pieces[keep], None, 0, 0.0
+    whole, cuts = _cut_triangles(e, ball)
+    kept = e.vertices[e.simplices[whole]]
+    index, fans, loops, arc_points, defect = [], [kept[:0]], [kept[:0, 0]], 0, 0.0
+    for i, fan, loop, arcs, loss in cuts:
+        index.append(i)
+        fans.append(fan)
+        loops.append(loop)
+        arc_points += arcs
+        defect += loss
+    at = np.searchsorted(whole, index)  # each cut triangle's place among the kept ones
+    sizes = [len(loop) for loop in loops[1:]]
+    pieces = np.insert(kept, np.repeat(at, [len(fan) for fan in fans[1:]]), np.concatenate(fans),
+                       axis=0)
+    points = np.insert(kept.reshape(-1, e.ambient_dim), np.repeat(3 * at, sizes),
+                       np.concatenate(loops), axis=0)
+    return pieces, (points, np.insert(np.full(len(whole), 3), at, sizes)), arc_points, defect
 
 
 def _check_ball(e, ball: Ball):
@@ -497,35 +499,34 @@ def _check_ball(e, ball: Ball):
 
 def _meets(e: SimplicialSet, ball: Ball) -> bool:
     """``not restrict(e, ball).is_empty()``, decided without building the
-    clipped set: the clipping stops at the first simplex that adds a piece."""
-    return any(pieces for pieces, _, _, _ in _clip_simplices(e, ball))
+    clipped set: true at once when a triangle is wholly inside, else at the
+    first cut triangle whose fan adds a piece."""
+    if e.dim == 1:
+        return len(_clip(e, ball)[0]) > 0
+    whole, cuts = _cut_triangles(e, ball)
+    return len(whole) > 0 or any(len(fan) for _, fan, _, _, _ in cuts)
 
 
 def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | PointCloudSet:
     """Geometric intersection E ∩ B as a new set of the same kind.
 
     A PointCloudSet keeps the points in the closed ball with their masses.
-    Segments are cut exactly at the sphere. Triangles crossing the sphere
-    are clipped in their own plane against the disk of intersection, with
-    the curved boundary inscribed finely enough that the total area defect
-    of the call stays below 1e-6 * r^m; the defect bound and arc point
-    count are recorded in the result's diagnostics.
+    Segments are cut exactly at the sphere. Triangles wholly inside the
+    ball are kept exactly; those the sphere cuts are clipped in their own
+    plane against the disk of intersection, with the curved boundary
+    inscribed finely enough that the total area defect of the call stays
+    below 1e-6 * r^m; the defect bound and arc point count are recorded in
+    the result's diagnostics.
     """
     _check_ball(e, ball)
     if isinstance(e, PointCloudSet):
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
-    pieces = []
-    arc_points = 0
-    err_bound = 0.0
-    for got, _, arcs, defect in _clip_simplices(e, ball):
-        pieces += got
-        arc_points += arcs
-        err_bound += defect
-    if not pieces:
+    pieces, _, arc_points, defect = _clip(e, ball)
+    if not len(pieces):
         return SimplicialSet.empty(e.ambient_dim, e.dim)
     out = (SimplicialSet.from_segments if e.dim == 1 else SimplicialSet.from_triangles)(pieces)
-    object.__setattr__(out, "diagnostics", {"clip_area_error_bound": float(err_bound),
+    object.__setattr__(out, "diagnostics", {"clip_area_error_bound": float(defect),
                                             "arc_points": int(arc_points)})
     return out
 
@@ -577,8 +578,7 @@ def _simplex_constants(target: SimplicialSet):
         d = corners[:, 1] - a
         return a, d, _rowdot(d, d)
     u, v = _plane_rows(target)
-    rel = corners - a[:, None, :]  # a (3, n) @ (n, 1) stack: the matrix-vector path
-    t2 = np.stack([(rel @ u[:, :, None])[:, :, 0], (rel @ v[:, :, None])[:, :, 0]], axis=2)
+    t2 = _in_plane_corners(corners, u, v)
     d = np.roll(t2, -1, axis=1) - t2  # edge i runs from corner i to corner i + 1
     return a, u, v, t2, d, _rowdot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(-1, 3)
 

@@ -57,9 +57,9 @@ class DiscreteVarifold:
 
     def __post_init__(self):
         n, m = int(self.ambient_dim), int(self.dim)
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, n)
-        fr = np.asarray(self.frames, dtype=float).reshape(-1, n, m)
-        w = np.asarray(self.masses, dtype=float).reshape(-1)
+        pos = np.array(self.positions, dtype=float).reshape(-1, n)
+        fr = np.array(self.frames, dtype=float).reshape(-1, n, m)
+        w = np.array(self.masses, dtype=float).reshape(-1)
         if not (len(pos) == len(fr) == len(w)):
             raise ValueError("positions, frames, masses must align")
         if len(w) and w.min() <= 0:

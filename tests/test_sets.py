@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from varifoldlab.geometry import axis_plane, haar_sample
 from varifoldlab.integrands import competitor_registry
-from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _gemv_layout, _meets,
-                              _pair_dot, _plane_rows, _rowdot, _simplex_measures_and_frames,
-                              _triangle_plane_basis, ahlfors_ratios,
-                              distance_to_set, load_set, measure, rescale,
+from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, SimplicialSet, _clip,
+                              _cut_triangles, _gemv_layout, _in_plane_corners, _meets,
+                              _pair_dot, _plane_rows, _polygon_area, _rowdot, _simplex_measures,
+                              _simplex_measures_and_frames, _triangle_plane_basis,
+                              ahlfors_ratios, distance_to_set, load_set, measure, rescale,
                               restrict, save_set, translate)
-from varifoldlab.scenarios import cantor4_set, disk_set, scenario_sequence, segment_set, ycone_set
+from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
+                                   segment_set, ycone_set)
 
 
 def mc_area_in_ball(e, ball, rng, n=200_000):
@@ -65,6 +67,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PointCloudSet(2, 1, np.zeros((2, 2)), np.array([1.0, 0.0]))
 
+    def test_simplicial_set_copies_callers_arrays(self):
+        v, s = np.array([[0.0, 0], [1, 0]]), np.array([[0, 1]])
+        e = SimplicialSet(2, 1, v, s)
+        v[1, 0], s[0, 1] = 5.0, 0
+        assert e.vertices[1, 0] == 1.0 and e.simplices[0, 1] == 1
+        assert e.total_measure == 1.0 and v.flags.writeable
+
+    def test_pointcloud_copies_callers_arrays(self):
+        pts, w = np.zeros((2, 2)), np.array([0.5, 0.5])
+        cloud = PointCloudSet(2, 0, pts, w)
+        pts[0, 0], w[0] = 5.0, -3.0
+        assert cloud.points[0, 0] == 0.0 and cloud.masses.min() == 0.5
+        assert w.flags.writeable
+
 
 class TestMeasure:
     def test_unit_segment(self):
@@ -101,6 +117,14 @@ class TestRestrictSegments:
         clipped = restrict(segment_set(4), Ball(np.array([5.0, 5.0]), 1.0))
         assert clipped.is_empty()
         assert measure(clipped) == 0.0
+
+    def test_sphere_through_an_end_adds_no_degenerate_piece(self):
+        # the sphere passes 1.7e-16 inside the end (3, 0) of a segment 1/64
+        # long: the clipped parameter interval is above 1e-14, its length not
+        e = scenario_sequence("escape", 2)
+        ball = Ball(np.array([3.2082021104019276, 0.20820211040192776]), 0.29444224824510673)
+        assert restrict(e, ball).is_empty()
+        assert not _meets(e, ball)
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(0)
@@ -484,3 +508,149 @@ class TestMeets:
         ball = Ball(np.array([-1e-7, -1e-7, 0.0]), 1.5e-7)
         assert not _meets(e, ball)
         assert restrict(e, ball).is_empty()
+
+
+def soup(rng, m, n, count=30):
+    """Random segments or triangles at scales 1e-2 to 10."""
+    corners = rng.standard_normal((count, m + 1, n)) * 10.0 ** rng.integers(-2, 2, (count, 1, 1))
+    return (SimplicialSet.from_segments if m == 1 else SimplicialSet.from_triangles)(corners)
+
+
+CLIP_SETS = {
+    **{f"family_{name}": (lambda name=name: scenario_sequence(name, 2)) for name in FAMILIES},
+    **{f"soup_m{m}_r{n}": (lambda m=m, n=n: soup(np.random.default_rng(10 * m + n), m, n))
+       for m in (1, 2) for n in (2, 3, 4) if n >= m},
+    # a large triangle with a neighbour: small balls in it clip whole disks
+    "large_triangle": lambda: SimplicialSet.from_triangles(
+        [[[-2.0, -2, 0], [2, -2, 0], [0, 3, 0]], [[2.0, -2, 0], [3, 3, 0.5], [0, 3, 0]]]),
+}
+
+
+def one_simplex_parts(e, ball):
+    """The set's one-simplex subsets that can meet the ball, in simplex
+    order: a simplex whose bounding box misses the ball's is left out, as
+    its restriction is empty."""
+    corners = e.vertices[e.simplices]
+    near = ((corners.min(axis=1) <= ball.center + ball.radius).all(axis=1)
+            & (corners.max(axis=1) >= ball.center - ball.radius).all(axis=1))
+    return [SimplicialSet(e.ambient_dim, e.dim, e.vertices, e.simplices[i:i + 1])
+            for i in np.flatnonzero(near)]
+
+
+class TestClipIsPerSimplex:
+    """``restrict`` decides all simplices at once; its result must be the
+    concatenation of the restrictions of the set's one-simplex subsets, bit
+    for bit, with their arc points and area defects summed in simplex
+    order."""
+
+    @pytest.mark.parametrize("name", sorted(CLIP_SETS))
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_simplex_restrictions(self, name, seed):
+        e = CLIP_SETS[name]()
+        rng = np.random.default_rng(seed)
+        balls = probe_balls(e, rng)
+        i = rng.integers(len(e.simplices))
+        balls.append(Ball(e.simplex_points(i).mean(axis=0), rng.uniform(1e-3, 0.3)))
+        for ball in balls:
+            got = restrict(e, ball)
+            parts = one_simplex_parts(e, ball)
+            want = [restrict(part, ball).vertices for part in parts]
+            assert got.vertices.tobytes() == np.concatenate([e.vertices[:0], *want]).tobytes()
+            arcs, defect = 0, 0.0
+            for part in parts:
+                _, _, a, d = _clip(part, ball)
+                arcs += a
+                defect += d
+            if not got.is_empty():
+                assert got.diagnostics == {"clip_area_error_bound": defect, "arc_points": arcs}
+
+    def test_array_trig_matches_scalar(self):
+        # inscribed arcs take cos and sin of an angle array, where the loop
+        # they replaced took one angle at a time; a numpy build whose array
+        # and scalar paths differ fails here first
+        ang = np.random.default_rng(0).uniform(-4.0, 10.0, 5000)
+        assert np.array_equal(np.cos(ang), [np.cos(a) for a in ang])
+        assert np.array_equal(np.sin(ang), [np.sin(a) for a in ang])
+
+    def test_disk_inside_large_triangle(self):
+        e = CLIP_SETS["large_triangle"]()
+        ball = Ball(np.array([0.1, 0.2, 0.0]), 0.5)
+        got = restrict(e, ball)
+        assert got.diagnostics["arc_points"] > 1000
+        want = restrict(SimplicialSet(3, 2, e.vertices, e.simplices[:1]), ball)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+
+
+class TestWhollyInside:
+    """The batched wholly-inside decision keeps the bits of the
+    per-triangle ``einsum("ij,ij->i")`` test against r^2 (1 + 1e-14), for
+    corners at distances r (1 +- 1e-14) and a few ulps around the
+    threshold."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_per_triangle_einsum(self, n):
+        rng = np.random.default_rng(n)
+        c, r = rng.standard_normal(n), 0.7
+        dirs = rng.standard_normal((2000, 3, n))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        edge = np.sqrt(1 + 1e-14) * (1 + np.arange(-4, 5) * 2.0 ** -52)
+        factors = np.r_[1 - 1e-14, 1.0, 1 + 1e-14, edge]
+        tris = c + r * rng.choice(factors, (2000, 3))[:, :, None] * dirs
+        e = SimplicialSet.from_triangles(tris)
+        oracle = []
+        for i in range(len(e.simplices)):
+            rel = e.simplex_points(i) - c
+            if (np.einsum("ij,ij->i", rel, rel) <= r * r * (1 + 1e-14)).all():
+                oracle.append(i)
+        whole, _ = _cut_triangles(e, Ball(c, r))
+        assert whole.tolist() == oracle
+        assert 0 < len(oracle) < len(e.simplices)
+
+
+def thin_triangles(rng, n, count=400):
+    """Triangles whose measure is just above DEGENERATE_MEASURE: tiny
+    well-shaped ones, and unit slivers of relative height 1e-15 to 1e-12."""
+    tiny = rng.standard_normal((count, 3, n))
+    scale = np.sqrt(DEGENERATE_MEASURE * (1 + 10.0 ** rng.uniform(-3, 1, count))
+                    / _simplex_measures(tiny, 2))
+    tiny = tiny[:, :1] + (tiny - tiny[:, :1]) * scale[:, None, None]
+    a, e1, normal = rng.standard_normal((3, count, n))
+    normal -= (_rowdot(normal, e1) / _rowdot(e1, e1))[:, None] * e1
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    height = 10.0 ** rng.uniform(-15, -12, count) * np.linalg.norm(e1, axis=1)
+    third = a + rng.uniform(-1, 2, (count, 1)) * e1 + height[:, None] * normal
+    return np.concatenate([tiny, np.stack([a, a + e1, third], axis=1)])
+
+
+class TestInPlaneOrientation:
+    """Ball clipping walks each triangle's in-plane corners as a
+    counter-clockwise polygon without checking: v points toward the third
+    corner, so the signed area is positive.
+
+    That fails only on triangles that are collinear to within the rounding
+    of their coordinates (relative height below about 1e-15): the Gram
+    determinant's cancellation can lift their computed measure above
+    DEGENERATE_MEASURE, and some of them come out clockwise. Their clipped
+    area is not meaningful either way."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_thin_triangles_and_soups(self, n):
+        rng = np.random.default_rng(100 + n)
+        tris = np.concatenate([thin_triangles(rng, n), rng.standard_normal((400, 3, n))
+                               * 10.0 ** rng.integers(-6, 4, (400, 1, 1))])
+        e = SimplicialSet.from_triangles(tris[_simplex_measures(tris, 2) > DEGENERATE_MEASURE])
+        assert e.simplex_measures.min() < 2 * DEGENERATE_MEASURE
+        self.assert_counter_clockwise(e)
+
+    @pytest.mark.parametrize("name", ["r3", "r4", "disk", "competitors"])
+    def test_plane_row_sets(self, name):
+        for e in plane_row_sets(name):
+            self.assert_counter_clockwise(e)
+
+    @staticmethod
+    def assert_counter_clockwise(e):
+        u, v = _plane_rows(e)
+        poly = _in_plane_corners(e.vertices[e.simplices], u, v)
+        assert all(_polygon_area(p) > 0 for p in poly)
+

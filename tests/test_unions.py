@@ -261,7 +261,8 @@ def _plane_key_oracle(tri):
     if len(a) != 3:
         return ("planar2d",)
     nrm = np.cross(b - a, c - a)
-    nrm = _sign_oracle(nrm / np.linalg.norm(nrm))
+    with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate normal is NaN
+        nrm = _sign_oracle(nrm / np.linalg.norm(nrm))
     off = float(np.dot(a, nrm))
     return tuple(np.round(nrm, 9)) + (round(off, 9),)
 

@@ -270,6 +270,13 @@ class TestInvariantsAndIO:
             DiscreteVarifold(2, 1, np.zeros((1, 2)),
                              np.array([[[1.0], [0.0]]]), np.array([0.0]))
 
+    def test_callers_arrays_are_copied(self):
+        pos, frames, masses = np.zeros((1, 2)), np.array([[[1.0], [0.0]]]), np.array([1.0])
+        v = DiscreteVarifold(2, 1, pos, frames, masses)
+        pos[0, 0], frames[0, 0, 0], masses[0] = 5.0, 0.0, -3.0
+        assert v.positions[0, 0] == 0.0 and v.frames[0, 0, 0] == 1.0 and v.masses[0] == 1.0
+        assert pos.flags.writeable
+
     def test_json_roundtrip(self, tmp_path):
         v = var_of_set(ycone_set(4), 2)
         path = tmp_path / "v.json"
