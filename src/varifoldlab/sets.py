@@ -20,8 +20,9 @@ products and norms from ``_rowdot``, and its matrix-vector products
 
 Point-simplex distance is one batched kernel over (point, candidate
 simplex) pairs, ``_pair_distances``: it evaluates each bitwise-distinct
-query point once, on the simplices that a cKDTree bound cannot exclude,
-with the bits of the per-simplex loop it replaced.
+query point once, on the simplices that can be nearest to it (a bound
+from the kernel itself against centroid-sphere and longest-edge capsule
+bounds), with the bits of the per-simplex loop it replaced.
 """
 
 from __future__ import annotations
@@ -102,6 +103,34 @@ def _simplex_measures(corners, m):
     return 0.5 * np.sqrt(np.maximum(a11 * a22 - a12 * a12, 0.0))
 
 
+def _first_edge_rejection(corners):
+    """Gram-Schmidt on the first two edges of an (S, 3, n) triangle array:
+    |e1|, u = e1 / |e1|, the part b of e2 orthogonal to u, and |b| (NaN
+    rows where e1 is zero)."""
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        na = np.sqrt(_rowdot(e1, e1))
+        u = e1 / na[:, None]
+        b = e2 - _rowdot(e2, u)[:, None] * u
+    return na, u, b, np.sqrt(_rowdot(b, b))
+
+
+def _nondegenerate(corners, m):
+    """Mask of the simplices of an (S, m+1, n) corner array that a set
+    accepts: measure above ``DEGENERATE_MEASURE`` and, for a triangle, its
+    area |e1| |e2 - (e2.u) u| / 2, u = e1 / |e1|, above it too. That
+    height is a rejection, so unlike the Gram determinant it has no
+    cancellation: a triangle collinear to within the rounding of its
+    corners gets an area near that rounding, not near 1e-8. Accepted
+    triangles keep their Gram-determinant measure."""
+    keep = _simplex_measures(corners, m) > DEGENERATE_MEASURE
+    if m == 2:
+        na, _, _, nb = _first_edge_rejection(corners)
+        keep &= 0.5 * na * nb > DEGENERATE_MEASURE
+    return keep
+
+
 def _midpoint_split(corners, m):
     """One level of midpoint subdivision of an (S, m+1, n) corner array:
     2 halves per segment or 4 triangles per triangle, returned child-major
@@ -120,29 +149,26 @@ def _midpoint_split(corners, m):
 
 
 def _simplex_measures_and_frames(vertices, simplices, m):
-    """Exact m-measures and tangent frames for each simplex."""
+    """Exact m-measures and tangent frames for each simplex, and the
+    cancellation-free measures that decide degeneracy: for triangles the
+    area of ``_nondegenerate``, for segments the measures themselves."""
     v = vertices
     if len(simplices) == 0:
-        return np.zeros(0), np.zeros((0, v.shape[1], m))
+        return np.zeros(0), np.zeros((0, v.shape[1], m)), np.zeros(0)
     corners = v[simplices]
     meas = _simplex_measures(corners, m)
-    edges = corners[:, 1:] - corners[:, :1]  # (S, m, n)
     if m == 1:
         with np.errstate(invalid="ignore", divide="ignore"):
-            frames = (edges[:, 0, :] / np.where(meas > 0, meas, 1.0)[:, None])[:, :, None]
-    else:
-        # Gram-Schmidt on the two edges; rows with a zero edge stay zero
-        e1, e2 = edges[:, 0, :], edges[:, 1, :]
-        frames = np.zeros((len(simplices), v.shape[1], 2))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            na = np.sqrt(_rowdot(e1, e1))
-            u1 = e1 / na[:, None]
-            b2 = e2 - _rowdot(e2, u1)[:, None] * u1
-            nb = np.sqrt(_rowdot(b2, b2))
-            ok = (na != 0) & (nb != 0)
-            frames[ok, :, 0] = u1[ok]
-            frames[ok, :, 1] = b2[ok] / nb[ok, None]
-    return meas, frames
+            frames = ((corners[:, 1] - corners[:, 0])
+                      / np.where(meas > 0, meas, 1.0)[:, None])[:, :, None]
+        return meas, frames, meas
+    # Gram-Schmidt on the two edges; rows with a zero edge stay zero
+    na, u1, b2, nb = _first_edge_rejection(corners)
+    frames = np.zeros((len(simplices), v.shape[1], 2))
+    ok = (na != 0) & (nb != 0)
+    frames[ok, :, 0] = u1[ok]
+    frames[ok, :, 1] = b2[ok] / nb[ok, None]
+    return meas, frames, 0.5 * na * nb
 
 
 def _plane_rows(e):
@@ -158,7 +184,8 @@ class SimplicialSet:
     """Weighted m-dimensional simplicial complex in R^n, m in {1, 2}.
 
     Per-simplex m-measure and tangent plane frames are derived at
-    construction; degenerate simplices (measure <= 1e-14) are rejected.
+    construction; degenerate simplices (measure <= 1e-14, or for a
+    triangle its cancellation-free area <= 1e-14) are rejected.
     """
 
     ambient_dim: int
@@ -179,8 +206,9 @@ class SimplicialSet:
         s = np.array(self.simplices, dtype=np.int64).reshape(-1, m + 1)
         if len(s) and (s.min() < 0 or s.max() >= len(v)):
             raise ValueError("simplex vertex index out of range")
-        meas, frames = _simplex_measures_and_frames(v, s, m)
-        if len(meas) and meas.min() <= DEGENERATE_MEASURE:
+        meas, frames, areas = _simplex_measures_and_frames(v, s, m)
+        # the rule of _nondegenerate, on the terms derived here
+        if not ((meas > DEGENERATE_MEASURE) & (areas > DEGENERATE_MEASURE)).all():
             raise ValueError("degenerate simplex (measure <= 1e-14)")
         for arr in (v, s, meas, frames):
             arr.setflags(write=False)
@@ -394,8 +422,10 @@ def _cut_triangles(e: SimplicialSet, ball: Ball):
     generator that clips the ones the sphere cuts in their own plane
     against the disk of intersection, in simplex order, yielding
     ``(index, fan, loop, arc_points, defect)``: the fan of the clipped
-    polygon from its centroid without slivers (possibly empty), its loop in
-    R^n, and its inscribed arcs' point count and area defect."""
+    polygon from its centroid without in-plane slivers (possibly empty),
+    its loop in R^n, and its inscribed arcs' point count and area defect.
+    The fan can still hold lifted pieces that a set would reject as
+    degenerate; ``_nondegenerate`` drops them."""
     c, r = ball.center, ball.radius
     corners = e.vertices[e.simplices]
     dist2 = np.einsum("sij,sij->si", corners - c, corners - c)
@@ -446,9 +476,7 @@ def _cut_triangles(e: SimplicialSet, ball: Ball):
             lifted = a0 + boundary[:, :1] * uj + boundary[:, 1:] * vj
             hub = np.broadcast_to(a0 + cen[0] * uj + cen[1] * vj, lifted.shape)
             fan = np.stack([hub, lifted, np.roll(lifted, -1, axis=0)], axis=1)
-            # drop slivers, and lifted pieces that a set would reject as degenerate
-            keep = area > 2 * DEGENERATE_MEASURE
-            fan = fan[keep & (_simplex_measures(fan, 2) > DEGENERATE_MEASURE)]
+            fan = fan[area > 2 * DEGENERATE_MEASURE]  # drop in-plane slivers
             yield (cut[j], fan, boundary @ np.stack([uj, vj]) + a0,
                    max(0, int(np.ceil(arc / _ARC_STEP)) - 1), defect)
 
@@ -484,8 +512,9 @@ def _clip(e: SimplicialSet, ball: Ball):
         defect += loss
     at = np.searchsorted(whole, index)  # each cut triangle's place among the kept ones
     sizes = [len(loop) for loop in loops[1:]]
-    pieces = np.insert(kept, np.repeat(at, [len(fan) for fan in fans[1:]]), np.concatenate(fans),
-                       axis=0)
+    fan = np.concatenate(fans)
+    ok = _nondegenerate(fan, 2)
+    pieces = np.insert(kept, np.repeat(at, [len(f) for f in fans[1:]])[ok], fan[ok], axis=0)
     points = np.insert(kept.reshape(-1, e.ambient_dim), np.repeat(3 * at, sizes),
                        np.concatenate(loops), axis=0)
     return pieces, (points, np.insert(np.full(len(whole), 3), at, sizes)), arc_points, defect
@@ -504,7 +533,7 @@ def _meets(e: SimplicialSet, ball: Ball) -> bool:
     if e.dim == 1:
         return len(_clip(e, ball)[0]) > 0
     whole, cuts = _cut_triangles(e, ball)
-    return len(whole) > 0 or any(len(fan) for _, fan, _, _, _ in cuts)
+    return len(whole) > 0 or any(_nondegenerate(fan, 2).any() for _, fan, _, _, _ in cuts)
 
 
 def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | PointCloudSet:
@@ -620,32 +649,108 @@ def _pair_distances(p, simplex, const, layout):
     return np.sqrt(dist * dist + perp2)
 
 
-def _candidate_pairs(pts, target):
-    """The (row, simplex) pairs of points and the simplices each can be
-    nearest to, ordered by row.
-
-    A point's distance to the nearest vertex or centroid, both points of
-    the set, is an upper bound ``ub`` of its distance to the set, and no
-    point of a simplex lies farther than its bounding radius ``R_s`` from
-    its centroid. So only the simplices whose centroid is within
-    ``R_s + ub + margin`` are kept. The margin exceeds the rounding of the
-    distance kernel (the ``perp2`` cancellation of the triangle distance is
-    near 1e-8 * |p - a|), so no pruned simplex can round to a distance at
-    or below a kept one's.
-    """
+def _simplex_bounds(target: SimplicialSet, const):
+    """Per-simplex terms of the candidate search: each centroid, the
+    bounding radius ``R_s`` about it, the frame slack ``kappa_s`` (see
+    ``_candidate_pairs``) and, for triangles, the longest edge (its first
+    end, direction and ``d.d``) with the third corner's distance ``h_s``
+    from it."""
     corners = target.vertices[target.simplices]  # (S, m+1, n)
     centroids = corners.mean(axis=1)
     radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
-    on_set = np.concatenate([target.vertices[np.unique(target.simplices)], centroids])
-    ub = cKDTree(on_set).query(pts)[0]
+    if target.dim == 1:
+        return centroids, radii, np.zeros_like(radii), None
+    edges = np.roll(corners, -1, axis=1) - corners  # edge i runs from corner i to corner i + 1
+    length2 = np.einsum("sij,sij->si", edges, edges)
+    at = np.argmax(length2, axis=1)
+    rows = np.arange(len(corners))
+    start, d, dd = corners[rows, at], edges[rows, at], length2[rows, at]
+    w = corners[rows, (at + 2) % 3] - start
+    h = np.linalg.norm(w - (np.einsum("ij,ij->i", w, d) / dd)[:, None] * d, axis=1)
+    # rho_s bounds |(I - u u' - v v') e| over the edges e from the first
+    # corner, with the rounding of its own evaluation
+    _, u, v = const[:3]
+    e = corners[:, 1:] - corners[:, :1]
+    resid = (e - np.einsum("sij,sj->si", e, u)[:, :, None] * u[:, None, :]
+             - np.einsum("sij,sj->si", e, v)[:, :, None] * v[:, None, :])
+    reach = np.linalg.norm(e, axis=2).max(axis=1)
+    rho = (np.linalg.norm(resid, axis=2).max(axis=1)
+           + 4 * (target.ambient_dim + 2) * np.finfo(float).eps * reach)
+    kappa = rho + np.sqrt(rho * rho + 3 * reach * rho)
+    return centroids, radii, kappa, (start, d, dd, h)
+
+
+def _candidate_pairs(pts, target, const):
+    """The (row, simplex) pairs of points and the simplices each can be
+    nearest to, ordered by row.
+
+    Upper bound: each point's ``ub`` is the kernel's own distance to the
+    simplex of its nearest centroid. The winner's distance is at most
+    ``ub``, and that simplex is never dropped. (The distance to a vertex or
+    centroid would bound the true distance, not the kernel's, and on a
+    sliver the two differ by more than the margin.)
+
+    Lower bounds: no point of a simplex lies farther than ``R_s`` from its
+    centroid, and no point of a triangle lies farther than ``h_s`` from its
+    longest edge (both angles at that edge are acute). So a segment is
+    dropped when ``|p - centroid| - R_s``, and a triangle when
+    ``dist(p, longest edge) - h_s``, exceeds ``ub + kappa_s + margin``.
+
+    ``kappa_s`` is 0 for segments. A triangle's kernel measures p against
+    its frame (u, v), and on a sliver that frame is not orthonormal: near
+    the degeneracy threshold ``u.v`` can exceed 1e-2. If every edge e from
+    the first corner has ``|(I - u u' - v v') e| <= rho_s`` and ``L_s`` is
+    the longer of those edges, the kernel's distance is at least the true
+    one minus ``kappa_s = rho_s + sqrt(rho_s^2 + 3 L_s rho_s)``; on a
+    well-shaped triangle that is about 1e-7 L_s.
+
+    The margin, ``1e-6 * (1 + max R_s + max ub)``, exceeds the rounding of
+    the kernel's evaluation, so no dropped simplex can round to a distance
+    at or below a kept one's. The largest such error is the ``perp2``
+    cancellation of the triangle distance, a few 1e-8 * |p - a|, and a
+    point near a bound has |p - a| <= ub + 3 R_s. It also covers the
+    product path: ``ub`` comes from the stacked matrix-vector products, and
+    a one-point call evaluates on the dot path.
+
+    Before either test, the sphere bound runs from the simplex side as a
+    pre-filter: each simplex queries the points within
+    ``R_s + kappa_s + 2^b + margin`` of its centroid, over the points whose
+    ``ub`` lies in the power-of-two band ``2^(b-1) <= ub < 2^b`` (ub below
+    the margin counts as the margin), so a few far points do not make
+    every simplex a candidate of every point.
+    """
+    centroids, radii, kappa, capsule = _simplex_bounds(target, const)
+    nearest = cKDTree(centroids).query(pts)[1]
+    order = np.argsort(nearest, kind="stable")
+    ub = np.empty(len(pts))
+    ub[order] = _pair_distances(pts[order], nearest[order], const, _gemv_layout(nearest[order]))
     margin = 1e-6 * (1.0 + radii.max() + ub.max())
-    near = cKDTree(centroids).query_ball_point(pts, ub + radii.max() + margin)
-    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
-    simplex = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(counts.sum()))
-    row = np.repeat(np.arange(len(pts)), counts)
-    keep = (np.linalg.norm(pts[row] - centroids[simplex], axis=1)
-            <= radii[simplex] + ub[row] + margin)
-    return row[keep], simplex[keep]
+    band = np.frexp(np.maximum(ub, margin))[1]
+    by_band = np.argsort(band, kind="stable")
+    cuts = np.flatnonzero(np.r_[True, band[by_band][1:] != band[by_band][:-1], True])
+    rows, simplices = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        members = by_band[lo:hi]
+        near = cKDTree(pts[members]).query_ball_point(
+            centroids, radii + kappa + 2.0 ** band[members[0]] + margin, return_sorted=False)
+        counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+        rows.append(members[np.fromiter(chain.from_iterable(near), dtype=np.int64,
+                                         count=int(counts.sum()))])
+        simplices.append(np.repeat(np.arange(len(near)), counts))
+    row, simplex = np.concatenate(rows), np.concatenate(simplices)
+    if capsule is None:
+        gap = pts[row] - centroids[simplex]
+        lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - radii[simplex]
+    else:
+        start, d, dd, h = (x[simplex] for x in capsule)
+        rel = pts[row] - start
+        t = np.clip(np.einsum("ij,ij->i", rel, d) / dd, 0.0, 1.0)
+        gap = rel - t[:, None] * d
+        lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - h
+    keep = lower <= ub[row] + kappa[simplex] + margin
+    row, simplex = row[keep], simplex[keep]
+    order = np.argsort(row, kind="stable")
+    return row[order], simplex[order]
 
 
 def nearest_simplex(points, target: SimplicialSet):
@@ -655,11 +760,15 @@ def nearest_simplex(points, target: SimplicialSet):
     Bit for bit the result of evaluating every simplex in ascending order
     on every point with the per-simplex kernel and keeping strict
     improvements. Each bitwise-distinct point is evaluated once, on the
-    simplices that ``_candidate_pairs`` cannot exclude, in one batched
-    kernel per block of about ``_PAIR_BLOCK`` pairs. The kernel's products
-    are stacked matrix-vector products, which keep the bits of the
-    per-simplex ``rows @ vec``; a one-point call takes the dot path, as a
-    one-row product does.
+    simplices that ``_candidate_pairs`` keeps: a dropped simplex's kernel
+    distance is provably above the point's upper bound ``ub``, itself the
+    kernel's distance to a kept simplex, so it can neither win nor tie.
+    On the ``disk`` Hausdorff inputs that is about 4.7 pairs per point.
+
+    The kernel runs once per block of about ``_PAIR_BLOCK`` pairs. Its
+    products are stacked matrix-vector products, which give each pair the
+    bits of the per-simplex ``rows @ vec`` whatever else is in the block; a
+    one-point call takes the dot path, as a one-row product does.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if target.is_empty() or len(pts) == 0:
@@ -668,7 +777,7 @@ def nearest_simplex(points, target: SimplicialSet):
     best = np.full(len(distinct), np.inf)
     index = np.full(len(distinct), -1, dtype=np.int64)
     const = _simplex_constants(target)
-    row, simplex = _candidate_pairs(distinct, target)
+    row, simplex = _candidate_pairs(distinct, target, const)
     # blocks of whole rows, each starting at the row of every _PAIR_BLOCK-th pair
     starts = np.unique(np.searchsorted(row, row[::_PAIR_BLOCK]))
     for lo, hi in zip(starts, np.r_[starts[1:], len(row)]):

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_sets import thin_triangles
+from varifoldlab.geometry import Plane
 from varifoldlab.metrics import _sample_points
 from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
-from varifoldlab.scenarios import get_family
+from varifoldlab.scenarios import disk_set, get_family
 from varifoldlab import sets
-from varifoldlab.sets import Ball, SimplicialSet, distance_to_set, nearest_simplex, restrict
+from varifoldlab.sets import (Ball, SimplicialSet, _distinct_rows, _nondegenerate,
+                              _simplex_constants, distance_to_set, nearest_simplex, restrict)
 
 
 def point_segment_distance(points, a, b):
@@ -164,6 +167,42 @@ def test_duplicate_points(surface):
         assert_matches_oracle(p[None], target)  # a single point: the dot path
 
 
+def sliver_targets(rng):
+    """Triangles that test the capsule bound: a disk on a random plane of R^3
+    whose second ring lies a relative 1e-6 to 1 of a chord outside its
+    first, so its ring triangles reach aspect ratios near 1e6, and unit
+    slivers and tiny triangles just above the degeneracy threshold."""
+    frame = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    angular = int(rng.integers(8, 64))
+    r0 = rng.uniform(0.1, 0.9)
+    gap = r0 * 2 * np.pi / angular * 10.0 ** rng.uniform(-6, 0)
+    disk = disk_set(rng.standard_normal(3) * 0.1, 1.0, Plane(frame), angular, [r0, r0 + gap])
+    thin = thin_triangles(rng, 3, count=40)
+    thin = thin[_nondegenerate(thin, 2)]
+    return SimplicialSet.from_triangles(np.concatenate([disk.vertices[disk.simplices], thin]))
+
+
+def points_on_off_and_far(rng, target, count):
+    """Points of the target's triangles, the same points moved off them by
+    1e-12 to 1e-1, and points about 1e3 away, in one input."""
+    corners = target.vertices[target.simplices[rng.integers(0, len(target.simplices), count)]]
+    weights = rng.dirichlet(np.ones(3), count)
+    on = np.einsum("ij,ijk->ik", weights, corners)
+    off = on + rng.standard_normal(on.shape) * 10.0 ** rng.uniform(-12, -1, (count, 1))
+    far = 1e3 * rng.standard_normal((max(1, count // 10), target.ambient_dim))
+    return rng.permutation(np.concatenate([on, off, far, target.vertices[:count]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 200))
+def test_matches_oracle_on_slivers(seed, count):
+    rng = np.random.default_rng(seed)
+    target = sliver_targets(rng)
+    pts = points_on_off_and_far(rng, target, count)
+    assert_matches_oracle(pts, target)
+    assert_matches_oracle(pts[:1], target)  # a single point
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_several_pair_blocks(monkeypatch, block):
     rng = np.random.default_rng(block)
@@ -220,6 +259,26 @@ def test_disk_hausdorff_inputs(r):
         for lv in (level, level + 1):
             pts, _ = _sample_points(clipped, lv)
             assert_matches_oracle(pts, target)
+
+
+def test_disk_hausdorff_candidate_pairs():
+    """The candidate search sends the exact kernel about 4.7 pairs per
+    distinct point on the disk k=1 Hausdorff inputs; more than 6 means a
+    bound got looser."""
+    fam = get_family("disk")
+    e, limit = fam.make(1), fam.limit()
+    pairs = points = 0
+    for r in fam.base_radii:
+        ball = Ball(np.asarray(fam.base_point, dtype=float), r)
+        for source, target in ((e, limit), (limit, e)):
+            clipped = restrict(source, ball)
+            level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(clipped.simplices))))))))
+            for lv in (level, level + 1):
+                distinct = _distinct_rows(_sample_points(clipped, lv)[0])[0]
+                row, _ = sets._candidate_pairs(distinct, target, _simplex_constants(target))
+                pairs += len(row)
+                points += len(distinct)
+    assert pairs <= 6 * points
 
 
 def test_tangent_project_uses_first_nearest_simplex():

@@ -8,10 +8,10 @@ from varifoldlab.geometry import axis_plane, haar_sample
 from varifoldlab.integrands import competitor_registry
 from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, SimplicialSet, _clip,
                               _cut_triangles, _gemv_layout, _in_plane_corners, _meets,
-                              _pair_dot, _plane_rows, _polygon_area, _rowdot, _simplex_measures,
-                              _simplex_measures_and_frames, _triangle_plane_basis,
-                              ahlfors_ratios, distance_to_set, load_set, measure, rescale,
-                              restrict, save_set, translate)
+                              _nondegenerate, _pair_dot, _plane_rows, _polygon_area, _rowdot,
+                              _simplex_measures, _simplex_measures_and_frames,
+                              _triangle_plane_basis, ahlfors_ratios, distance_to_set, load_set,
+                              measure, rescale, restrict, save_set, translate)
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
                                    segment_set, ycone_set)
 
@@ -402,7 +402,7 @@ class TestBatchedFrames:
         tris[15:20] = tris[15:20, :1]                           # a point
         v = tris.reshape(-1, n)
         s = np.arange(len(v)).reshape(-1, 3)
-        _, frames = _simplex_measures_and_frames(v, s, 2)
+        _, frames, _ = _simplex_measures_and_frames(v, s, 2)
         assert np.array_equal(frames, frames_oracle(v, s))
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -626,20 +626,14 @@ def thin_triangles(rng, n, count=400):
 class TestInPlaneOrientation:
     """Ball clipping walks each triangle's in-plane corners as a
     counter-clockwise polygon without checking: v points toward the third
-    corner, so the signed area is positive.
-
-    That fails only on triangles that are collinear to within the rounding
-    of their coordinates (relative height below about 1e-15): the Gram
-    determinant's cancellation can lift their computed measure above
-    DEGENERATE_MEASURE, and some of them come out clockwise. Their clipped
-    area is not meaningful either way."""
+    corner, so the signed area is positive."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_thin_triangles_and_soups(self, n):
         rng = np.random.default_rng(100 + n)
         tris = np.concatenate([thin_triangles(rng, n), rng.standard_normal((400, 3, n))
                                * 10.0 ** rng.integers(-6, 4, (400, 1, 1))])
-        e = SimplicialSet.from_triangles(tris[_simplex_measures(tris, 2) > DEGENERATE_MEASURE])
+        e = SimplicialSet.from_triangles(tris[_nondegenerate(tris, 2)])
         assert e.simplex_measures.min() < 2 * DEGENERATE_MEASURE
         self.assert_counter_clockwise(e)
 
@@ -654,3 +648,40 @@ class TestInPlaneOrientation:
         poly = _in_plane_corners(e.vertices[e.simplices], u, v)
         assert all(_polygon_area(p) > 0 for p in poly)
 
+
+def needles(rng, n, count):
+    """Triangles a, a + e1, a + s (e1 + 1e-16 nu) with a standard normal a,
+    a unit e1, s in [0.2, 2] and a unit normal nu of e1: collinear to
+    within the rounding of their corners, with a Gram-determinant area near
+    1e-8 and a true area below 1e-15."""
+    a, e1, normal = rng.standard_normal((3, count, n))
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    normal -= _rowdot(normal, e1)[:, None] * e1
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    s = rng.uniform(0.2, 2.0, (count, 1))
+    return np.stack([a, a + e1, a + s * (e1 + 1e-16 * normal)], axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3, 4]))
+def test_restrict_adds_no_measure_near_the_threshold(seed, n):
+    """measure(restrict(e, ball)) <= measure(e) + the clip's recorded
+    defect near the degeneracy threshold. Needles are rejected: a set that
+    took them by their Gram area restricted a third of them to up to 1e9
+    times that area. Tiny well-shaped triangles just above the threshold
+    obey the bound."""
+    rng = np.random.default_rng(seed)
+    count = 60
+    tris = needles(rng, n, count)
+    assert not _nondegenerate(tris, 2).any()
+    assert (_simplex_measures(tris, 2) > DEGENERATE_MEASURE).any()
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialSet.from_triangles(tris[:1])
+    tiny = thin_triangles(rng, n, count)[:count]
+    size = np.linalg.norm(tiny - tiny.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    centers = tiny.mean(axis=1) + 0.3 * size[:, None] * rng.standard_normal((count, n))
+    for tri, center, radius in zip(tiny, centers, size * rng.uniform(0.3, 1.2, count)):
+        e = SimplicialSet.from_triangles(tri[None])
+        clipped = restrict(e, Ball(center, radius))
+        defect = clipped.diagnostics.get("clip_area_error_bound", 0.0)
+        assert measure(clipped) <= measure(e) + defect
