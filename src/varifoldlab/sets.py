@@ -173,9 +173,11 @@ def _simplex_measures_and_frames(vertices, simplices, m):
 
 def _plane_rows(e):
     """The columns of each simplex frame as unit-stride rows, shape
-    (m, S, n). For a triangle, row 0 is u and row 1 is v of
-    ``_triangle_plane_basis``, bit for bit; products with them keep the
-    bits of that basis only because the rows have unit stride."""
+    (m, S, n). For a triangle, row 0 is u = e1 / |e1| and row 1 is v, the
+    part of e2 orthogonal to u scaled to unit length, with the bits of the
+    1-D ``np.dot`` and ``np.linalg.norm`` arithmetic on one triangle;
+    products with them keep those bits only because the rows have unit
+    stride."""
     return np.ascontiguousarray(e.simplex_frames.transpose(2, 0, 1))
 
 
@@ -321,24 +323,6 @@ def _sphere_crossings(p, d, center, radius):
     with np.errstate(invalid="ignore", divide="ignore"):
         sq = np.sqrt(disc)
         return (-b - sq) / (2 * a), (-b + sq) / (2 * a), (a != 0) & (disc > 0)
-
-
-def _triangle_plane_basis(tri):
-    """Orthonormal basis (u, v) of the triangle's own affine plane, with
-    its first corner: u along the first edge, v along the part of the
-    second edge orthogonal to u."""
-    a, b, c = tri
-    e1 = b - a
-    u = e1 / np.linalg.norm(e1)
-    return a, u, _unit_rejection(c - a, u)[0]
-
-
-def _unit_rejection(e, u):
-    """The part of e orthogonal to the unit vector u, scaled to unit
-    length, and its length before scaling."""
-    w = e - np.dot(e, u) * u
-    nw = np.linalg.norm(w)
-    return w / nw, nw
 
 
 def _polygon_area(poly):

@@ -9,19 +9,30 @@ so inside each strip every polygon's cross-section is a single interval
 with affine endpoints, and the union length is affine in x; each strip
 contributes exactly width * union-length-at-midpoint.
 
+One batched sweep, ``_planar_union_areas``, serves every planar union. It
+takes the polygons of many independent unions at once (the coplanar
+groups of a triangle union, or the one group of ``polygon_union_area``)
+and tags every vertex, crossing, strip and interval with its group, so
+that each group keeps its own tolerances: the x merge and strip incidence
+tolerance scale with the group's x span, the interval merge tolerance with
+its y span. Each group's area has the bits of the per-polygon loop that
+swept one group at a time: a strip's runs are summed as ``np.sum`` sums
+them, and a group's strips one after another.
+
 Segments and triangles in R^n are grouped by their affine line or plane
-before merging. The keys (rounded unit direction or normal plus offset)
-and the piece lengths are computed for all pieces in one array pass, with
-the arithmetic of a per-piece loop, so a union measure has the bits it
-would have piece by piece.
+before merging. The keys (rounded unit direction or normal plus offset),
+the groups (by sorting the keys) and the piece lengths are computed for
+all pieces in one array pass, with the arithmetic of a per-piece loop, so
+a union measure has the bits it would have piece by piece, and the groups
+add up in the order of their first pieces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sets import (_canonical_signs, _polygon_area, _rowdot, _triangle_plane_basis,
-                   _unit_rejection)
+from .sets import (_canonical_signs, _first_edge_rejection, _gemv_layout, _pair_dot,
+                   _polygon_area, _rowdot)
 
 __all__ = [
     "interval_union_length",
@@ -54,142 +65,245 @@ def interval_union_length(intervals) -> float:
     return float(total)
 
 
-def _clean_polygons(polys):
-    """Drop consecutive duplicate vertices and degenerate polygons."""
-    out = []
-    for p in polys:
-        p = np.asarray(p, dtype=float).reshape(-1, 2)
-        if len(p) >= 2:
-            keep = np.ones(len(p), dtype=bool)
-            keep[1:] = np.linalg.norm(np.diff(p, axis=0), axis=1) > 1e-15
-            if np.linalg.norm(p[0] - p[-1]) <= 1e-15 and keep[-1]:
-                keep[-1] = False
-            p = p[keep]
-        if len(p) >= 3 and abs(_polygon_area(p)) > 1e-14:
-            out.append(p)
+def _segment_starts(counts):
+    """The first index of each of consecutive segments of the given lengths."""
+    return np.cumsum(counts) - counts
+
+
+def _positions(counts):
+    """Each row's position within its segment, for consecutive segments of
+    the given lengths."""
+    return np.arange(counts.sum()) - np.repeat(_segment_starts(counts), counts)
+
+
+def _searchsorted_within(seg, vals, qseg, q, side):
+    """For each query (qseg[k], q[k]), ``np.searchsorted`` of q[k] among the
+    values of segment qseg[k], as an index into the whole of ``vals``,
+    which holds the segments in increasing order, each sorted."""
+    is_q = np.r_[np.zeros(len(vals), dtype=bool), np.ones(len(q), dtype=bool)]
+    # at equal values a query sorts after the data for "right", before for "left"
+    order = np.lexsort((is_q if side == "right" else ~is_q,
+                        np.concatenate([vals, q]), np.concatenate([seg, qseg])))
+    data_before = np.cumsum(~is_q[order])
+    out = np.empty(len(q), dtype=np.intp)
+    at = is_q[order]
+    out[order[at] - len(vals)] = data_before[at]
     return out
 
 
-def _inter_polygon_crossings(edges, poly_ids):
-    """x-coordinates of proper crossings between edges of distinct polygons.
+def _segment_cummax(x, first):
+    """``np.maximum.accumulate`` within each segment of x (``first`` marks
+    each segment's first row), by doubling: max is exact in any order."""
+    idx = np.arange(len(x))
+    pos = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    out = x.copy()
+    step = 1
+    while step <= pos.max(initial=0):
+        out[step:] = np.where(pos[step:] >= step, np.maximum(out[step:], out[:-step]), out[step:])
+        step *= 2
+    return out
 
-    Edges of the same (convex) polygon never properly cross; pairs are
-    prefiltered by an x-interval sweep plus y-bbox overlap.
-    """
-    e = edges
-    n = len(e)
-    if n < 2:
-        return np.zeros(0)
-    xmin = e[:, :, 0].min(axis=1)
-    xmax = e[:, :, 0].max(axis=1)
-    ymin = e[:, :, 1].min(axis=1)
-    ymax = e[:, :, 1].max(axis=1)
-    order = np.argsort(xmin, kind="stable")
-    xmin_s, xmax_s = xmin[order], xmax[order]
-    hi = np.searchsorted(xmin_s, xmax_s, side="right")
-    counts = np.maximum(hi - np.arange(n) - 1, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0)
-    ii = np.repeat(np.arange(n), counts)
-    jj = np.concatenate([np.arange(i + 1, h)
-                         for i, h in zip(np.arange(n), hi) if h > i + 1])
-    a, b = order[ii], order[jj]
-    keep = poly_ids[a] != poly_ids[b]
-    keep &= (ymin[a] <= ymax[b]) & (ymin[b] <= ymax[a])
-    a, b = a[keep], b[keep]
-    if len(a) == 0:
-        return np.zeros(0)
-    p = e[a, 0]
-    r = e[a, 1] - e[a, 0]
-    q = e[b, 0]
-    s = e[b, 1] - e[b, 0]
-    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+
+def _cyclic_next(sizes):
+    """For the vertices of consecutive polygons of the given sizes, the
+    index of the next vertex of the same polygon, cyclically."""
+    start = _segment_starts(sizes)[sizes > 0]
+    nxt = np.arange(1, sizes.sum() + 1)
+    nxt[start + sizes[sizes > 0] - 1] = start
+    return nxt
+
+
+def _clean_polygons(points, sizes):
+    """Drop, per polygon, each vertex within 1e-15 of its predecessor, then
+    the last if it is within 1e-15 of the first, then the polygons left
+    with fewer than 3 vertices or an area of at most 1e-14. Returns the
+    kept vertices and sizes and the index of each kept polygon.
+
+    The area is the shoelace sum of ``_polygon_area`` added in another
+    order; for a k-gon the two differ by at most (k + 1) u S, with S the
+    sum of the absolute shoelace terms and u the unit roundoff. A polygon
+    whose batched area lies within twice that of the threshold is measured
+    again by ``_polygon_area`` itself, so every polygon passes or fails the
+    test as it does alone."""
+    poly = np.repeat(np.arange(len(sizes)), sizes)
+    first = _segment_starts(sizes)
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = np.linalg.norm(np.diff(points, axis=0), axis=1) > 1e-15
+    has = sizes > 0
+    keep[first[has]] = True
+    last = first[has] + sizes[has] - 1
+    gap = points[first[has]] - points[last]
+    keep[last] &= ~(np.sqrt(_rowdot(gap, gap)) <= 1e-15)
+    points, poly = points[keep], poly[keep]
+    sizes = np.bincount(poly, minlength=len(sizes))
+    nxt = _cyclic_next(sizes)
+    x, y = points[:, 0], points[:, 1]
+    fwd, back = x * y[nxt], y * x[nxt]
+    area = 0.5 * (np.bincount(poly, fwd, len(sizes)) - np.bincount(poly, back, len(sizes)))
+    bound = (sizes + 2) * 2.3e-16 * np.bincount(poly, np.abs(fwd) + np.abs(back), len(sizes))
+    alive = (sizes >= 3) & (np.abs(area) > 1e-14)
+    start = _segment_starts(sizes)
+    for i in np.flatnonzero((sizes >= 3) & ~(np.abs(np.abs(area) - 1e-14) > bound)):
+        alive[i] = abs(_polygon_area(points[start[i]:start[i] + sizes[i]])) > 1e-14
+    kept = np.flatnonzero(alive)
+    return points[alive[poly]], sizes[kept], kept
+
+
+def _edge_pairs(xmin, xmax, ymin, ymax, poly, group):
+    """The pairs (a, b) of edges of distinct polygons of one group whose
+    closed bounding boxes meet, each with a before b in the group's
+    x-sorted order (by xmin, ties by index), as a sweep over that order
+    meets them.
+
+    The sweep runs within horizontal bands of equal height, about the
+    mean y extent of the group's edges: an edge enters every band its y
+    range meets, and a pair counts in the lowest band the two share. A
+    band keeps the group's x order, so each pair comes out oriented."""
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    count = np.diff(np.r_[first, len(group)])
+    bottom = np.minimum.reduceat(ymin, first)
+    height = np.maximum.reduceat(ymax, first) - bottom
+    extent = np.add.reduceat(ymax - ymin, first) / count
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bands = np.clip(np.ceil(height / extent), 1, count).astype(np.intp)
+        scale = np.where(height > 0, bands / height, 0.0)
+    gi = np.repeat(np.arange(len(first)), count)
+    top = bands[gi] - 1
+    blo = np.clip(np.floor((ymin - bottom[gi]) * scale[gi]), 0, top).astype(np.intp)
+    bhi = np.clip(np.floor((ymax - bottom[gi]) * scale[gi]), 0, top).astype(np.intp)
+    span = bhi - blo + 1
+    edge = np.repeat(np.arange(len(xmin)), span)
+    band = blo[edge] + _positions(span)
+    bid = band + _segment_starts(bands)[gi[edge]]
+    order = np.lexsort((xmin[edge], bid))
+    edge, band, bid = edge[order], band[order], bid[order]
+    hi = _searchsorted_within(bid, xmin[edge], bid, xmax[edge], "right")
+    counts = np.maximum(hi - np.arange(len(edge)) - 1, 0)
+    ii = np.repeat(np.arange(len(edge)), counts)
+    jj = ii + 1 + _positions(counts)
+    a, b = edge[ii], edge[jj]
+    keep = ((band[ii] == np.maximum(blo[a], blo[b])) & (poly[a] != poly[b])
+            & (ymin[a] <= ymax[b]) & (ymin[b] <= ymax[a]))
+    return a[keep], b[keep]
+
+
+def _crossings(x0, y0, x1, y1, a, b):
+    """x-coordinates of the proper crossings of the edge pairs (a, b), and
+    the mask of the pairs that cross."""
+    px, py = x0[a], y0[a]
+    rx, ry = x1[a] - px, y1[a] - py
+    qx, qy = x0[b] - px, y0[b] - py
+    sx, sy = x1[b] - x0[b], y1[b] - y0[b]
+    denom = rx * sy - ry * sx
     ok = np.abs(denom) > 1e-15
-    if not ok.any():
-        return np.zeros(0)
-    p, r, q, s, denom = p[ok], r[ok], q[ok], s[ok], denom[ok]
-    qp = q - p
-    t1 = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-    t2 = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
-    hit = (t1 > 1e-12) & (t1 < 1 - 1e-12) & (t2 > 1e-12) & (t2 < 1 - 1e-12)
-    return p[hit, 0] + t1[hit] * r[hit, 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t1 = (qx * sy - qy * sx) / denom
+        t2 = (qx * ry - qy * rx) / denom
+    hit = ok & (t1 > 1e-12) & (t1 < 1 - 1e-12) & (t2 > 1e-12) & (t2 < 1 - 1e-12)
+    return px[hit] + t1[hit] * rx[hit], hit
+
+
+def _planar_union_areas(points, sizes, group, n_groups):
+    """Union areas of convex polygons in R^2, one per group.
+
+    Polygon i is the next ``sizes[i]`` rows of ``points`` and belongs to
+    group ``group[i]``; each group's polygons are consecutive and the
+    groups come in increasing order. Each area has the bits that the
+    per-polygon sweep of that group alone gives.
+    """
+    points, sizes, kept = _clean_polygons(points, sizes)
+    if not len(sizes):
+        return np.zeros(n_groups)
+    poly = np.repeat(np.arange(len(sizes)), sizes)
+    vgroup = group[kept][poly]
+    nxt = _cyclic_next(sizes)
+    x0, y0 = points[:, 0], points[:, 1]
+    x1, y1 = x0[nxt], y0[nxt]
+    xmin, xmax = np.minimum(x0, x1), np.maximum(x0, x1)
+    a, b = _edge_pairs(xmin, xmax, np.minimum(y0, y1), np.maximum(y0, y1), poly, vgroup)
+    cross, hit = _crossings(x0, y0, x1, y1, a, b)
+
+    # strip boundaries: per group, the sorted vertex and crossing x's, with
+    # each within 1e-13 (1 + x span) of its predecessor merged into it
+    xs = np.concatenate([x0, cross])
+    xg = np.concatenate([vgroup, vgroup[a[hit]]])
+    order = np.lexsort((xs, xg))
+    xs, xg = xs[order], xg[order]
+    first = np.r_[True, xg[1:] != xg[:-1]]
+    last = np.r_[first[1:], True]
+    span = np.zeros(n_groups)
+    span[xg[first]] = xs[last] - xs[first]
+    tol = 1e-13 * (1 + span)
+    keep = first.copy()
+    keep[1:] |= np.diff(xs) > tol[xg[1:]]
+    xs, xg = xs[keep], xg[keep]
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    widths = np.diff(xs)
+
+    # edge -> strip incidences (an edge covers a strip fully or not at all);
+    # strip i runs from xs[i] to xs[i + 1] of one group
+    i0 = _searchsorted_within(xg, xs, vgroup, xmin - tol[vgroup], "left")
+    i1 = _searchsorted_within(xg, xs, vgroup, xmax + tol[vgroup], "right") - 2
+    counts = np.maximum(i1 - i0 + 1, 0)
+    eids = np.repeat(np.arange(len(x0)), counts)
+    strip_ids = i0[eids] + _positions(counts)
+    p0x, p0y, p1x, p1y = x0[eids], y0[eids], x1[eids], y1[eids]
+    dx = p1x - p0x
+    t = (mids[strip_ids] - p0x) / np.where(dx != 0, dx, 1.0)
+    yv = p0y + t * (p1y - p0y)
+
+    # reduce to one [lo, hi] interval per (strip, polygon), then order the
+    # intervals by strip and lo, ties by polygon
+    if not len(yv):
+        return np.zeros(n_groups)
+    key = strip_ids * len(sizes) + poly[eids]
+    order = np.argsort(key, kind="stable")
+    key, y = key[order], yv[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sid = key[starts] // len(sizes)
+    lo, hi = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
+    order = np.lexsort((lo, sid))
+    sid, lo, hi = sid[order], lo[order], hi[order]
+
+    # per strip, the union of its intervals, merged within 1e-12 (1 + y span)
+    g = xg[sid]
+    gfirst = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    yspan = np.maximum.reduceat(hi, gfirst) - np.minimum.reduceat(lo, gfirst)
+    eps = np.repeat(1e-12 * (1 + yspan), np.diff(np.r_[gfirst, len(g)]))
+    strip_first = np.r_[True, sid[1:] != sid[:-1]]
+    cm = _segment_cummax(hi, strip_first)
+    run_first = strip_first.copy()
+    run_first[1:] |= lo[1:] > cm[:-1] + eps[1:]
+    rs = np.flatnonzero(run_first)
+    re = np.r_[rs[1:], len(lo)] - 1
+    run_len = cm[re] - lo[rs]
+    strips = np.flatnonzero(strip_first)
+    run_strip = np.cumsum(strip_first)[rs] - 1
+    # np.bincount adds each bin's weights one after another from 0.0, as
+    # np.sum does below 8 terms and the per-strip loop did strip by strip
+    ulen = np.bincount(run_strip, run_len, len(strips))
+    runs = np.bincount(run_strip, minlength=len(strips))
+    first_run = _segment_starts(runs)
+    for s in np.flatnonzero(runs >= 8):  # np.sum adds pairwise from 8 terms on
+        ulen[s] = np.sum(run_len[first_run[s]:first_run[s] + runs[s]])
+    return np.bincount(g[strips], widths[sid[strips]] * ulen, n_groups)
+
+
+def _polygon_rows(polys):
+    """The vertices of a list of polygons in R^2, stacked, and their counts."""
+    polys = [np.asarray(p, dtype=float) for p in polys]
+    for p in polys:
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError(f"polygons must be (k, 2) arrays of points in R^2, got shape {p.shape}")
+    if not polys:
+        return np.zeros((0, 2)), np.zeros(0, dtype=np.intp)
+    return np.concatenate(polys), np.array([len(p) for p in polys], dtype=np.intp)
 
 
 def polygon_union_area(polys) -> float:
     """Area of a union of convex 2-d polygons, overlaps counted once."""
-    polys = _clean_polygons(polys)
-    if not polys:
-        return 0.0
-
-    edges_list, poly_ids_list = [], []
-    for pid, p in enumerate(polys):
-        k = len(p)
-        seg = np.stack([p, np.roll(p, -1, axis=0)], axis=1)  # (k, 2, 2)
-        edges_list.append(seg)
-        poly_ids_list.append(np.full(k, pid))
-    edges = np.concatenate(edges_list, axis=0)
-    poly_ids = np.concatenate(poly_ids_list)
-
-    all_x = np.concatenate([p[:, 0] for p in polys])
-    xs = np.concatenate([all_x, _inter_polygon_crossings(edges, poly_ids)])
-    xs = np.sort(xs)
-    span = xs[-1] - xs[0]
-    if span <= 0:
-        return 0.0
-    keep = np.concatenate([[True], np.diff(xs) > 1e-13 * (1 + span)])
-    xs = xs[keep]
-    if len(xs) < 2:
-        return 0.0
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    widths = np.diff(xs)
-
-    # edge -> strip incidences (an edge covers a strip fully or not at all)
-    tol = 1e-13 * (1 + span)
-    exmin = edges[:, :, 0].min(axis=1)
-    exmax = edges[:, :, 0].max(axis=1)
-    i0 = np.searchsorted(xs, exmin - tol, side="left")
-    i1 = np.searchsorted(xs, exmax + tol, side="right") - 2
-    counts = np.maximum(i1 - i0 + 1, 0)
-    if counts.sum() == 0:
-        return 0.0
-    eids = np.repeat(np.arange(len(edges)), counts)
-    strip_ids = np.concatenate(
-        [np.arange(lo, lo + c) for lo, c in zip(i0, counts) if c > 0])
-    xm = mids[strip_ids]
-    p0, p1 = edges[eids, 0], edges[eids, 1]
-    dx = p1[:, 0] - p0[:, 0]
-    t = (xm - p0[:, 0]) / np.where(dx != 0, dx, 1.0)
-    yv = p0[:, 1] + t * (p1[:, 1] - p0[:, 1])
-    pv = poly_ids[eids]
-
-    # reduce to one [lo, hi] interval per (strip, polygon)
-    order = np.lexsort((yv, pv, strip_ids))
-    sid, pid, y = strip_ids[order], pv[order], yv[order]
-    group_start = np.concatenate([[True], (sid[1:] != sid[:-1]) | (pid[1:] != pid[:-1])])
-    starts_idx = np.flatnonzero(group_start)
-    ends_idx = np.concatenate([starts_idx[1:], [len(y)]]) - 1
-    lo_iv = y[starts_idx]           # sorted within group: first is min
-    hi_iv = np.maximum.reduceat(y, starts_idx)
-    g_sid = sid[starts_idx]
-
-    # per-strip interval union
-    order2 = np.lexsort((lo_iv, g_sid))
-    sid2, lo2, hi2 = g_sid[order2], lo_iv[order2], hi_iv[order2]
-    yspan = float(hi2.max() - lo2.min()) if len(lo2) else 0.0
-    eps = 1e-12 * (1 + yspan)
-    total = 0.0
-    strip_starts = np.flatnonzero(np.concatenate([[True], sid2[1:] != sid2[:-1]]))
-    strip_ends = np.concatenate([strip_starts[1:], [len(sid2)]])
-    for a, b in zip(strip_starts, strip_ends):
-        w = widths[sid2[a]]
-        cm = np.maximum.accumulate(hi2[a:b])
-        gap = np.flatnonzero(lo2[a + 1:b] > cm[:-1] + eps) + 1
-        run_starts = np.concatenate([[0], gap])
-        run_ends = np.concatenate([gap - 1, [b - a - 1]])
-        ulen = float(np.sum(cm[run_ends] - lo2[a:b][run_starts]))
-        total += w * ulen
-    return float(total)
+    points, sizes = _polygon_rows(polys)
+    return float(_planar_union_areas(points, sizes, np.zeros(len(sizes), dtype=np.intp), 1)[0])
 
 
 def triangle_union_area(triangles) -> float:
@@ -197,17 +311,33 @@ def triangle_union_area(triangles) -> float:
     tris = np.asarray(triangles, dtype=float)
     if tris.size == 0:
         return 0.0
-    return polygon_union_area(list(tris.reshape(-1, 3, 2)))
+    if tris.shape[-2:] != (3, 2):
+        raise ValueError(f"triangles must be (3, 2) arrays of points in R^2, got shape {tris.shape}")
+    tris = tris.reshape(-1, 3, 2)
+    zeros = np.zeros(len(tris), dtype=np.intp)
+    return float(_planar_union_areas(tris.reshape(-1, 2), zeros + 3, zeros, 1)[0])
 
 
-def _group_rows(keys):
-    """Row indices grouped by equal key, groups in order of first
-    appearance. Keys holding NaN never compare equal, so each such row is
-    a group of its own."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups.values()
+def _key_groups(keys):
+    """The group of each row of a 2-d key array, groups numbered in order
+    of first appearance. Rows equal as tuples of floats share a group: the
+    sorts and comparisons below take -0.0 for 0.0, and a row holding NaN
+    equals no other. Only rows that share their last column with another
+    row can share a key, so the full sort runs on those alone."""
+    last = keys[:, -1]
+    order = np.argsort(last, kind="stable")
+    tie = last[order][1:] == last[order][:-1]
+    shared = np.zeros(len(keys), dtype=bool)
+    shared[order[1:][tie]] = True
+    shared[order[:-1][tie]] = True
+    rows = np.flatnonzero(shared)
+    head = np.arange(len(keys))  # the first row of each row's group
+    if len(rows):
+        rows = rows[np.lexsort(keys[rows].T[::-1])]  # stable: a group's first row leads
+        k = keys[rows]
+        new = np.r_[True, (k[1:] != k[:-1]).any(axis=1)]
+        head[rows] = rows[new][np.cumsum(new) - 1]
+    return (np.cumsum(head == np.arange(len(keys))) - 1)[head]
 
 
 def segments_union_measure(segments) -> float:
@@ -225,29 +355,76 @@ def segments_union_measure(segments) -> float:
     ln = np.sqrt(_rowdot(d, d))
     keep = ~(ln <= 1e-14)
     p, q, d, ln = p[keep], q[keep], d[keep], ln[keep]
+    if not len(p):
+        return 0.0
     u = _canonical_signs(d / ln[:, None])
     t0, t1 = _rowdot(p, u), _rowdot(q, u)
     offset = p - t0[:, None] * u
-    keys = map(tuple, np.round(np.concatenate([u, offset], axis=1), 9).tolist())
+    group = _key_groups(np.round(np.concatenate([u, offset], axis=1), 9))
     # min and max as Python's, which keep the first of two equal values
     lo = np.where(t1 < t0, t1, t0)
     hi = np.where(t1 > t0, t1, t0)
-    length = (hi - lo).tolist()
-    total = 0.0
-    for rows in _group_rows(keys):
-        if len(rows) == 1:
-            total += length[rows[0]]
-        else:
-            total += interval_union_length(np.column_stack([lo[rows], hi[rows]]))
-    return float(total)
+    size = np.bincount(group)
+    value = np.zeros(len(size))  # per group, in order of first appearance
+    single = np.flatnonzero(size[group] == 1)
+    value[group[single]] = hi[single] - lo[single]
+    rows, start = np.argsort(group, kind="stable"), _segment_starts(size)
+    for g in np.flatnonzero(size > 1):
+        r = rows[start[g]:start[g] + size[g]]
+        value[g] = interval_union_length(np.column_stack([lo[r], hi[r]]))
+    return float(np.cumsum(value)[-1])  # one group after another
+
+
+def _coplanar_areas(tris, rows, group, n_groups):
+    """Union areas of the coplanar groups of triangles ``tris[rows]``
+    (``group`` of each, consecutive and increasing), each in the in-plane
+    basis of its first triangle whose first edge is not zero: origin at its
+    first corner, u along that edge, v along the part of its second edge
+    orthogonal to u, or, where that part is at most 1e-14 long, of the
+    second edge of the group's next triangle for which it is not. A group
+    with no such v gets 0."""
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    idx = np.arange(len(rows))
+    nonzero = (tris[rows, 1] != tris[rows, 0]).any(axis=1)
+    pick = np.minimum.reduceat(np.where(nonzero, idx, len(rows)), first)
+    t0 = rows[np.where(pick < len(rows), pick, first)]
+    _, u, w, nw = _first_edge_rejection(tris[t0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = w / nw[:, None]
+        short = np.flatnonzero(nw <= 1e-14)
+        if len(short):  # a second edge along u: take v from another triangle
+            alt = np.flatnonzero(np.isin(group, short) & (idx > first[group]))
+            e2 = tris[rows[alt], 2] - tris[rows[alt], 0]
+            ua = u[group[alt]]
+            wa = e2 - _rowdot(e2, ua)[:, None] * ua
+            nwa = np.sqrt(_rowdot(wa, wa))
+            ok = np.flatnonzero(nwa > 1e-14)
+            g_ok, at = np.unique(group[alt[ok]], return_index=True)
+            v[g_ok] = wa[ok[at]] / nwa[ok[at], None]
+            nw[g_ok] = nwa[ok[at]]
+    areas = np.zeros(n_groups)
+    usable = nw > 1e-14
+    if not usable.any():
+        return areas
+    sel = np.flatnonzero(usable[group])
+    rows, group = rows[sel], (np.cumsum(usable) - 1)[group[sel]]
+    corners = tris[rows] - tris[t0[usable], 0][group][:, None, :]
+    flat = corners.reshape(-1, tris.shape[2])
+    row_group = np.repeat(group, 3)
+    layout = _gemv_layout(row_group)
+    points = np.column_stack([_pair_dot(flat, u[usable], row_group, layout),
+                              _pair_dot(flat, v[usable], row_group, layout)])
+    areas[usable] = _planar_union_areas(points, np.full(len(rows), 3), group,
+                                        int(usable.sum()))
+    return areas
 
 
 def triangles_union_measure(triangles) -> float:
     """Area of a union of triangles in R^2 or R^3, overlaps counted once.
 
     Coplanar triangles (shared affine plane up to 1e-9 rounding) are merged
-    by the planar sweep; distinct planes intersect in measure zero. All
-    triangles in R^2 share one plane."""
+    by the planar sweep, all groups in one call; distinct planes intersect
+    in measure zero. All triangles in R^2 share one plane."""
     tris = np.asarray(triangles, dtype=float)
     if len(tris) == 0:
         return 0.0
@@ -264,29 +441,17 @@ def triangles_union_measure(triangles) -> float:
         with np.errstate(invalid="ignore", divide="ignore"):
             nrm = _canonical_signs(nrm / length[:, None])
         offset = [round(o, 9) for o in _rowdot(tris[:, 0], nrm).tolist()]
-        keys = [(*k, o) for k, o in zip(np.round(nrm, 9).tolist(), offset)]
-        groups = _group_rows(keys)
+        group = _key_groups(np.column_stack([np.round(nrm, 9), offset]))
     else:
-        groups = [list(range(len(tris)))]
-    half = (0.5 * length).tolist()
-    total = 0.0
-    for rows in groups:
-        if len(rows) == 1:  # nothing to merge
-            total += half[rows[0]]
-            continue
-        group = tris[rows]
-        # origin and u from the first triangle whose first edge is not zero
-        t0 = group[np.argmax((group[:, 1] != group[:, 0]).any(axis=1))]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a0, u, v = _triangle_plane_basis(t0)
-            nw = _unit_rejection(t0[2] - t0[0], u)[1]
-            if nw <= 1e-14:  # a second edge along u: take v from another triangle
-                for alt in group[1:]:
-                    v, nw = _unit_rejection(alt[2] - alt[0], u)
-                    if nw > 1e-14:
-                        break
-        if nw <= 1e-14:
-            continue
-        rel = (group - a0).reshape(-1, n)
-        total += polygon_union_area(np.stack([rel @ u, rel @ v], axis=1).reshape(-1, 3, 2))
-    return float(total)
+        group = np.zeros(len(tris), dtype=np.intp)
+    size = np.bincount(group)
+    value = np.zeros(len(size))  # per group, in order of first appearance
+    single = np.flatnonzero(size[group] == 1)  # nothing to merge
+    value[group[single]] = 0.5 * length[single]
+    rows = np.flatnonzero(size[group] > 1)
+    if len(rows):
+        rows = rows[np.argsort(group[rows], kind="stable")]
+        multi = size > 1
+        value[multi] = _coplanar_areas(tris, rows, (np.cumsum(multi) - 1)[group[rows]],
+                                       int(multi.sum()))
+    return float(np.cumsum(value)[-1])  # one group after another

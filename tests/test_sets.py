@@ -9,9 +9,9 @@ from varifoldlab.integrands import competitor_registry
 from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, SimplicialSet, _clip,
                               _cut_triangles, _gemv_layout, _in_plane_corners, _meets,
                               _nondegenerate, _pair_dot, _plane_rows, _polygon_area, _rowdot,
-                              _simplex_measures, _simplex_measures_and_frames,
-                              _triangle_plane_basis, ahlfors_ratios, distance_to_set, load_set,
-                              measure, rescale, restrict, save_set, translate)
+                              _simplex_measures, _simplex_measures_and_frames, ahlfors_ratios,
+                              distance_to_set, load_set, measure, rescale, restrict, save_set,
+                              translate)
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
                                    segment_set, ycone_set)
 
@@ -429,10 +429,22 @@ def plane_row_sets(name):
     return [e for t in planes for _, e in competitor_registry(t)]
 
 
+def triangle_plane_basis_oracle(tri):
+    """The per-triangle in-plane basis that batched code must reproduce:
+    u along the first edge, v along the part of the second edge
+    orthogonal to u, both by 1-D ``np.dot`` and ``np.linalg.norm``."""
+    a, b, c = tri
+    e1 = b - a
+    u = e1 / np.linalg.norm(e1)
+    w = (c - a) - np.dot(c - a, u) * u
+    return a, u, w / np.linalg.norm(w)
+
+
 class TestPlaneRows:
-    """Ball clipping and the point-triangle kernel read each triangle's
-    in-plane basis from the set's frames; these must be the rows of
-    ``_triangle_plane_basis`` bit for bit, with unit stride."""
+    """Ball clipping, the point-triangle kernel and the coplanar groups of
+    a triangle union read each triangle's in-plane basis from the
+    batched Gram-Schmidt rows; these must be the per-triangle basis bit
+    for bit, with unit stride."""
 
     @pytest.mark.parametrize("name", ["r3", "r4", "disk", "competitors"])
     def test_rows_are_the_triangle_basis(self, name):
@@ -440,7 +452,7 @@ class TestPlaneRows:
             u, v = _plane_rows(e)
             assert u.strides[-1] == v.strides[-1] == u.itemsize
             for i in range(len(e.simplices)):
-                _, bu, bv = _triangle_plane_basis(e.simplex_points(i))
+                _, bu, bv = triangle_plane_basis_oracle(e.simplex_points(i))
                 assert u[i].tobytes() == bu.tobytes()
                 assert v[i].tobytes() == bv.tobytes()
 

@@ -220,7 +220,9 @@ class TestUnionInvariance:
 
 
 # The per-piece loops that the batched union measures replaced, kept as
-# bitwise oracles: the batched code must give exactly their bits.
+# bitwise oracles: the batched code must give exactly their bits. The
+# triangle oracle groups, projects and sweeps one coplanar group at a time,
+# through the per-polygon sweep that the batched one replaced.
 
 def _sign_oracle(u):
     for comp in u:
@@ -248,6 +250,122 @@ def segments_union_oracle(segments):
             total += iv[0][1] - iv[0][0]
         else:
             total += interval_union_length(iv)
+    return float(total)
+
+
+def _polygon_area_oracle(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _clean_polygons_oracle(polys):
+    out = []
+    for p in polys:
+        p = np.asarray(p, dtype=float).reshape(-1, 2)
+        if len(p) >= 2:
+            keep = np.ones(len(p), dtype=bool)
+            keep[1:] = np.linalg.norm(np.diff(p, axis=0), axis=1) > 1e-15
+            if np.linalg.norm(p[0] - p[-1]) <= 1e-15 and keep[-1]:
+                keep[-1] = False
+            p = p[keep]
+        if len(p) >= 3 and abs(_polygon_area_oracle(p)) > 1e-14:
+            out.append(p)
+    return out
+
+
+def _crossings_oracle(edges, poly_ids):
+    e = edges
+    n = len(e)
+    if n < 2:
+        return np.zeros(0)
+    xmin = e[:, :, 0].min(axis=1)
+    xmax = e[:, :, 0].max(axis=1)
+    ymin = e[:, :, 1].min(axis=1)
+    ymax = e[:, :, 1].max(axis=1)
+    order = np.argsort(xmin, kind="stable")
+    xmin_s, xmax_s = xmin[order], xmax[order]
+    hi = np.searchsorted(xmin_s, xmax_s, side="right")
+    counts = np.maximum(hi - np.arange(n) - 1, 0)
+    if int(counts.sum()) == 0:
+        return np.zeros(0)
+    ii = np.repeat(np.arange(n), counts)
+    jj = np.concatenate([np.arange(i + 1, h) for i, h in zip(np.arange(n), hi) if h > i + 1])
+    a, b = order[ii], order[jj]
+    keep = poly_ids[a] != poly_ids[b]
+    keep &= (ymin[a] <= ymax[b]) & (ymin[b] <= ymax[a])
+    a, b = a[keep], b[keep]
+    if len(a) == 0:
+        return np.zeros(0)
+    p = e[a, 0]
+    r = e[a, 1] - e[a, 0]
+    q = e[b, 0]
+    s = e[b, 1] - e[b, 0]
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    ok = np.abs(denom) > 1e-15
+    if not ok.any():
+        return np.zeros(0)
+    p, r, q, s, denom = p[ok], r[ok], q[ok], s[ok], denom[ok]
+    qp = q - p
+    t1 = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
+    t2 = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
+    hit = (t1 > 1e-12) & (t1 < 1 - 1e-12) & (t2 > 1e-12) & (t2 < 1 - 1e-12)
+    return p[hit, 0] + t1[hit] * r[hit, 0]
+
+
+def polygon_union_oracle(polys):
+    """The planar sweep one polygon and one strip at a time."""
+    polys = _clean_polygons_oracle(polys)
+    if not polys:
+        return 0.0
+    edges = np.concatenate([np.stack([p, np.roll(p, -1, axis=0)], axis=1) for p in polys])
+    poly_ids = np.concatenate([np.full(len(p), pid) for pid, p in enumerate(polys)])
+    all_x = np.concatenate([p[:, 0] for p in polys])
+    xs = np.sort(np.concatenate([all_x, _crossings_oracle(edges, poly_ids)]))
+    span = xs[-1] - xs[0]
+    if span <= 0:
+        return 0.0
+    xs = xs[np.concatenate([[True], np.diff(xs) > 1e-13 * (1 + span)])]
+    if len(xs) < 2:
+        return 0.0
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    widths = np.diff(xs)
+    tol = 1e-13 * (1 + span)
+    exmin = edges[:, :, 0].min(axis=1)
+    exmax = edges[:, :, 0].max(axis=1)
+    i0 = np.searchsorted(xs, exmin - tol, side="left")
+    i1 = np.searchsorted(xs, exmax + tol, side="right") - 2
+    counts = np.maximum(i1 - i0 + 1, 0)
+    if counts.sum() == 0:
+        return 0.0
+    eids = np.repeat(np.arange(len(edges)), counts)
+    strip_ids = np.concatenate([np.arange(lo, lo + c) for lo, c in zip(i0, counts) if c > 0])
+    xm = mids[strip_ids]
+    p0, p1 = edges[eids, 0], edges[eids, 1]
+    dx = p1[:, 0] - p0[:, 0]
+    t = (xm - p0[:, 0]) / np.where(dx != 0, dx, 1.0)
+    yv = p0[:, 1] + t * (p1[:, 1] - p0[:, 1])
+    pv = poly_ids[eids]
+    order = np.lexsort((yv, pv, strip_ids))
+    sid, pid, y = strip_ids[order], pv[order], yv[order]
+    group_start = np.concatenate([[True], (sid[1:] != sid[:-1]) | (pid[1:] != pid[:-1])])
+    starts_idx = np.flatnonzero(group_start)
+    lo_iv = y[starts_idx]
+    hi_iv = np.maximum.reduceat(y, starts_idx)
+    g_sid = sid[starts_idx]
+    order2 = np.lexsort((lo_iv, g_sid))
+    sid2, lo2, hi2 = g_sid[order2], lo_iv[order2], hi_iv[order2]
+    yspan = float(hi2.max() - lo2.min()) if len(lo2) else 0.0
+    eps = 1e-12 * (1 + yspan)
+    total = 0.0
+    strip_starts = np.flatnonzero(np.concatenate([[True], sid2[1:] != sid2[:-1]]))
+    strip_ends = np.concatenate([strip_starts[1:], [len(sid2)]])
+    for a, b in zip(strip_starts, strip_ends):
+        w = widths[sid2[a]]
+        cm = np.maximum.accumulate(hi2[a:b])
+        gap = np.flatnonzero(lo2[a + 1:b] > cm[:-1] + eps) + 1
+        run_starts = np.concatenate([[0], gap])
+        run_ends = np.concatenate([gap - 1, [b - a - 1]])
+        total += w * float(np.sum(cm[run_ends] - lo2[a:b][run_starts]))
     return float(total)
 
 
@@ -299,7 +417,7 @@ def triangles_union_oracle(triangles):
             continue
         v = w / nw
         flat = [np.column_stack([(t - a0) @ u, (t - a0) @ v]) for t in group]
-        total += polygon_union_area(flat)
+        total += polygon_union_oracle(flat)
     return float(total)
 
 
@@ -321,12 +439,78 @@ def awkward_segments(rng, n):
     return [segs[i] for i in rng.permutation(len(segs))]
 
 
+def convex_polygon(rng, k, center, radius):
+    """A convex k-gon with corners at sorted random angles on a circle,
+    counter-clockwise."""
+    ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+    return center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def comb(rng, teeth):
+    """Disjoint thin triangles stacked in y over one x range, so that every
+    strip of their union holds ``teeth`` disjoint runs."""
+    x0, w, h = rng.uniform(-1.0, 0.0), rng.uniform(0.5, 1.0), rng.uniform(0.01, 0.05)
+    return [np.array([[x0, 3 * h * j], [x0 + w, 3 * h * j + rng.uniform(0.0, h)],
+                      [x0 + rng.uniform(0.0, w), 3 * h * j + h]]) for j in range(teeth)]
+
+
+def awkward_polygons(rng):
+    """Overlapping convex polygons in either orientation, some closed
+    (last corner repeating the first) or with repeated and sub-1e-15
+    edges, plus duplicates, zero-area polygons, polygons with an area
+    within rounding of the 1e-14 threshold, polygons of fewer than 3
+    corners and combs of 8 to 20 teeth."""
+    polys = []
+    for _ in range(rng.integers(1, 8)):
+        p = convex_polygon(rng, rng.integers(3, 9), rng.uniform(-1.0, 1.0, 2),
+                           rng.uniform(0.05, 1.0))
+        if rng.random() < 0.3:
+            p = p[::-1]
+        if rng.random() < 0.3:
+            p = np.vstack([p, p[:1]])
+        if rng.random() < 0.3:
+            i = rng.integers(0, len(p))
+            p = np.insert(p, i, p[i] + rng.choice([0.0, 1e-16, 4e-16]), axis=0)
+        polys.append(p)
+    for _ in range(rng.integers(0, 3)):
+        polys += comb(rng, rng.integers(8, 21))
+    for _ in range(rng.integers(0, 3)):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2))
+        polys.append([np.array([a, a, a]), np.array([a, b, 0.5 * (a + b)]),
+                      np.array([a, b, a, b]), np.zeros((0, 2)), a[None], np.array([a, b])]
+                     [rng.integers(0, 6)])
+    for _ in range(rng.integers(0, 2)):
+        a, d = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.5, 1.0)
+        h = 2e-14 / d * (1 + rng.uniform(-1e-3, 1e-3))  # area 1e-14 (1 +- 1e-3)
+        polys.append(np.array([a, a + [d, 0.0], a + [0.5 * d, h]]))
+    picks = rng.integers(0, len(polys), rng.integers(0, 3))
+    polys += [polys[i] for i in picks]
+    return [polys[i] for i in rng.permutation(len(polys))]
+
+
+def axis_plane_groups(rng):
+    """Triangles in a few planes x_i = c, each in either orientation, so
+    that their normals carry -0.0 and 0.0 components, with a comb in one."""
+    tris = []
+    for _ in range(rng.integers(1, 4)):
+        axis, c = rng.integers(0, 3), rng.choice([0.0, rng.uniform(-1.0, 1.0)])
+        flat = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(rng.integers(2, 5))]
+        if rng.random() < 0.5:
+            flat += comb(rng, rng.integers(8, 12))
+        for t in flat:
+            t = t[::rng.choice([-1, 1])]
+            tris.append(np.insert(t, axis, c, axis=1))
+    return tris
+
+
 def awkward_triangles(rng, n):
     """Coplanar groups (R^3) or overlapping fat triangles (R^2) plus
-    duplicates, zero-area triangles, and planes whose normal has its first
-    component within 1e-9 of zero."""
+    duplicates, zero-area triangles (whose plane key is NaN), axis planes
+    whose normals have -0.0 and 0.0 components, planes whose normal has
+    its first component within 1e-9 of zero, and combs."""
     if n == 3:
         tris, _ = coplanar_triangles(rng)
+        tris += axis_plane_groups(rng)
         for _ in range(rng.integers(0, 4)):
             # a plane whose normal (eps, 1, s) has a first component below 1e-9
             eps = rng.choice([0.0, 1e-10, -1e-10, 8e-10])
@@ -339,6 +523,8 @@ def awkward_triangles(rng, n):
                 tris.append(origin + t @ frame.T)
     else:
         tris = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(rng.integers(1, 5))]
+        if rng.random() < 0.5:
+            tris += comb(rng, rng.integers(8, 12))
     for _ in range(rng.integers(0, 3)):
         a, b = rng.uniform(-1.0, 1.0, (2, n))
         tris.append(rng.choice([np.array([a, a, a]), np.array([a, b, a]),
@@ -349,6 +535,12 @@ def awkward_triangles(rng, n):
 
 
 class TestBatchedUnionsMatchLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_polygons(self, seed):
+        polys = awkward_polygons(np.random.default_rng(seed))
+        assert polygon_union_area(polys) == polygon_union_oracle(polys)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
     def test_segments(self, seed, n):
@@ -371,6 +563,7 @@ class TestBatchedUnionsMatchLoop:
         assert triangles_union_measure([tri]) == triangles_union_oracle([tri])
         assert triangles_union_measure([]) == 0.0
         assert segments_union_measure([]) == 0.0
+        assert segments_union_measure([([0.5, 0.5], [0.5, 0.5])]) == 0.0
 
     def test_zero_area_triangles_stay_apart(self):
         a = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])  # NaN plane key
@@ -400,3 +593,90 @@ class TestBatchedUnionsMatchLoop:
     def test_other_ambient_dimensions_rejected(self):
         with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
             triangles_union_measure([np.eye(4)[:3], np.eye(4)[1:]])
+
+    def test_first_triangle_with_its_second_edge_along_the_first(self):
+        # v of the R^2 group comes from the next triangle's second edge
+        tris = [np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 1.0]])]
+        assert triangles_union_measure(tris) == triangles_union_oracle(tris) == 0.875
+
+    def test_groups_without_an_in_plane_basis(self):
+        # every second edge lies along the first edge's line: the group adds 0
+        a = np.array([[0.0, 0], [1, 0], [2, 0]])
+        b = np.array([[0.0, 0], [3, 0], [5, 0]])
+        z = np.array([[0.0, 0], [0, 0], [1, 1]])
+        c = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        for tris in ([a, b], [z, z], [c, c], [a, b, z]):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                expected = triangles_union_oracle(tris)
+            assert triangles_union_measure(tris) == expected == 0.0
+
+    def test_strip_with_many_runs(self):
+        # np.sum adds 8 or more runs pairwise, not left to right
+        polys = comb(np.random.default_rng(3), 150)
+        assert polygon_union_area(polys) == polygon_union_oracle(polys)
+        assert triangle_union_area(polys) == polygon_union_oracle(polys)
+
+
+class TestPlanarInputs:
+    def test_triangle_union_area_rejects_r3(self):
+        tris = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0.0, 0, 1], [1, 0, 1], [0, 1, 1]]])
+        with pytest.raises(ValueError, match="R\\^2"):
+            triangle_union_area(tris)
+
+    def test_polygon_union_area_rejects_r3(self):
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="R\\^2"):
+            polygon_union_area([square])
+
+    def test_empty(self):
+        assert polygon_union_area([]) == triangle_union_area([]) == 0.0
+
+    def test_polygons_of_fewer_than_3_corners_are_dropped(self):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        polys = [tri, np.zeros((0, 2)), tri[:1], tri[:2], tri + 0.25]
+        assert polygon_union_area(polys) == polygon_union_area([tri, tri + 0.25]) == 0.875
+
+
+def fat_polygons(rng):
+    """A few overlapping convex polygons of comparable size."""
+    return [convex_polygon(rng, rng.integers(3, 9), rng.uniform(-1.0, 1.0, 2),
+                           rng.uniform(0.2, 1.0)) for _ in range(rng.integers(1, 7))]
+
+
+class TestUnionProperties:
+    """Union measures as set functions, at 1e-12 relative: bounded by the
+    largest piece and by the sum of the pieces, blind to the order and
+    repetition of the pieces, additive over families far apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        polys = fat_polygons(rng)
+        union = polygon_union_area(polys)
+        pieces = [polygon_union_area([p]) for p in polys]
+        assert max(pieces) * (1 - 1e-12) <= union <= sum(pieces) * (1 + 1e-12)
+        again = [polys[i] for i in rng.permutation(len(polys))] + polys[:rng.integers(1, 3)]
+        assert polygon_union_area(again) == pytest.approx(union, rel=1e-12)
+        other = fat_polygons(rng)
+        shift = [5.0, rng.uniform(-5.0, 5.0)]
+        far = [p + shift for p in other]
+        assert polygon_union_area(polys + far) == pytest.approx(
+            union + polygon_union_area(other), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_triangles_3d(self, seed):
+        rng = np.random.default_rng(seed)
+        tris, _ = coplanar_triangles(rng)
+        union = triangles_union_measure(tris)
+        pieces = [triangles_union_measure([t]) for t in tris]
+        assert max(pieces) * (1 - 1e-12) <= union <= sum(pieces) * (1 + 1e-12)
+        again = [tris[i] for i in rng.permutation(len(tris))] + tris[:rng.integers(1, 3)]
+        assert triangles_union_measure(again) == pytest.approx(union, rel=1e-12)
+        other, _ = coplanar_triangles(rng)
+        far = [t + [5.0, 0.0, 0.0] for t in other]
+        assert triangles_union_measure(tris + far) == pytest.approx(
+            union + triangles_union_measure(other), rel=1e-12)
