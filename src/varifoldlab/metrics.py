@@ -456,7 +456,7 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
         return 0.0
     if e.dim == 1:
         ends = (pieces.reshape(-1, e.ambient_dim) - x) / r
-        return interval_union_length(np.sort((ends @ t.frame).reshape(-1, 2), axis=1))
+        return interval_union_length((ends @ t.frame).reshape(-1, 2))
     # project the convex clipped regions as whole polygons; projections of
     # convex planar regions stay convex, and the sweep is linear in their
     # boundary size (fanning them into triangles first would not be)

@@ -418,15 +418,15 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
     fine = _refine_for_image(moved, m, target)
     flat = fine.reshape(-1, fine.shape[2])
     images = deformation.phi(flat).reshape(fine.shape)
-    lip = _batch_lipschitz(fine, images, m)
     if m == 1:
         image = segments_union_measure(images)
     else:
         image = triangles_union_measure(images)
     gap = m_factor * image + gauge_term - source
-    result = QMGapResult(float(gap), source, float(image), float(gauge_term),
-                         float(lip), len(moved))
-    return result if detail else result.gap
+    if not detail:
+        return float(gap)
+    return QMGapResult(float(gap), source, float(image), float(gauge_term),
+                       float(_batch_lipschitz(fine, images, m)), len(moved))
 
 
 # ---------------------------------------------------------------------------

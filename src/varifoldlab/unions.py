@@ -1,13 +1,15 @@
 """Measures of unions of overlapping pieces, counting overlaps once.
 
 These back every image-set measure in the library: projections of clipped
-sets onto a plane and pushforward images of deformations. Intervals merge
-by sort-and-sweep. Planar unions take convex polygons (triangles are
-3-gons) and use a vertical trapezoid decomposition: the x-axis is cut at
-every vertex and every proper crossing between edges of distinct polygons,
-so inside each strip every polygon's cross-section is a single interval
-with affine endpoints, and the union length is affine in x; each strip
-contributes exactly width * union-length-at-midpoint.
+sets onto a plane and pushforward images of deformations. One 1-d kernel,
+``_union_runs``, merges intervals for plain intervals, collinear segments
+(one group per line) and the strips of the planar sweep. Planar unions
+take convex polygons (triangles are 3-gons) and use a vertical trapezoid
+decomposition: the x-axis is cut at every vertex and every proper crossing
+between edges of distinct polygons, so inside each strip every polygon's
+cross-section is a single interval with affine endpoints, and the union
+length is affine in x; each strip contributes exactly width *
+union-length-at-midpoint.
 
 One batched sweep, ``_planar_union_areas``, serves every planar union. It
 takes the polygons of many independent unions at once (the coplanar
@@ -37,7 +39,6 @@ from .sets import (_canonical_signs, _first_edge_rejection, _gemv_layout, _pair_
 __all__ = [
     "interval_union_length",
     "polygon_union_area",
-    "triangle_union_area",
     "segments_union_measure",
     "triangles_union_measure",
 ]
@@ -50,19 +51,9 @@ def interval_union_length(intervals) -> float:
         return 0.0
     lo = np.minimum(iv[:, 0], iv[:, 1])
     hi = np.maximum(iv[:, 0], iv[:, 1])
-    merge_tol = 1e-12 * (1.0 + float(hi.max() - lo.min()))
     order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    total = 0.0
-    cur_lo, cur_hi = lo[0], hi[0]
-    for i in range(1, len(lo)):
-        if lo[i] > cur_hi + merge_tol:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo[i], hi[i]
-        else:
-            cur_hi = max(cur_hi, hi[i])
-    total += cur_hi - cur_lo
-    return float(total)
+    one = np.zeros(len(lo), dtype=np.intp)
+    return float(np.bincount(*_union_runs(one, lo[order], hi[order], one))[0])
 
 
 def _segment_starts(counts):
@@ -102,6 +93,24 @@ def _segment_cummax(x, first):
         out[step:] = np.where(pos[step:] >= step, np.maximum(out[step:], out[:-step]), out[step:])
         step *= 2
     return out
+
+
+def _union_runs(seg, lo, hi, group):
+    """Each run's segment and length in the unions of closed intervals
+    [lo, hi], rows sorted by segment, then lo, each segment in one group.
+    A row starts a run where its lo exceeds its segment's running max of hi
+    by more than 1e-12 (1 + its group's max hi - min lo). A segment's runs
+    are disjoint and increasing, so that max, like a run's max hi, is a
+    sequential sweep's running hi; ``np.bincount`` adds runs in order."""
+    gnew = np.concatenate(([True], group[1:] != group[:-1]))
+    gfirst = np.flatnonzero(gnew)
+    span = np.maximum.reduceat(hi, gfirst) - np.minimum.reduceat(lo, gfirst)
+    tol = (1e-12 * (1 + span))[np.cumsum(gnew) - 1]
+    start = np.concatenate(([True], seg[1:] != seg[:-1]))
+    cm = _segment_cummax(hi, start)
+    start[1:] |= lo[1:] > cm[:-1] + tol[1:]
+    rs = np.flatnonzero(start)
+    return seg[rs], np.maximum.reduceat(hi, rs) - lo[rs]
 
 
 def _cyclic_next(sizes):
@@ -266,27 +275,13 @@ def _planar_union_areas(points, sizes, group, n_groups):
     sid, lo, hi = sid[order], lo[order], hi[order]
 
     # per strip, the union of its intervals, merged within 1e-12 (1 + y span)
-    g = xg[sid]
-    gfirst = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-    yspan = np.maximum.reduceat(hi, gfirst) - np.minimum.reduceat(lo, gfirst)
-    eps = np.repeat(1e-12 * (1 + yspan), np.diff(np.r_[gfirst, len(g)]))
-    strip_first = np.r_[True, sid[1:] != sid[:-1]]
-    cm = _segment_cummax(hi, strip_first)
-    run_first = strip_first.copy()
-    run_first[1:] |= lo[1:] > cm[:-1] + eps[1:]
-    rs = np.flatnonzero(run_first)
-    re = np.r_[rs[1:], len(lo)] - 1
-    run_len = cm[re] - lo[rs]
-    strips = np.flatnonzero(strip_first)
-    run_strip = np.cumsum(strip_first)[rs] - 1
-    # np.bincount adds each bin's weights one after another from 0.0, as
-    # np.sum does below 8 terms and the per-strip loop did strip by strip
-    ulen = np.bincount(run_strip, run_len, len(strips))
-    runs = np.bincount(run_strip, minlength=len(strips))
+    run_sid, run_len = _union_runs(sid, lo, hi, xg[sid])
+    strips, run_strip, runs = np.unique(run_sid, return_inverse=True, return_counts=True)
+    ulen = np.bincount(run_strip, run_len)
     first_run = _segment_starts(runs)
     for s in np.flatnonzero(runs >= 8):  # np.sum adds pairwise from 8 terms on
         ulen[s] = np.sum(run_len[first_run[s]:first_run[s] + runs[s]])
-    return np.bincount(g[strips], widths[sid[strips]] * ulen, n_groups)
+    return np.bincount(xg[strips], widths[strips] * ulen, n_groups)
 
 
 def _polygon_rows(polys):
@@ -304,18 +299,6 @@ def polygon_union_area(polys) -> float:
     """Area of a union of convex 2-d polygons, overlaps counted once."""
     points, sizes = _polygon_rows(polys)
     return float(_planar_union_areas(points, sizes, np.zeros(len(sizes), dtype=np.intp), 1)[0])
-
-
-def triangle_union_area(triangles) -> float:
-    """Area of the union of 2-d triangles, overlaps counted once."""
-    tris = np.asarray(triangles, dtype=float)
-    if tris.size == 0:
-        return 0.0
-    if tris.shape[-2:] != (3, 2):
-        raise ValueError(f"triangles must be (3, 2) arrays of points in R^2, got shape {tris.shape}")
-    tris = tris.reshape(-1, 3, 2)
-    zeros = np.zeros(len(tris), dtype=np.intp)
-    return float(_planar_union_areas(tris.reshape(-1, 2), zeros + 3, zeros, 1)[0])
 
 
 def _key_groups(keys):
@@ -338,6 +321,19 @@ def _key_groups(keys):
         new = np.r_[True, (k[1:] != k[:-1]).any(axis=1)]
         head[rows] = rows[new][np.cumsum(new) - 1]
     return (np.cumsum(head == np.arange(len(keys))) - 1)[head]
+
+
+def _python_round9(x):
+    """``[round(v, 9) for v in x]``. ``np.round`` rounds fl(x 1e9) to an
+    integer where Python rounds x 10^9 itself, and each then divides by 1e9
+    correctly rounded; Python's round is called only where fl(x 1e9) lies
+    within its rounding of a half-integer, is past 2^52 or is not finite."""
+    y = x * 1e9
+    out = np.round(x, 9)
+    odd = ~((np.abs(np.abs(y - np.rint(y)) - 0.5) > np.abs(y) * 2.0**-52)
+            & (np.abs(y) < 2.0**52))
+    out[odd] = [round(v, 9) for v in x[odd].tolist()]
+    return out
 
 
 def segments_union_measure(segments) -> float:
@@ -364,14 +360,9 @@ def segments_union_measure(segments) -> float:
     # min and max as Python's, which keep the first of two equal values
     lo = np.where(t1 < t0, t1, t0)
     hi = np.where(t1 > t0, t1, t0)
-    size = np.bincount(group)
-    value = np.zeros(len(size))  # per group, in order of first appearance
-    single = np.flatnonzero(size[group] == 1)
-    value[group[single]] = hi[single] - lo[single]
-    rows, start = np.argsort(group, kind="stable"), _segment_starts(size)
-    for g in np.flatnonzero(size > 1):
-        r = rows[start[g]:start[g] + size[g]]
-        value[g] = interval_union_length(np.column_stack([lo[r], hi[r]]))
+    order = np.lexsort((lo, group))
+    group, lo, hi = group[order], lo[order], hi[order]
+    value = np.bincount(*_union_runs(group, lo, hi, group))  # per group, by first piece
     return float(np.cumsum(value)[-1])  # one group after another
 
 
@@ -440,7 +431,7 @@ def triangles_union_measure(triangles) -> float:
     if n == 3:
         with np.errstate(invalid="ignore", divide="ignore"):
             nrm = _canonical_signs(nrm / length[:, None])
-        offset = [round(o, 9) for o in _rowdot(tris[:, 0], nrm).tolist()]
+            offset = _python_round9(_rowdot(tris[:, 0], nrm))
         group = _key_groups(np.column_stack([np.round(nrm, 9), offset]))
     else:
         group = np.zeros(len(tris), dtype=np.intp)

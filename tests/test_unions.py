@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varifoldlab.unions import (interval_union_length, polygon_union_area,
-                                segments_union_measure, triangle_union_area,
-                                triangles_union_measure)
+from varifoldlab.unions import (_python_round9, interval_union_length, polygon_union_area,
+                                segments_union_measure, triangles_union_measure)
 
 
 def grid_interval_oracle(intervals, resolution=200_001):
@@ -65,39 +64,41 @@ class TestIntervalUnion:
 
 
 class TestTriangleUnion:
+    """Triangles as the 3-gons of ``polygon_union_area``."""
+
     def test_single(self):
         tri = np.array([[[0.0, 0], [1, 0], [0, 1]]])
-        assert triangle_union_area(tri) == pytest.approx(0.5, abs=1e-12)
+        assert polygon_union_area(tri) == pytest.approx(0.5, abs=1e-12)
 
     def test_disjoint_sum(self):
         tris = np.array([
             [[0.0, 0], [1, 0], [0, 1]],
             [[5.0, 5], [6, 5], [5, 6]],
         ])
-        assert triangle_union_area(tris) == pytest.approx(1.0, abs=1e-12)
+        assert polygon_union_area(tris) == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_counted_once(self):
         tri = [[0.0, 0], [2, 0], [0, 2]]
-        assert triangle_union_area(np.array([tri, tri, tri])) == pytest.approx(2.0, abs=1e-12)
+        assert polygon_union_area(np.array([tri, tri, tri])) == pytest.approx(2.0, abs=1e-12)
 
     def test_nested_containment(self):
         outer = [[-3.0, -3], [3, -3], [0, 4]]
         inner = [[-0.5, -0.5], [0.5, -0.5], [0, 0.5]]
-        got = triangle_union_area(np.array([outer, inner]))
-        assert got == pytest.approx(triangle_union_area(np.array([outer])), abs=1e-12)
+        got = polygon_union_area(np.array([outer, inner]))
+        assert got == pytest.approx(polygon_union_area(np.array([outer])), abs=1e-12)
 
     def test_partition_equals_total(self):
         # split a square into 4 triangles: union = 1 exactly
         c = np.array([0.5, 0.5])
         corners = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
         tris = np.array([[c, corners[i], corners[(i + 1) % 4]] for i in range(4)])
-        assert triangle_union_area(tris) == pytest.approx(1.0, abs=1e-12)
+        assert polygon_union_area(tris) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_soups_vs_raster_oracle(self):
         rng = np.random.default_rng(1)
         for trial in range(6):
             tris = rng.standard_normal((7, 3, 2))
-            got = triangle_union_area(tris)
+            got = polygon_union_area(tris)
             oracle = raster_union_oracle(tris)
             assert got == pytest.approx(oracle, rel=0.02)
 
@@ -106,7 +107,7 @@ class TestTriangleUnion:
             [[0.0, 0], [1, 0], [2, 0]],          # collinear
             [[0.0, 0], [1, 0], [0, 1]],
         ])
-        assert triangle_union_area(tris) == pytest.approx(0.5, abs=1e-12)
+        assert polygon_union_area(tris) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPolygonUnion:
@@ -187,7 +188,7 @@ def coplanar_triangles(rng):
             if abs(x1 * y2 - x2 * y1) > 0.1:
                 flat.append(t)
         tris += [origin + t @ frame.T for t in flat]
-        expected += triangle_union_area(flat)
+        expected += polygon_union_area(flat)
     return tris, expected
 
 
@@ -224,6 +225,29 @@ class TestUnionInvariance:
 # triangle oracle groups, projects and sweeps one coplanar group at a time,
 # through the per-polygon sweep that the batched one replaced.
 
+def interval_union_oracle(intervals):
+    """The sequential sweep: sort by lo, merge within 1e-12 (1 + span),
+    add the runs one after another."""
+    iv = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    if len(iv) == 0:
+        return 0.0
+    lo = np.minimum(iv[:, 0], iv[:, 1])
+    hi = np.maximum(iv[:, 0], iv[:, 1])
+    merge_tol = 1e-12 * (1.0 + float(hi.max() - lo.min()))
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    total = 0.0
+    cur_lo, cur_hi = lo[0], hi[0]
+    for i in range(1, len(lo)):
+        if lo[i] > cur_hi + merge_tol:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo[i], hi[i]
+        else:
+            cur_hi = max(cur_hi, hi[i])
+    total += cur_hi - cur_lo
+    return float(total)
+
+
 def _sign_oracle(u):
     for comp in u:
         if abs(comp) > 1e-9:
@@ -249,7 +273,7 @@ def segments_union_oracle(segments):
         if len(iv) == 1:
             total += iv[0][1] - iv[0][0]
         else:
-            total += interval_union_length(iv)
+            total += interval_union_oracle(iv)
     return float(total)
 
 
@@ -439,6 +463,39 @@ def awkward_segments(rng, n):
     return [segs[i] for i in rng.permutation(len(segs))]
 
 
+def _ulps(x, k):
+    """x moved k representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+def awkward_intervals(rng):
+    """Intervals at the scale 1e-13, 1 or 1e6 between two fixed ends: a
+    chain of disjoint pieces whose gaps lie at the merge tolerance +- 4
+    ulps or are random, with nested pieces, duplicates, reversed copies
+    and, at a zero end, -0.0 and 0.0."""
+    scale = rng.choice([1e-13, 1.0, 1e6])
+    left = float(rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0) * scale]))
+    right = left + scale * rng.uniform(5.0, 50.0) + 40e-12
+    tol = 1e-12 * (1.0 + (right - left))  # as the sweep computes it
+    rows, lo = [], left
+    while (hi := lo + scale * rng.uniform(0.0, 1.0)) < right:
+        rows.append((lo, hi))
+        if rng.random() < 0.3:
+            rows.append(tuple(lo + (hi - lo) * np.sort(rng.uniform(0.0, 1.0, 2))))
+        if rng.random() < 0.6:
+            lo = _ulps(hi + tol, int(rng.integers(-4, 5)))
+        else:
+            lo = hi + scale * rng.uniform(0.0, 2.0)
+    rows.append((min(lo, right), right))
+    if left == 0.0:
+        rows += [(-left, rows[0][1]), (0.0, -0.0), (-0.0, 0.0)]
+    picks = rng.integers(0, len(rows), rng.integers(0, 4))
+    rows += [rows[i][::-1] if rng.random() < 0.5 else rows[i] for i in picks]
+    return [rows[i][::rng.choice([-1, 1])] for i in rng.permutation(len(rows))]
+
+
 def convex_polygon(rng, k, center, radius):
     """A convex k-gon with corners at sorted random angles on a circle,
     counter-clockwise."""
@@ -558,6 +615,28 @@ class TestBatchedUnionsMatchLoop:
         assert triangles_union_measure(tris) == expected
         assert triangles_union_measure(np.array(tris)) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_intervals(self, seed):
+        iv = awkward_intervals(np.random.default_rng(seed))
+        assert interval_union_length(iv) == interval_union_oracle(iv)
+        assert interval_union_length(np.array(iv)) == interval_union_oracle(iv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_segments_merge_within_their_own_line_tolerance(self, seed):
+        # lines y = c at different scales: each merges within its own span
+        rng = np.random.default_rng(seed)
+        segs = [((lo, c), (hi, c)) for c in rng.permutation(4)[:rng.integers(2, 5)]
+                for lo, hi in awkward_intervals(rng)]
+        segs = [segs[i] for i in rng.permutation(len(segs))]
+        assert segments_union_measure(segs) == segments_union_oracle(segs)
+
+    def test_interval_edge_cases(self):
+        for iv in ([], [(0.0, -0.0)], [(-0.0, 0.0), (0.0, 1e-13)], [(1e6, 1e6 + 1)] * 3,
+                   [(2.0, 1.0), (1.0, 2.0)]):
+            assert interval_union_length(iv) == interval_union_oracle(iv)
+
     def test_single_and_empty(self):
         tri = np.array([[0.1, 0.2], [1.3, 0.4], [0.2, 0.9]])
         assert triangles_union_measure([tri]) == triangles_union_oracle([tri])
@@ -582,6 +661,18 @@ class TestBatchedUnionsMatchLoop:
         b = a + [0.25, 0.25, 1e-16]
         assert triangles_union_measure([a, b]) == triangles_union_oracle([a, b])
         assert triangles_union_measure([a, b]) == pytest.approx(0.875, abs=1e-12)
+
+    def test_plane_offset_keys_are_python_rounds(self):
+        rng = np.random.default_rng(7)
+        halves = (np.arange(-50, 50) + 0.5) * 1e-9
+        near = [_ulps(h, k) for h in halves for k in range(-3, 4)]
+        offsets = np.array(near + [0.0, -0.0, np.nan, np.inf, -np.inf, 2.5e-9, 1e8 + 0.5e-9]
+                           + list(rng.uniform(-2.0, 2.0, 500)) + list(rng.standard_normal(100) * 1e-9))
+        with np.errstate(invalid="ignore"):  # inf - inf, as in the library's call
+            got = _python_round9(offsets)
+        expected = np.array([round(o, 9) for o in offsets.tolist()])
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert (np.signbit(got) == np.signbit(expected)).all()
 
     def test_first_triangle_with_zero_first_edge(self):
         # its first edge cannot give the in-plane basis of the R^2 group
@@ -616,22 +707,18 @@ class TestBatchedUnionsMatchLoop:
         # np.sum adds 8 or more runs pairwise, not left to right
         polys = comb(np.random.default_rng(3), 150)
         assert polygon_union_area(polys) == polygon_union_oracle(polys)
-        assert triangle_union_area(polys) == polygon_union_oracle(polys)
 
 
 class TestPlanarInputs:
-    def test_triangle_union_area_rejects_r3(self):
-        tris = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0.0, 0, 1], [1, 0, 1], [0, 1, 1]]])
-        with pytest.raises(ValueError, match="R\\^2"):
-            triangle_union_area(tris)
-
     def test_polygon_union_area_rejects_r3(self):
         square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-        with pytest.raises(ValueError, match="R\\^2"):
-            polygon_union_area([square])
+        tris = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0.0, 0, 1], [1, 0, 1], [0, 1, 1]]])
+        for polys in ([square], tris):
+            with pytest.raises(ValueError, match="R\\^2"):
+                polygon_union_area(polys)
 
     def test_empty(self):
-        assert polygon_union_area([]) == triangle_union_area([]) == 0.0
+        assert polygon_union_area([]) == 0.0
 
     def test_polygons_of_fewer_than_3_corners_are_dropped(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
