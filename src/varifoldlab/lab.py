@@ -39,7 +39,11 @@ BL_SLACK = 1e-6                # monotonicity slack for the bl trend
 def _thread_count() -> int:
     env = os.environ.get("VARIFOLD_LAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"VARIFOLD_LAB_THREADS must be an integer, got {env!r}") from None
+        return max(1, threads)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
 from .sets import (Ball, PointCloudSet, SimplicialSet, _check_ball, _clip, _rowdot,
@@ -232,6 +230,15 @@ def _cancel_coincident(v: DiscreteVarifold, w: DiscreteVarifold):
     return pairs, mu, nu
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first exact LP so that
+    ``import varifoldlab`` does not load scipy. This module-level name is
+    the one place the tests and the benchmark tracer patch."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     """The transshipment LP of ``mu - nu`` after the mass on coincident
     atoms cancels: the LP value is a norm of ``mu - nu`` and a pair of
@@ -250,6 +257,8 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
                                         "lp_lower": total, "lp_upper": total,
                                         "lp_rows": 0, "lp_cols": 0,
                                         "cancelled_atoms": cancelled})
+    import scipy.sparse as sp
+
     cost = _cost_matrix(v, w)
     a, b = cost.shape
     c = (cost - 2.0).ravel()

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Plane, _distinct_rows
 
@@ -703,6 +702,8 @@ def _candidate_pairs(pts, target, const):
     the margin counts as the margin), so a few far points do not make
     every simplex a candidate of every point.
     """
+    from scipy.spatial import cKDTree
+
     centroids, radii, kappa, capsule = _simplex_bounds(target, const)
     nearest = cKDTree(centroids).query(pts)[1]
     order = np.argsort(nearest, kind="stable")

@@ -144,6 +144,16 @@ class TestRunScenario:
         monkeypatch.delattr(lab.os, "sched_getaffinity")
         assert lab._thread_count() == 64
 
+    def test_bad_threads_env_is_named(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("VARIFOLD_LAB_THREADS", "abc")
+        with pytest.raises(ValueError, match="VARIFOLD_LAB_THREADS must be an integer, got 'abc'"):
+            lab._thread_count()
+        spec_path = tmp_path / "spec.json"
+        spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        assert cli.main(["run", str(spec_path)]) == cli.EXIT_CONFIG
+        assert "error: VARIFOLD_LAB_THREADS must be an integer" in capsys.readouterr().err
+
     def test_report_is_strict_json(self):
         spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
 
