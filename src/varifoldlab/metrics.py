@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
-from .sets import (Ball, PointCloudSet, SimplicialSet, _check_ball, _clip, _rowdot,
-                   distance_to_set, restrict)
+from .sets import Ball, PointCloudSet, SimplicialSet, _clip, _rowdot, distance_to_set, restrict
 from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
 
@@ -458,9 +457,7 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
     if t.dim != e.dim or t.ambient_dim != e.ambient_dim:
         raise ValueError("projection plane must match the set's (n, m)")
     x = np.asarray(x, dtype=float)
-    ball = Ball(x, float(r))
-    _check_ball(e, ball)
-    pieces, loops, _, _ = _clip(e, ball)
+    pieces, loops, _, _ = _clip(e, Ball(x, float(r)))
     if not len(pieces):
         return 0.0
     if e.dim == 1:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import (Ball, SimplicialSet, _meets, _midpoint_split, _simplex_measures,
+from .sets import (Ball, SimplicialSet, _check_ball, _clip, _midpoint_split, _simplex_measures,
                    distance_to_set, measure, nearest_simplex, restrict)
 from .unions import segments_union_measure, triangles_union_measure
 from .varifold import var_of_set
@@ -195,7 +195,7 @@ def _affine_projection_deformation(name, ball, anchor, proj_matrix):
 def _make_tangent_project(ball: Ball, e: SimplicialSet) -> Optional[Deformation]:
     """Cutoff projection onto the affine tangent plane of the simplex
     nearest to the ball center."""
-    if not _meets(e, ball):
+    if not len(_clip(e, ball)[0]):
         return None
     best_i = nearest_simplex(ball.center[None, :], e)[1][0]
     anchor = e.simplex_points(best_i)[0]
@@ -401,6 +401,7 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
     _check_m_factor(m_factor)
     ball = deformation.ball
     if domain is not None:
+        _check_ball(e, domain)
         if (np.linalg.norm(ball.center - domain.center) + ball.radius
                 >= domain.radius - 1e-12):
             raise ValueError("deformation ball closure must lie inside the domain")
@@ -489,8 +490,12 @@ def qm_audit(e: SimplicialSet, m_factor: float, gauge: GaugeFunction, domain: Ba
     ``params`` optionally maps deformation names to factory keyword
     arguments (e.g. the vertex_snap grid fraction). Deformations that do
     not apply to a ball (collapse center on the set, empty intersection)
-    are reported as skipped, not failed."""
+    are reported as skipped, not failed. The set must have a simplex and
+    the domain must lie in its ambient space (ValueError otherwise)."""
     _check_m_factor(m_factor)
+    if e.is_empty():
+        raise ValueError("the quasiminimality audit needs a set with at least one simplex")
+    _check_ball(e, domain)
     registry = registry if registry is not None else DEFORMATION_NAMES
     balls = balls if balls is not None else _default_balls(e, domain)
     params = params or {}

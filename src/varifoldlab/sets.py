@@ -2,12 +2,11 @@
 
 SimplicialSet covers the rectifiable case with exact per-simplex measure
 and tangent planes (m = 1 segments, m = 2 triangles). PointCloudSet is the
-weighted-sample stand-in for irregular sets. Restriction to a ball cuts
-segments exactly and keeps triangles wholly inside it; triangles the sphere
-cuts get the circular boundary replaced by an inscribed polyline whose area
-defect is budgeted below 1e-6 * r^m per call and recorded in the
-diagnostics of the result. Ball clipping (``_clip``) classifies all
-simplices at once; only the triangles the sphere cuts are walked one by one.
+weighted-sample stand-in for irregular sets. Ball clipping is one
+function, ``_clip``, behind ``restrict``, ``projected_mass`` and the
+quasiminimality audit: it classifies all simplices at once, on the triangle
+frames and in-plane corners of ``_simplex_constants`` that the distance
+kernel uses, and traces only the boundary of each triangle the sphere cuts.
 
 This module is the one home of the simplex primitives that the rest of the
 library shares: the row-wise dot product ``_rowdot``, simplex measure,
@@ -67,8 +66,10 @@ class Ball:
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not np.isfinite(c).all():
+            raise ValueError(f"ball centre must be finite, got {c.tolist()}")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"ball radius must be finite and positive, got {self.radius!r}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -399,33 +400,56 @@ def _disk_boundary(events, kinds, c, radius):
     return np.asarray(out), arc_total, defect
 
 
-def _cut_triangles(e: SimplicialSet, ball: Ball):
-    """Classify every triangle against the ball at once. Returns the
-    indices of the triangles wholly inside, which are kept exactly, and a
-    generator that clips the ones the sphere cuts in their own plane
-    against the disk of intersection, in simplex order, yielding
-    ``(index, fan, loop, arc_points, defect)``: the fan of the clipped
-    polygon from its centroid without in-plane slivers (possibly empty),
-    its loop in R^n, and its inscribed arcs' point count and area defect.
-    The fan can still hold lifted pieces that a set would reject as
-    degenerate; ``_nondegenerate`` drops them."""
+def _check_ball(e, ball: Ball):
+    """Raise ValueError unless the ball lies in the set's ambient space."""
+    if e.ambient_dim != len(ball.center):
+        raise ValueError("ball and set ambient dimensions differ")
+
+
+def _clip(e: SimplicialSet, ball: Ball):
+    """E ∩ B as arrays, ``(pieces, loops, arc_points, defect)``, for a ball
+    in the set's ambient space (ValueError otherwise).
+
+    ``pieces`` is one (P, m+1, n) corner array in simplex order, the
+    concatenation of the clips of the set's one-simplex subsets; E ∩ B is
+    empty exactly when it is. Segments are cut exactly at the sphere. A
+    triangle with every corner within r (1 + 1e-14) of the centre is kept
+    exactly; one whose plane meets the ball in a disk is clipped in that
+    plane against the disk, its arcs inscribed with angular step
+    <= ``_ARC_STEP``, and fanned from the clipped polygon's centroid without
+    in-plane slivers or pieces that a set would reject as degenerate.
+
+    For m = 2, ``loops`` is (points, sizes): the boundary loop of each
+    triangle that meets the ball in simplex order, a kept triangle's
+    corners or a cut one's clipped polygon, even when its fan adds no piece
+    (None for m = 1). ``arc_points`` and ``defect`` are the inscribed arcs'
+    point count and area defect, summed in simplex order.
+    """
+    _check_ball(e, ball)
     c, r = ball.center, ball.radius
     corners = e.vertices[e.simplices]
+    if e.dim == 1:
+        p, d = corners[:, 0], corners[:, 1] - corners[:, 0]
+        t0, t1, hit = _sphere_crossings(p, d, c, r)
+        t0, t1 = np.maximum(t0, 0.0), np.minimum(t1, 1.0)
+        pieces = np.stack([p + t0[:, None] * d, p + t1[:, None] * d], axis=1)
+        # a piece of parameter length above 1e-14 can still be one a set would reject
+        keep = hit & (t1 - t0 > 1e-14) & (_simplex_measures(pieces, 1) > DEGENERATE_MEASURE)
+        return pieces[keep], None, 0, 0.0
     dist2 = np.einsum("sij,sij->si", corners - c, corners - c)
     whole = (dist2 <= r * r * (1 + 1e-14)).all(axis=1)
-    u, v = _plane_rows(e)
-    rel = c - corners[:, 0]
+    a, u, v, poly, d, _ = _simplex_constants(e)
+    rel = c - a
     centre = np.column_stack([_rowdot(rel, u), _rowdot(rel, v)])
     rho2 = r * r - (_rowdot(rel, rel) - _rowdot(centre, centre))
     cut = np.flatnonzero(~whole & (rho2 > 0))
-    corners, u, v, centre, rho = corners[cut], u[cut], v[cut], centre[cut], np.sqrt(rho2[cut])
-    poly = _in_plane_corners(corners, u, v)
+    a, u, v, poly, d, centre = (x[cut] for x in (a, u, v, poly, d, centre))
+    rho = np.sqrt(rho2[cut])
     off = poly - centre[:, None, :]
     inside = np.einsum("sij,sij->si", off, off) <= (rho * rho)[:, None] * (1 + 1e-14)
     # edge i runs from corner i to corner i + 1; a triangle with every
     # corner in the disk is its own clipped polygon, whatever its crossings
     nxt = np.roll(poly, -1, axis=1)
-    d = nxt - poly
     t0, t1, hit = _sphere_crossings(poly.reshape(-1, 2), d.reshape(-1, 2),
                                     np.repeat(centre, 3, axis=0), np.repeat(rho, 3))
     t = np.stack([t0, t1], axis=1).reshape(-1, 3, 2)
@@ -443,55 +467,26 @@ def _cut_triangles(e: SimplicialSet, ball: Ball):
     # only a crossing, three corners in the disk or a disk inside make a polygon
     walk = np.flatnonzero(crossing.any(axis=(1, 2)) | inside.all(axis=1)
                           | (~inside.any(axis=1) & contains))
-
-    def clipped():
-        for j in walk:
-            ev = events[j]
-            boundary, arc, defect = _disk_boundary(points[j][ev], (np.flatnonzero(ev) % 3).tolist(),
-                                                   centre[j], rho[j])
-            if len(boundary) < 3:
-                continue
-            a0, uj, vj = corners[j, 0], u[j], v[j]
-            cen = boundary.mean(axis=0)
-            ahead = np.roll(boundary, -1, axis=0)
-            area = 0.5 * np.abs((boundary[:, 0] - cen[0]) * (ahead[:, 1] - cen[1])
-                                - (boundary[:, 1] - cen[1]) * (ahead[:, 0] - cen[0]))
-            lifted = a0 + boundary[:, :1] * uj + boundary[:, 1:] * vj
-            hub = np.broadcast_to(a0 + cen[0] * uj + cen[1] * vj, lifted.shape)
-            fan = np.stack([hub, lifted, np.roll(lifted, -1, axis=0)], axis=1)
-            fan = fan[area > 2 * DEGENERATE_MEASURE]  # drop in-plane slivers
-            yield (cut[j], fan, boundary @ np.stack([uj, vj]) + a0,
-                   max(0, int(np.ceil(arc / _ARC_STEP)) - 1), defect)
-
-    return np.flatnonzero(whole), clipped()
-
-
-def _clip(e: SimplicialSet, ball: Ball):
-    """E ∩ B as arrays: ``(pieces, loops, arc_points, defect)``.
-
-    ``pieces`` is one (P, m+1, n) corner array in simplex order. For m = 2,
-    ``loops`` is (points, sizes): the boundary loop of each triangle that
-    meets the ball in simplex order, a kept triangle's corners or a cut
-    one's clipped polygon, even when its fan adds no piece (None for m = 1).
-    ``arc_points`` and ``defect`` count the inscribed arcs' points and area.
-    """
-    if e.dim == 1:  # segments are cut exactly at the sphere
-        corners = e.vertices[e.simplices]
-        p, d = corners[:, 0], corners[:, 1] - corners[:, 0]
-        t0, t1, hit = _sphere_crossings(p, d, ball.center, ball.radius)
-        t0, t1 = np.maximum(t0, 0.0), np.minimum(t1, 1.0)
-        pieces = np.stack([p + t0[:, None] * d, p + t1[:, None] * d], axis=1)
-        # a piece of parameter length above 1e-14 can still be one a set would reject
-        keep = hit & (t1 - t0 > 1e-14) & (_simplex_measures(pieces, 1) > DEGENERATE_MEASURE)
-        return pieces[keep], None, 0, 0.0
-    whole, cuts = _cut_triangles(e, ball)
-    kept = e.vertices[e.simplices[whole]]
+    whole = np.flatnonzero(whole)
+    kept = corners[whole]
     index, fans, loops, arc_points, defect = [], [kept[:0]], [kept[:0, 0]], 0, 0.0
-    for i, fan, loop, arcs, loss in cuts:
-        index.append(i)
-        fans.append(fan)
-        loops.append(loop)
-        arc_points += arcs
+    for j in walk:
+        ev = events[j]
+        boundary, arc, loss = _disk_boundary(points[j][ev], (np.flatnonzero(ev) % 3).tolist(),
+                                             centre[j], rho[j])
+        if len(boundary) < 3:
+            continue
+        cen = boundary.mean(axis=0)
+        ahead = np.roll(boundary, -1, axis=0)
+        area = 0.5 * np.abs((boundary[:, 0] - cen[0]) * (ahead[:, 1] - cen[1])
+                            - (boundary[:, 1] - cen[1]) * (ahead[:, 0] - cen[0]))
+        lifted = a[j] + boundary[:, :1] * u[j] + boundary[:, 1:] * v[j]
+        hub = np.broadcast_to(a[j] + cen[0] * u[j] + cen[1] * v[j], lifted.shape)
+        fan = np.stack([hub, lifted, np.roll(lifted, -1, axis=0)], axis=1)
+        index.append(cut[j])
+        fans.append(fan[area > 2 * DEGENERATE_MEASURE])  # drop in-plane slivers
+        loops.append(boundary @ np.stack([u[j], v[j]]) + a[j])
+        arc_points += max(0, int(np.ceil(arc / _ARC_STEP)) - 1)
         defect += loss
     at = np.searchsorted(whole, index)  # each cut triangle's place among the kept ones
     sizes = [len(loop) for loop in loops[1:]]
@@ -503,35 +498,17 @@ def _clip(e: SimplicialSet, ball: Ball):
     return pieces, (points, np.insert(np.full(len(whole), 3), at, sizes)), arc_points, defect
 
 
-def _check_ball(e, ball: Ball):
-    """Raise ValueError unless the ball lies in the set's ambient space."""
-    if e.ambient_dim != len(ball.center):
-        raise ValueError("ball and set ambient dimensions differ")
-
-
-def _meets(e: SimplicialSet, ball: Ball) -> bool:
-    """``not restrict(e, ball).is_empty()``, decided without building the
-    clipped set: true at once when a triangle is wholly inside, else at the
-    first cut triangle whose fan adds a piece."""
-    if e.dim == 1:
-        return len(_clip(e, ball)[0]) > 0
-    whole, cuts = _cut_triangles(e, ball)
-    return len(whole) > 0 or any(_nondegenerate(fan, 2).any() for _, fan, _, _, _ in cuts)
-
-
 def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | PointCloudSet:
     """Geometric intersection E ∩ B as a new set of the same kind.
 
     A PointCloudSet keeps the points in the closed ball with their masses.
-    Segments are cut exactly at the sphere. Triangles wholly inside the
-    ball are kept exactly; those the sphere cuts are clipped in their own
-    plane against the disk of intersection, with the curved boundary
-    inscribed finely enough that the total area defect of the call stays
-    below 1e-6 * r^m; the defect bound and arc point count are recorded in
-    the result's diagnostics.
+    A SimplicialSet is clipped by ``_clip``: segments exactly, triangles
+    with their curved boundary inscribed finely enough that the area
+    defect of the call stays below 1e-6 * r^m. The defect bound and arc
+    point count are recorded in the result's diagnostics.
     """
-    _check_ball(e, ball)
     if isinstance(e, PointCloudSet):
+        _check_ball(e, ball)
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
     pieces, _, arc_points, defect = _clip(e, ball)
@@ -543,8 +520,7 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     return out
 
 
-_GEMV_ROWS = 8         # rows per block of the grouped matrix-vector product
-_PAIR_BLOCK = 1 << 18  # (point, simplex) pairs per pass of the distance kernel
+_GEMV_ROWS = 8  # rows per block of the grouped matrix-vector product
 
 
 def _gemv_layout(simplex):
@@ -599,11 +575,11 @@ def _clamped_foot_distance(p, a, d, denom, simplex, layout):
     """Distances from the rows of p to the segments [a, a + d] of their
     simplices: the foot of the perpendicular clamped to the segment (to a
     when d.d is 0)."""
+    a, denom = a[simplex], denom[simplex]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(_pair_dot(p - a[simplex], d, simplex, layout) / denom[simplex], 0.0, 1.0)
-    t[denom[simplex] == 0] = 0.0
-    foot = a[simplex] + t[:, None] * d[simplex]
-    return np.linalg.norm(p - foot, axis=1)
+        t = np.clip(_pair_dot(p - a, d, simplex, layout) / denom, 0.0, 1.0)
+    t[denom == 0] = 0.0
+    return np.linalg.norm(p - (a + t[:, None] * d[simplex]), axis=1)
 
 
 def _pair_distances(p, simplex, const, layout):
@@ -665,7 +641,7 @@ def _simplex_bounds(target: SimplicialSet, const):
 
 def _candidate_pairs(pts, target, const):
     """The (row, simplex) pairs of points and the simplices each can be
-    nearest to, ordered by row.
+    nearest to, ordered by simplex, then row.
 
     Upper bound: each point's ``ub`` is the kernel's own distance to the
     simplex of its nearest centroid. The winner's distance is at most
@@ -727,14 +703,11 @@ def _candidate_pairs(pts, target, const):
         gap = pts[row] - centroids[simplex]
         lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - radii[simplex]
     else:
-        start, d, dd, h = (x[simplex] for x in capsule)
-        rel = pts[row] - start
-        t = np.clip(np.einsum("ij,ij->i", rel, d) / dd, 0.0, 1.0)
-        gap = rel - t[:, None] * d
-        lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - h
+        start, d, dd, h = capsule
+        lower = _clamped_foot_distance(pts[row], start, d, dd, simplex, None) - h[simplex]
     keep = lower <= ub[row] + kappa[simplex] + margin
     row, simplex = row[keep], simplex[keep]
-    order = np.argsort(row, kind="stable")
+    order = np.lexsort((row, simplex))
     return row[order], simplex[order]
 
 
@@ -750,33 +723,28 @@ def nearest_simplex(points, target: SimplicialSet):
     kernel's distance to a kept simplex, so it can neither win nor tie.
     On the ``disk`` Hausdorff inputs that is about 4.7 pairs per point.
 
-    The kernel runs once per block of about ``_PAIR_BLOCK`` pairs. Its
-    products are stacked matrix-vector products, which give each pair the
-    bits of the per-simplex ``rows @ vec`` whatever else is in the block; a
+    The kernel runs once, on all pairs sorted by simplex. Its products are
+    stacked matrix-vector products, which give each pair the bits of the
+    per-simplex ``rows @ vec`` whatever else is stacked with it; a
     one-point call takes the dot path, as a one-row product does.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if target.is_empty() or len(pts) == 0:
         return np.full(len(pts), np.inf), np.full(len(pts), -1, dtype=np.int64)
     distinct, inverse = _distinct_rows(pts)
-    best = np.full(len(distinct), np.inf)
-    index = np.full(len(distinct), -1, dtype=np.int64)
     const = _simplex_constants(target)
     row, simplex = _candidate_pairs(distinct, target, const)
-    # blocks of whole rows, each starting at the row of every _PAIR_BLOCK-th pair
-    starts = np.unique(np.searchsorted(row, row[::_PAIR_BLOCK]))
-    for lo, hi in zip(starts, np.r_[starts[1:], len(row)]):
-        order = np.argsort(simplex[lo:hi], kind="stable")
-        r, s = row[lo:hi][order], simplex[lo:hi][order]
-        layout = None if len(pts) == 1 else _gemv_layout(s)
-        dist = _pair_distances(distinct[r], s, const, layout)
-        # per row, the smallest distance at the lowest simplex: the loop's
-        # first strict improvement; NaN sorts last and never wins
-        first = np.lexsort((s, dist, r))
-        first = first[np.r_[True, r[first[1:]] != r[first[:-1]]]]
-        found = first[dist[first] < np.inf]
-        best[r[found]] = dist[found]
-        index[r[found]] = s[found]
+    layout = None if len(pts) == 1 else _gemv_layout(simplex)
+    dist = _pair_distances(distinct[row], simplex, const, layout)
+    # per row, the smallest distance at the lowest simplex: the loop's
+    # first strict improvement; NaN sorts last and never wins
+    first = np.lexsort((simplex, dist, row))
+    first = first[np.r_[True, row[first[1:]] != row[first[:-1]]]]
+    found = first[dist[first] < np.inf]
+    best = np.full(len(distinct), np.inf)
+    index = np.full(len(distinct), -1, dtype=np.int64)
+    best[row[found]] = dist[found]
+    index[row[found]] = simplex[found]
     return best[inverse], index[inverse]
 
 
@@ -787,8 +755,9 @@ def distance_to_set(points, target) -> np.ndarray:
     if isinstance(target, PointCloudSet):
         if len(target.points) == 0:
             return np.full(len(pts), np.inf)
-        diffs = pts[:, None, :] - target.points[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).min(axis=1)
+        from scipy.spatial import cKDTree
+
+        return cKDTree(target.points).query(pts)[0]
     return nearest_simplex(pts, target)[0]
 
 

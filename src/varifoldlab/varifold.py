@@ -204,8 +204,8 @@ def density_report(v: DiscreteVarifold, x, radii) -> DensityReport:
     """
     x = np.asarray(x, dtype=float)
     radii = np.asarray([float(r) for r in radii])
-    if len(radii) == 0 or np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    if len(radii) == 0 or not (np.isfinite(radii) & (radii > 0)).all():
+        raise ValueError(f"radii must be finite and positive, got {radii.tolist()}")
     if np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be strictly decreasing")
     om = unit_ball_volume(v.dim)

@@ -12,7 +12,7 @@ from varifoldlab import cli, lab, metrics
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
 from varifoldlab.scenarios import FAMILIES, segment_set
-from varifoldlab.sets import PointCloudSet, save_set
+from varifoldlab.sets import PointCloudSet, SimplicialSet, save_set
 from varifoldlab.varifold import save_varifold, var_of_set
 
 
@@ -320,6 +320,8 @@ class TestCLI:
         ({"family": "zigzag", "M": float("nan")}, "M must be a real number >= 1"),
         ({"family": "zigzag", "h": {"kind": "power", "exponent": float("nan")}},
          "gauge exponent must be positive"),
+        ({"family": "segment", "k_schedule": [1], "radii": [float("nan")]},
+         "ball radius must be finite and positive, got nan"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, doc, message):
         spec_path = tmp_path / "spec.json"
@@ -338,13 +340,29 @@ class TestCLI:
          "samples must be >= 1"),
         (["audit-ellipticity", "area", "--plane-angle", "0", "--scan-haar", "-1"],
          "scan_haar must be >= 0"),
+        # a domain outside the set's plane, or a set with nothing to audit
+        (["audit-qm", "@seg", "--domain", "0.5,0.5"], "ball and set ambient dimensions differ"),
+        (["audit-qm", "@seg", "--domain", "0.5,0,0,0.5"], "ball and set ambient dimensions differ"),
+        (["audit-qm", "@empty", "--domain", "0.5,0,0.5"], "needs a set with at least one simplex"),
+        # non-finite balls and radii are named, not left to the JSON writer
+        (["projected-mass", "@seg", "--center", "0.5,0", "--radius", "nan", "--plane-angle", "0"],
+         "ball radius must be finite and positive, got nan"),
+        (["distance", "--kind", "hausdorff", "@seg", "@seg", "--radius", "nan"],
+         "ball radius must be finite and positive, got nan"),
+        (["distance", "--kind", "hausdorff", "@seg", "@seg", "--center", "nan,0"],
+         "ball centre must be finite"),
+        (["density", "@var", "--center", "0.5,0", "--radii", "0.5,nan"],
+         "radii must be finite and positive"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
-        seg = tmp_path / "seg.json"
-        save_set(segment_set(8), seg)
-        argv = [str(seg) if a == "@seg" else a for a in argv]
+        files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}
+        for name, e in files.items():
+            save_set(e, tmp_path / f"{name[1:]}.json")
+        save_varifold(var_of_set(segment_set(8), 4), tmp_path / "var.json")
+        argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("argv", [
         ["audit-qm"],

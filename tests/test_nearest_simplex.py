@@ -203,19 +203,6 @@ def test_matches_oracle_on_slivers(seed, count):
     assert_matches_oracle(pts[:1], target)  # a single point
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_several_pair_blocks(monkeypatch, block):
-    rng = np.random.default_rng(block)
-    for target in (height_field_set(rng, 5, 0.3), grid_polyline_set(rng, 5)):
-        pts = query_points(rng, target, 300)
-        want = nearest_simplex(pts, target)
-        monkeypatch.setattr(sets, "_PAIR_BLOCK", block)
-        got = nearest_simplex(pts, target)
-        monkeypatch.undo()
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert_matches_oracle(pts, target)
-
-
 def test_empty_target_and_no_points():
     empty = SimplicialSet.empty(3, 2)
     dist, index = nearest_simplex(np.zeros((2, 3)), empty)

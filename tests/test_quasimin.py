@@ -139,6 +139,11 @@ class TestQMGap:
         d = make_deformation("identity", ball, e)
         with pytest.raises(ValueError):
             qm_gap(e, 1.0, H0, d, domain=SEG_DOMAIN)
+        # a domain in another space
+        d = make_deformation("identity", Ball(np.array([0.5, 0.0]), 0.1), e)
+        for domain in (Ball(np.array([0.5]), 2.0), Ball(np.array([0.5, 0.0, 0.0]), 2.0)):
+            with pytest.raises(ValueError, match="ambient dimensions differ"):
+                qm_gap(e, 1.0, H0, d, domain=domain)
 
     def test_m_validation(self):
         e = segment_set(4)

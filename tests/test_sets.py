@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from varifoldlab.geometry import axis_plane, haar_sample
 from varifoldlab.integrands import competitor_registry
+from varifoldlab.quasimin import make_deformation
 from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, SimplicialSet, _clip,
-                              _cut_triangles, _gemv_layout, _in_plane_corners, _meets,
-                              _nondegenerate, _pair_dot, _plane_rows, _polygon_area, _rowdot,
-                              _simplex_measures, _simplex_measures_and_frames, ahlfors_ratios,
-                              distance_to_set, load_set, measure, rescale, restrict, save_set,
-                              translate)
+                              _gemv_layout, _in_plane_corners, _nondegenerate, _pair_dot,
+                              _plane_rows, _polygon_area, _rowdot, _simplex_measures,
+                              _simplex_measures_and_frames, ahlfors_ratios, distance_to_set,
+                              load_set, measure, rescale, restrict, save_set, translate)
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
                                    segment_set, ycone_set)
 
@@ -62,6 +63,14 @@ class TestConstruction:
         ball = Ball(c, 1.0)
         c[0] = 5.0
         assert ball.center[0] == 0.0 and not ball.center.flags.writeable
+
+    @pytest.mark.parametrize("center, radius, message", [
+        ([0.0, 0.0], np.nan, "radius"), ([0.0, 0.0], np.inf, "radius"),
+        ([np.nan, 0.0], 1.0, "centre"), ([0.0, -np.inf], 1.0, "centre"),
+    ])
+    def test_ball_rejects_non_finite(self, center, radius, message):
+        with pytest.raises(ValueError, match=f"ball {message} must be finite"):
+            Ball(np.array(center), radius)
 
     def test_pointcloud_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +133,7 @@ class TestRestrictSegments:
         e = scenario_sequence("escape", 2)
         ball = Ball(np.array([3.2082021104019276, 0.20820211040192776]), 0.29444224824510673)
         assert restrict(e, ball).is_empty()
-        assert not _meets(e, ball)
+        assert make_deformation("tangent_project", ball, e) is None
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(0)
@@ -259,6 +268,31 @@ class TestDistanceToSet:
         cloud = PointCloudSet(2, 1, np.array([[0.0, 0], [1, 0]]), np.array([1.0, 1]))
         d = distance_to_set(np.array([[0.5, 0.0]]), cloud)
         assert d[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pointcloud_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for count in (1, 7, 300):
+            cloud = PointCloudSet(n, 0, rng.standard_normal((count, n)), np.ones(count))
+            pts = np.concatenate([rng.standard_normal((200, n)) * 3, cloud.points[:5]])
+            diffs = pts[:, None, :] - cloud.points[None, :, :]
+            want = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).min(axis=1)
+            np.testing.assert_allclose(distance_to_set(pts, cloud), want, rtol=1e-14, atol=0)
+        empty = PointCloudSet(n, 0, np.zeros((0, n)), np.zeros(0))
+        assert np.isinf(distance_to_set(pts, empty)).all()
+
+    def test_pointcloud_builds_no_pairwise_array(self):
+        # 2000 x 2000 points in R^3: the pairwise difference array would be 96 MB
+        rng = np.random.default_rng(0)
+        cloud = PointCloudSet(3, 0, rng.standard_normal((2000, 3)), np.ones(2000))
+        pts = rng.standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            distance_to_set(pts, cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 class TestAhlforsRegularity:
@@ -505,12 +539,17 @@ def probe_balls(e, rng):
 
 
 class TestMeets:
+    """``tangent_project`` applies to a ball exactly when the set meets
+    it: when ``_clip`` yields a piece, which is when ``restrict`` is not
+    empty."""
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(MEETS_SETS)))
     def test_agrees_with_restrict(self, seed, name):
         e = MEETS_SETS[name]()
         for ball in probe_balls(e, np.random.default_rng(seed)):
-            assert _meets(e, ball) == (not restrict(e, ball).is_empty())
+            skipped = make_deformation("tangent_project", ball, e) is None
+            assert skipped == restrict(e, ball).is_empty()
 
     def test_polygon_of_slivers_adds_nothing(self):
         # a ball grazing a triangle's corner clips a polygon whose fan
@@ -518,7 +557,7 @@ class TestMeets:
         tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         e = SimplicialSet.from_triangles([tri])
         ball = Ball(np.array([-1e-7, -1e-7, 0.0]), 1.5e-7)
-        assert not _meets(e, ball)
+        assert make_deformation("tangent_project", ball, e) is None
         assert restrict(e, ball).is_empty()
 
 
@@ -598,7 +637,9 @@ class TestWhollyInside:
     """The batched wholly-inside decision keeps the bits of the
     per-triangle ``einsum("ij,ij->i")`` test against r^2 (1 + 1e-14), for
     corners at distances r (1 +- 1e-14) and a few ulps around the
-    threshold."""
+    threshold. ``_clip`` keeps exactly the triangles it decides are wholly
+    inside as pieces with their own corners; a cut triangle's pieces all
+    start at the centroid of its clipped polygon."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_per_triangle_einsum(self, n):
@@ -615,8 +656,9 @@ class TestWhollyInside:
             rel = e.simplex_points(i) - c
             if (np.einsum("ij,ij->i", rel, rel) <= r * r * (1 + 1e-14)).all():
                 oracle.append(i)
-        whole, _ = _cut_triangles(e, Ball(c, r))
-        assert whole.tolist() == oracle
+        pieces = {piece.tobytes() for piece in _clip(e, Ball(c, r))[0]}
+        kept = [i for i in range(len(e.simplices)) if e.simplex_points(i).tobytes() in pieces]
+        assert kept == oracle
         assert 0 < len(oracle) < len(e.simplices)
 
 

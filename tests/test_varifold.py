@@ -186,6 +186,9 @@ class TestDensityReport:
         v = var_of_set(segment_set(4), 1)
         with pytest.raises(ValueError):
             density_report(v, np.zeros(2), [0.1, 0.2])
+        for radii in ([0.5, np.nan], [np.nan], [np.inf, 0.5]):
+            with pytest.raises(ValueError, match="radii must be finite and positive"):
+                density_report(v, np.zeros(2), radii)
 
 
 class TestBlowup:
