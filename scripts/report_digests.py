@@ -10,6 +10,12 @@ workload for each given seed (built by ``perfbench/workloads.py`` and run
 by its ``run_op``). Run it from the root of a checkout, which it imports
 ``varifoldlab`` from; run it on two checkouts, at ``VARIFOLD_LAB_THREADS=1``
 and ``=2``, and diff the outputs.
+
+With ``--values``, each digest line of a scenario is followed by one
+``<key>/k=<k>/bl <repr>`` line per row, and each exact-BL query by a
+``<key>/value <repr>`` line, so two checkouts diff numerically as well:
+
+    python3 scripts/report_digests.py --values --seed 1 > values.txt
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -36,11 +43,15 @@ def sha(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def scenario_lines():
+def scenario_lines(values: bool):
     specs = [(f"scenario/{name}", ScenarioSpec(family=name)) for name in FAMILIES]
     specs.append(("scenario/disk-k12", ScenarioSpec(family="disk", k_schedule=(1, 2))))
     for key, spec in specs:
-        yield key, sha(run_scenario(spec).to_json_bytes())
+        report = run_scenario(spec)
+        yield key, sha(report.to_json_bytes())
+        if values:
+            for row in report.rows:
+                yield f"{key}/k={row['k']}/bl", repr(row["bl"])
 
 
 class _Buffers:
@@ -56,7 +67,7 @@ class _Buffers:
         return buf
 
 
-def query_lines(seed: int):
+def query_lines(seed: int, values: bool):
     ops = workloads.build("queries", seed)
     buffers = _Buffers()
     real_io, workloads.io = workloads.io, buffers
@@ -69,7 +80,10 @@ def query_lines(seed: int):
                 if out.exit_code is None:
                     raise RuntimeError(f"{op.key} raised: {out.error}")
                 stdout, stderr = (b.getvalue().encode() for b in buffers.made)
-                yield f"queries/{seed}/{op.key}", sha(str(out.exit_code).encode(), stdout, stderr)
+                key = f"queries/{seed}/{op.key}"
+                yield key, sha(str(out.exit_code).encode(), stdout, stderr)
+                if values and op.key.endswith("/exact") and out.exit_code == 0:
+                    yield f"{key}/value", repr(json.loads(stdout)["value"])
     finally:
         workloads.io = real_io
 
@@ -78,11 +92,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, action="append", default=[],
                     help="a queries seed (repeatable; default: 1)")
+    ap.add_argument("--values", action="store_true",
+                    help="also print each scenario row's bl and each exact-BL query value")
     args = ap.parse_args(argv)
-    for key, digest in scenario_lines():
+    for key, digest in scenario_lines(args.values):
         print(key, digest, flush=True)
     for seed in args.seed or [1]:
-        for key, digest in query_lines(seed):
+        for key, digest in query_lines(seed, args.values):
             print(key, digest, flush=True)
 
 

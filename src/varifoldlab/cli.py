@@ -131,6 +131,9 @@ def _cmd_audit_ellipticity(args):
 
 def _cmd_audit_qm(args):
     e = _load_simplicial_set(args.set)
+    if e.is_empty():
+        raise ConfigError(f"{args.set} holds an empty set; the quasiminimality audit "
+                          f"needs a set with at least one simplex")
     gauge = GaugeFunction(kind=args.h_kind, h0=args.h0, delta=args.h_delta)
     if args.domain:
         vals = [float(c) for c in args.domain.split(",")]

@@ -9,7 +9,8 @@ functional that links them.
   (so moving mass farther than 2 is dominated by destroy + create, matching
   |phi| <= 1). The value is a norm of mu - nu, so the mass that both
   measures hold on coincident atoms (bitwise-equal position and
-  projection) cancels first and the LP runs on the residual only. The
+  projection) cancels first and the LP runs on the residual only, by
+  column generation over the cost matrix's pairs. The
   dictionary method maximizes over a fixed published family of certified
   1-Lipschitz, bounded-by-1 test functions and is always a lower bound of
   the LP value.
@@ -46,6 +47,8 @@ __all__ = [
 SUP_REFINE_TOL = 1e-4  # relative to r, stopping rule for the sup refinement
 COST_CHUNK = 1 << 22  # Grassmann temporary entries per block of cost-matrix rows
 FILLING_TOL = 0.02
+CG_SEED_PAIRS = 8  # cheapest pairs of each row and each column in the first restricted LP
+DENSE_FIRST_COLS = 1 << 16  # transitional: LPs this large first try the dense solve
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +241,99 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+@dataclass(frozen=True)
+class _TransportSolve:
+    """An optimal solve of the transshipment LP ``min sum (c_ij - 2) x_ij``
+    over ``x >= 0`` with row sums at most ``mu`` and column sums at most
+    ``nu``."""
+    objective: float
+    plan: np.ndarray  # (a, b), zero off the columns of the last LP
+    marginals: np.ndarray  # HiGHS marginals of the a row caps, then the b column caps
+    columns: np.ndarray  # (a, b) bool, the pairs that are columns of the last LP
+    rounds: int  # restricted LPs solved; 0 for the dense solve
+    min_reduced_cost: float  # min over all a*b pairs of c_ij - 2 + u_i + z_j
+
+    @property
+    def edges(self) -> int:
+        return int(self.columns.sum())
+
+
+def _reduced_costs(cost, marginals):
+    """``c_ij - 2 + u_i + z_j`` with the cap duals ``u, z = -marginals``."""
+    a = len(cost)
+    return cost - 2.0 - marginals[:a, None] - marginals[None, a:]
+
+
+def _dense_lp(cost, mu, nu):
+    """The LP over all a*b pairs in one HiGHS call with a budget of a + b
+    simplex iterations, one per cap; None when the call stops short of an
+    optimum, as when the budget runs out."""
+    import scipy.sparse as sp
+
+    a, b = cost.shape
+    row = sp.kron(sp.eye(a, format="csr"), np.ones((1, b)), format="csr")
+    col = sp.kron(np.ones((1, a)), sp.eye(b, format="csr"), format="csr")
+    a_ub = sp.vstack([row, col], format="csr")
+    res = linprog((cost - 2.0).ravel(), A_ub=a_ub, b_ub=np.concatenate([mu, nu]),
+                  bounds=(0, None), method="highs", options={"maxiter": a + b})
+    if res.status != 0:
+        return None
+    marginals = res.ineqlin.marginals
+    return _TransportSolve(float(res.fun), res.x.reshape(a, b), marginals,
+                           np.ones((a, b), dtype=bool), 0,
+                           float(_reduced_costs(cost, marginals).min()))
+
+
+def _column_generation(cost, mu, nu) -> _TransportSolve:
+    """The LP by column generation: solve it over a set of candidate pairs,
+    seeded with the ``CG_SEED_PAIRS`` cheapest pairs of each row and each
+    column, then price every pair by its reduced cost under the restricted
+    LP's cap duals and add the negative ones, until no pair outside the set
+    prices negative. The last restricted optimum is then optimal for the
+    full LP: its duals price every pair non-negative, up to the pairs in
+    the set, which HiGHS priced within its own tolerance. SolverError when
+    a restricted solve fails."""
+    import scipy.sparse as sp
+
+    a, b = cost.shape
+    chosen = np.zeros((a, b), dtype=bool)
+    kb, ka = min(CG_SEED_PAIRS, b), min(CG_SEED_PAIRS, a)
+    chosen[np.arange(a)[:, None], np.argpartition(cost, kb - 1, axis=1)[:, :kb]] = True
+    chosen[np.argpartition(cost, ka - 1, axis=0)[:ka], np.arange(b)[None, :]] = True
+    b_ub = np.concatenate([mu, nu])
+    rounds = 0
+    while True:
+        rows, cols = np.nonzero(chosen)
+        k = len(rows)
+        a_ub = sp.csr_matrix((np.ones(2 * k), (np.r_[rows, a + cols], np.r_[0:k, 0:k])),
+                             shape=(a + b, k))
+        res = linprog(cost[rows, cols] - 2.0, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                      method="highs")
+        rounds += 1
+        if res.status != 0:
+            raise SolverError(f"transshipment LP failed: {res.message}")
+        reduced = _reduced_costs(cost, res.ineqlin.marginals)
+        missing = (reduced < 0.0) & ~chosen
+        if not missing.any():
+            break
+        chosen |= missing
+    plan = np.zeros((a, b))
+    plan[rows, cols] = res.x
+    return _TransportSolve(float(res.fun), plan, res.ineqlin.marginals, chosen, rounds,
+                           float(reduced.min()))
+
+
 def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     """The transshipment LP of ``mu - nu`` after the mass on coincident
     atoms cancels: the LP value is a norm of ``mu - nu`` and a pair of
     coincident atoms costs 0, so the residual LP has the same value. When
-    nothing cancels, the residual arrays equal the inputs bit for bit."""
+    nothing cancels, the residual arrays equal the inputs bit for bit.
+
+    The LP is solved by ``_column_generation``. Transitional rule: an LP of
+    at least ``DENSE_FIRST_COLS`` columns first gets the dense solve with a
+    budget of one simplex iteration per cap, and keeps its result when it
+    finishes; that keeps the values recorded before column generation,
+    some of which lie just below the certified optimum."""
     pairs, mu, nu = _cancel_coincident(v, w)
     keep_a, keep_b = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
     cancelled = len(v) + len(w) - len(keep_a) - len(keep_b)
@@ -255,29 +346,24 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
                                 detail={"lp_status": "degenerate-empty-side",
                                         "lp_lower": total, "lp_upper": total,
                                         "lp_rows": 0, "lp_cols": 0,
-                                        "cancelled_atoms": cancelled})
-    import scipy.sparse as sp
-
+                                        "cancelled_atoms": cancelled, "lp_rounds": 0,
+                                        "lp_edges": 0, "lp_min_reduced_cost": 0.0})
     cost = _cost_matrix(v, w)
     a, b = cost.shape
-    c = (cost - 2.0).ravel()
-    row = sp.kron(sp.eye(a, format="csr"), np.ones((1, b)), format="csr")
-    col = sp.kron(np.ones((1, a)), sp.eye(b, format="csr"), format="csr")
-    a_ub = sp.vstack([row, col], format="csr")
-    b_ub = np.concatenate([mu, nu])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise SolverError(f"transshipment LP failed: {res.message}")
-    value = total + float(res.fun)
-    plan = res.x.reshape(a, b)
-    nz = np.argwhere(plan > 1e-12)
-    witness = sorted(pairs + [(int(keep_a[i]), int(keep_b[j]), float(plan[i, j]))
+    solve = _dense_lp(cost, mu, nu) if a * b >= DENSE_FIRST_COLS else None
+    if solve is None:
+        solve = _column_generation(cost, mu, nu)
+    value = total + solve.objective
+    nz = np.argwhere(solve.plan > 1e-12)
+    witness = sorted(pairs + [(int(keep_a[i]), int(keep_b[j]), float(solve.plan[i, j]))
                               for i, j in nz])
-    lp_lower, lp_upper = _lp_certificate(cost, mu, nu, plan, res.ineqlin.marginals)
+    lp_lower, lp_upper = _lp_certificate(cost, mu, nu, solve.plan, solve.marginals)
     return BLDistanceReport(max(value, 0.0), "exact-LP", witness=witness,
                             detail={"lp_status": "optimal", "lp_lower": lp_lower,
                                     "lp_upper": lp_upper, "lp_rows": a + b,
-                                    "lp_cols": a * b, "cancelled_atoms": cancelled})
+                                    "lp_cols": a * b, "cancelled_atoms": cancelled,
+                                    "lp_rounds": solve.rounds, "lp_edges": solve.edges,
+                                    "lp_min_reduced_cost": solve.min_reduced_cost})
 
 
 def _lp_certificate(cost, mu, nu, plan, marginals):

@@ -201,6 +201,39 @@ class TestCLI:
         assert code == cli.EXIT_RESOLUTION
         assert "error: transshipment LP failed" in capsys.readouterr().err
 
+    def test_failed_restricted_lp_exit_3(self, tmp_path, monkeypatch, capsys):
+        # 256 x 256 atoms make a 65,536-column LP: the budgeted dense call
+        # runs out of iterations, then the first restricted LP fails
+        seg = segment_set(256)
+        paths = [tmp_path / "v.json", tmp_path / "w.json"]
+        for shift, path in zip((0.0, 0.1), paths):
+            shifted = SimplicialSet(2, 1, seg.vertices + [0.0, shift], seg.simplices)
+            save_varifold(var_of_set(shifted, 1), path)
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(kwargs.get("options"))
+            status = 1 if len(calls) == 1 else 4
+            return SimpleNamespace(status=status, message="numerical difficulties")
+
+        monkeypatch.setattr(metrics, "linprog", fake)
+        code = cli.main(["distance", "--kind", "bl", *map(str, paths)])
+        assert code == cli.EXIT_RESOLUTION
+        assert "error: transshipment LP failed" in capsys.readouterr().err
+        assert calls == [{"maxiter": 512}, None]
+
+    def test_audit_qm_empty_set_named_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save_set(SimplicialSet.empty(2, 1), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["audit-qm", str(path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {path} holds an empty set; the quasiminimality audit " \
+                      f"needs a set with at least one simplex\n"
+        assert [str(w.message) for w in caught] == []
+
     def test_run_scenario_report(self, tmp_path):
         spec = ScenarioSpec(family="zigzag", k_schedule=(1, 2, 4), atoms=32,
                             samples=32)

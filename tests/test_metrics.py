@@ -7,14 +7,16 @@ from scipy.optimize import linprog
 from varifoldlab import metrics
 from varifoldlab.geometry import (Plane, axis_plane, grassmann_distance,
                                   grassmann_distance_matrix, haar_sample)
-from varifoldlab.lab import _var_with_target_atoms
-from varifoldlab.metrics import (SUP_REFINE_TOL, _cost_matrix, _lp_certificate,
+from varifoldlab.lab import ScenarioSpec, _var_with_target_atoms
+from varifoldlab.metrics import (CG_SEED_PAIRS, DENSE_FIRST_COLS, SUP_REFINE_TOL,
+                                 _column_generation, _cost_matrix, _lp_certificate,
                                  _max_edge_length, _one_sided_sup, _plane_columns,
-                                 _reference_planes, _sample_points, bl_distance,
-                                 filling_check, hausdorff_local, hausdorff_local_report,
-                                 projected_mass)
+                                 _reduced_costs, _reference_planes, _sample_points,
+                                 bl_distance, filling_check, hausdorff_local,
+                                 hausdorff_local_report, projected_mass)
 from varifoldlab.sets import distance_to_set
-from varifoldlab.scenarios import cantor4_set, disk_set, get_family, scenario_sequence, segment_set
+from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, get_family,
+                                   scenario_sequence, segment_set)
 from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
 from varifoldlab.varifold import DiscreteVarifold, var_of_set
 
@@ -234,8 +236,8 @@ def bl_exact_dense(v, w):
     return max(value, 0.0), lower, upper
 
 
-def assert_matches_dense(v, w):
-    rep = bl_distance(v, w)
+def assert_matches_dense(v, w, rep=None):
+    rep = bl_distance(v, w) if rep is None else rep
     value, lower, upper = bl_exact_dense(v, w)
     d = rep.detail
     for val in (rep.value, value):
@@ -336,6 +338,110 @@ class TestBLCancellation:
         rep = assert_matches_dense(v, w)
         assert rep.detail["cancelled_atoms"] == 128
         assert (rep.detail["lp_rows"], rep.detail["lp_cols"]) == (640, 256 * 384)
+
+
+def column_generation_solution(v, w):
+    """The column-generation helper on every atom pair, with no mass
+    cancelled: (value, lp_lower, lp_upper, solve, cost)."""
+    mu, nu = v.masses, w.masses
+    cost = _cost_matrix(v, w)
+    solve = _column_generation(cost, mu, nu)
+    lower, upper = _lp_certificate(cost, mu, nu, solve.plan, solve.marginals)
+    return max(float(mu.sum() + nu.sum()) + solve.objective, 0.0), lower, upper, solve, cost
+
+
+class TestColumnGeneration:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
+           sizes=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_certificate_meets_dense_oracle(self, seed, nm, sizes, scale):
+        rng = np.random.default_rng(seed)
+        v, w = (random_varifold(rng, count, *nm, scale=scale) for count in sizes)
+        value, lower, upper, solve, cost = column_generation_solution(v, w)
+        d_value, d_lower, d_upper = bl_exact_dense(v, w)
+        assert max(lower, d_lower) <= min(upper, d_upper) + 1e-12
+        assert lower - 1e-12 <= d_value <= upper + 1e-12
+        assert d_lower - 1e-12 <= value <= d_upper + 1e-12
+        # the loop stopped because every pair that prices negative is a
+        # column of the last LP, and the reported minimum is over all pairs
+        reduced = _reduced_costs(cost, solve.marginals)
+        assert solve.min_reduced_cost == reduced.min()
+        assert solve.columns[reduced < 0.0].all()
+        assert not solve.plan[~solve.columns].any()
+        assert solve.rounds >= 1
+        assert solve.edges >= min(CG_SEED_PAIRS * max(sizes), sizes[0] * sizes[1])
+
+    def test_first_round_is_the_seed(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        v, w = random_varifold(rng, 20), random_varifold(rng, 30)
+        cost = _cost_matrix(v, w)
+        widths = []
+        real = metrics.linprog
+
+        def spy(c, **kwargs):
+            widths.append(len(c))
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(metrics, "linprog", spy)
+        solve = _column_generation(cost, v.masses, w.masses)
+        seed = np.zeros(cost.shape, dtype=bool)
+        for i, row in enumerate(cost):
+            seed[i, np.argsort(row, kind="stable")[:CG_SEED_PAIRS]] = True
+        for j, col in enumerate(cost.T):
+            seed[np.argsort(col, kind="stable")[:CG_SEED_PAIRS], j] = True
+        assert widths[0] == seed.sum()
+        assert len(widths) == solve.rounds and widths[-1] == solve.edges
+        assert solve.columns[seed].all()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_default_rows_match_dense_oracle(self, family):
+        # the first and the last k of the default schedule at the default
+        # 256 atoms; a row whose atoms all cancel runs no LP to compare
+        spec, fam = ScenarioSpec(family=family), get_family(family)
+        limit = _var_with_target_atoms(fam.limit(), spec.atoms)
+        for k in (spec.k_schedule[0], spec.k_schedule[-1]):
+            v = _var_with_target_atoms(fam.make(k), spec.atoms)
+            rep = bl_distance(v, limit)
+            if rep.detail["lp_rows"] == 0:
+                assert rep.value == rep.detail["lp_lower"] == rep.detail["lp_upper"]
+            else:
+                assert_matches_dense(v, limit, rep)
+
+    def test_dense_attempt_only_from_dense_first_cols(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        calls = []
+        real = metrics.linprog
+
+        def spy(c, **kwargs):
+            calls.append((len(c), kwargs.get("options")))
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(metrics, "linprog", spy)
+        w = random_varifold(rng, 256)
+        for count in (DENSE_FIRST_COLS // 256 - 1, DENSE_FIRST_COLS // 256):
+            calls.clear()
+            rep = bl_distance(random_varifold(rng, count), w)
+            d = rep.detail
+            assert d["lp_cols"] == count * 256
+            dense = [options for cols, options in calls if cols == count * 256]
+            if count * 256 < DENSE_FIRST_COLS:
+                assert dense == [] and len(calls) == d["lp_rounds"] >= 1
+            else:
+                assert calls[0] == (DENSE_FIRST_COLS, {"maxiter": count + 256})
+                assert len(calls) == 1 + d["lp_rounds"]
+            assert d["lp_edges"] == calls[-1][0]
+            assert d["lp_lower"] - 1e-12 <= rep.value <= d["lp_upper"] + 1e-12
+
+    def test_dense_first_rule_keeps_graph_decay_values(self):
+        # the dense solve finishes within its budget at k=32 and k=64 and
+        # keeps the values recorded before column generation
+        fam = get_family("graph_decay")
+        limit = _var_with_target_atoms(fam.limit(), 256)
+        for k, value in ((32, 0.004518509838810525), (64, 0.001131391263282655)):
+            rep = bl_distance(_var_with_target_atoms(fam.make(k), 256), limit)
+            assert rep.value == value
+            assert (rep.detail["lp_rounds"], rep.detail["lp_edges"]) == (0, 256 * 256)
 
 
 def test_plane_columns_keep_the_per_reference_bits():
