@@ -11,11 +11,9 @@ by its ``run_op``). Run it from the root of a checkout, which it imports
 ``varifoldlab`` from; run it on two checkouts, at ``VARIFOLD_LAB_THREADS=1``
 and ``=2``, and diff the outputs.
 
-With ``--values``, each digest line of a scenario is followed by one
-``<key>/k=<k>/bl <repr>`` line per row, and each exact-BL query by a
-``<key>/value <repr>`` line, so two checkouts diff numerically as well:
-
-    python3 scripts/report_digests.py --values --seed 1 > values.txt
+Each digest line of a scenario is followed by one ``<key>/k=<k>/bl <repr>``
+line per row, and each exact-BL query by a ``<key>/value <repr>`` line, so
+two checkouts diff numerically as well.
 """
 
 from __future__ import annotations
@@ -43,15 +41,14 @@ def sha(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def scenario_lines(values: bool):
+def scenario_lines():
     specs = [(f"scenario/{name}", ScenarioSpec(family=name)) for name in FAMILIES]
     specs.append(("scenario/disk-k12", ScenarioSpec(family="disk", k_schedule=(1, 2))))
     for key, spec in specs:
         report = run_scenario(spec)
         yield key, sha(report.to_json_bytes())
-        if values:
-            for row in report.rows:
-                yield f"{key}/k={row['k']}/bl", repr(row["bl"])
+        for row in report.rows:
+            yield f"{key}/k={row['k']}/bl", repr(row["bl"])
 
 
 class _Buffers:
@@ -67,7 +64,7 @@ class _Buffers:
         return buf
 
 
-def query_lines(seed: int, values: bool):
+def query_lines(seed: int):
     ops = workloads.build("queries", seed)
     buffers = _Buffers()
     real_io, workloads.io = workloads.io, buffers
@@ -82,7 +79,7 @@ def query_lines(seed: int, values: bool):
                 stdout, stderr = (b.getvalue().encode() for b in buffers.made)
                 key = f"queries/{seed}/{op.key}"
                 yield key, sha(str(out.exit_code).encode(), stdout, stderr)
-                if values and op.key.endswith("/exact") and out.exit_code == 0:
+                if op.key.endswith("/exact") and out.exit_code == 0:
                     yield f"{key}/value", repr(json.loads(stdout)["value"])
     finally:
         workloads.io = real_io
@@ -92,13 +89,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, action="append", default=[],
                     help="a queries seed (repeatable; default: 1)")
-    ap.add_argument("--values", action="store_true",
-                    help="also print each scenario row's bl and each exact-BL query value")
     args = ap.parse_args(argv)
-    for key, digest in scenario_lines(args.values):
+    for key, digest in scenario_lines():
         print(key, digest, flush=True)
     for seed in args.seed or [1]:
-        for key, digest in query_lines(seed, args.values):
+        for key, digest in query_lines(seed):
             print(key, digest, flush=True)
 
 

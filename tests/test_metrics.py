@@ -433,15 +433,31 @@ class TestColumnGeneration:
             assert d["lp_edges"] == calls[-1][0]
             assert d["lp_lower"] - 1e-12 <= rep.value <= d["lp_upper"] + 1e-12
 
-    def test_dense_first_rule_keeps_graph_decay_values(self):
+    def test_dense_first_rule_keeps_graph_decay_values(self, monkeypatch):
         # the dense solve finishes within its budget at k=32 and k=64 and
-        # keeps the values recorded before column generation
+        # keeps the values recorded before column generation. It takes 256
+        # of its 512 iterations on both; past 384 the margin is too thin to
+        # trust on another HiGHS build, where running out would silently
+        # move both values past the benchmark's 1e-7 gate
+        iterations = []
+        real = metrics.linprog
+
+        def spy(c, **kwargs):
+            res = real(c, **kwargs)
+            iterations.append((kwargs.get("options"), res.status, res.nit))
+            return res
+
+        monkeypatch.setattr(metrics, "linprog", spy)
         fam = get_family("graph_decay")
         limit = _var_with_target_atoms(fam.limit(), 256)
         for k, value in ((32, 0.004518509838810525), (64, 0.001131391263282655)):
+            iterations.clear()
             rep = bl_distance(_var_with_target_atoms(fam.make(k), 256), limit)
             assert rep.value == value
             assert (rep.detail["lp_rounds"], rep.detail["lp_edges"]) == (0, 256 * 256)
+            [(options, status, nit)] = iterations
+            assert options == {"maxiter": 512} and status == 0
+            assert nit <= 384, f"k={k}: {nit} of 512 iterations"
 
 
 def test_plane_columns_keep_the_per_reference_bits():
