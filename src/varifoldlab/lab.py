@@ -187,7 +187,8 @@ class ConvergenceReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+                + "\n").encode()
 
     def save_csv(self, path):
         cols = ["k"] + [f"hausdorff_r{r:g}" for r in self.radii] + \

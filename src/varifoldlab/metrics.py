@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +46,9 @@ __all__ = [
 ]
 
 SUP_REFINE_TOL = 1e-4  # relative to r, stopping rule for the sup refinement
-COST_CHUNK = 1 << 22  # Grassmann temporary entries per block of cost-matrix rows
 FILLING_TOL = 0.02
 CG_SEED_PAIRS = 8  # cheapest pairs of each row and each column in the first restricted LP
-DENSE_FIRST_COLS = 1 << 16  # transitional: LPs this large first try the dense solve
+DENSE_FIRST_COLS = 1 << 16  # transitional: LPs this large first try one budgeted all-pairs round
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +103,13 @@ def _one_sided_sup(source_clipped, target, r, samples):
         return float(d.max()), 0.0
     if source_clipped.is_empty():
         return 0.0, 0.0
-    n_simplices = max(len(source_clipped.simplices), 1)
+    n_simplices = len(source_clipped.simplices)
     per = max(1, int(np.ceil(samples / n_simplices)))
     level = max(0, int(np.ceil(np.log2(per))))
     prev = -np.inf
     sup, gap = 0.0, 0.0
     for lv in range(level, level + 8):
         pts, gap = _sample_points(source_clipped, lv)
-        if len(pts) == 0:
-            return 0.0, 0.0
         if lv == level:
             sup = float(distance_to_set(pts, target).max())
         else:
@@ -189,14 +187,10 @@ class BLDistanceReport:
 
 
 def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold) -> np.ndarray:
+    """The product metric between every pair of atoms. The Grassmann SVD
+    temporaries are at most n times the (a, b, n) position differences."""
     pos = np.linalg.norm(v.positions[:, None, :] - w.positions[None, :, :], axis=2)
-    a, b = len(v), len(w)
-    gd = np.empty((a, b))
-    rows_per = max(1, COST_CHUNK // max(b * v.ambient_dim ** 2, 1))
-    for s in range(0, a, rows_per):
-        t = min(a, s + rows_per)
-        gd[s:t] = grassmann_distance_matrix(v.frames[s:t], w.frames)
-    return pos + gd
+    return pos + grassmann_distance_matrix(v.frames, w.frames)
 
 
 def _atom_keys(v: DiscreteVarifold) -> np.ndarray:
@@ -250,7 +244,7 @@ class _TransportSolve:
     plan: np.ndarray  # (a, b), zero off the columns of the last LP
     marginals: np.ndarray  # HiGHS marginals of the a row caps, then the b column caps
     columns: np.ndarray  # (a, b) bool, the pairs that are columns of the last LP
-    rounds: int  # restricted LPs solved; 0 for the dense solve
+    rounds: int  # restricted LPs solved; 0 when the budgeted round finishes
     min_reduced_cost: float  # min over all a*b pairs of c_ij - 2 + u_i + z_j
 
     @property
@@ -264,26 +258,6 @@ def _reduced_costs(cost, marginals):
     return cost - 2.0 - marginals[:a, None] - marginals[None, a:]
 
 
-def _dense_lp(cost, mu, nu):
-    """The LP over all a*b pairs in one HiGHS call with a budget of a + b
-    simplex iterations, one per cap; None when the call stops short of an
-    optimum, as when the budget runs out."""
-    import scipy.sparse as sp
-
-    a, b = cost.shape
-    row = sp.kron(sp.eye(a, format="csr"), np.ones((1, b)), format="csr")
-    col = sp.kron(np.ones((1, a)), sp.eye(b, format="csr"), format="csr")
-    a_ub = sp.vstack([row, col], format="csr")
-    res = linprog((cost - 2.0).ravel(), A_ub=a_ub, b_ub=np.concatenate([mu, nu]),
-                  bounds=(0, None), method="highs", options={"maxiter": a + b})
-    if res.status != 0:
-        return None
-    marginals = res.ineqlin.marginals
-    return _TransportSolve(float(res.fun), res.x.reshape(a, b), marginals,
-                           np.ones((a, b), dtype=bool), 0,
-                           float(_reduced_costs(cost, marginals).min()))
-
-
 def _column_generation(cost, mu, nu) -> _TransportSolve:
     """The LP by column generation: solve it over a set of candidate pairs,
     seeded with the ``CG_SEED_PAIRS`` cheapest pairs of each row and each
@@ -292,14 +266,23 @@ def _column_generation(cost, mu, nu) -> _TransportSolve:
     prices negative. The last restricted optimum is then optimal for the
     full LP: its duals price every pair non-negative, up to the pairs in
     the set, which HiGHS priced within its own tolerance. SolverError when
-    a restricted solve fails."""
+    a restricted solve fails.
+
+    Transitional rule: an LP of at least ``DENSE_FIRST_COLS`` pairs first
+    gets a round over every pair with a budget of one simplex iteration per
+    cap. A round that finishes is kept, with ``rounds`` 0; one that stops
+    short is dropped and the loop starts again from the seed. That keeps
+    the values recorded before column generation, some of which lie just
+    below the certified optimum."""
     import scipy.sparse as sp
 
     a, b = cost.shape
-    chosen = np.zeros((a, b), dtype=bool)
+    seed = np.zeros((a, b), dtype=bool)
     kb, ka = min(CG_SEED_PAIRS, b), min(CG_SEED_PAIRS, a)
-    chosen[np.arange(a)[:, None], np.argpartition(cost, kb - 1, axis=1)[:, :kb]] = True
-    chosen[np.argpartition(cost, ka - 1, axis=0)[:ka], np.arange(b)[None, :]] = True
+    seed[np.arange(a)[:, None], np.argpartition(cost, kb - 1, axis=1)[:, :kb]] = True
+    seed[np.argpartition(cost, ka - 1, axis=0)[:ka], np.arange(b)[None, :]] = True
+    budget = a * b >= DENSE_FIRST_COLS
+    chosen = np.ones((a, b), dtype=bool) if budget else seed
     b_ub = np.concatenate([mu, nu])
     rounds = 0
     while True:
@@ -308,10 +291,16 @@ def _column_generation(cost, mu, nu) -> _TransportSolve:
         a_ub = sp.csr_matrix((np.ones(2 * k), (np.r_[rows, a + cols], np.r_[0:k, 0:k])),
                              shape=(a + b, k))
         res = linprog(cost[rows, cols] - 2.0, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
-                      method="highs")
-        rounds += 1
-        if res.status != 0:
-            raise SolverError(f"transshipment LP failed: {res.message}")
+                      method="highs", options={"maxiter": a + b} if budget else None)
+        if budget:
+            budget = False
+            if res.status != 0:
+                chosen = seed
+                continue
+        else:
+            rounds += 1
+            if res.status != 0:
+                raise SolverError(f"transshipment LP failed: {res.message}")
         reduced = _reduced_costs(cost, res.ineqlin.marginals)
         missing = (reduced < 0.0) & ~chosen
         if not missing.any():
@@ -327,43 +316,32 @@ def _bl_exact(v: DiscreteVarifold, w: DiscreteVarifold) -> BLDistanceReport:
     """The transshipment LP of ``mu - nu`` after the mass on coincident
     atoms cancels: the LP value is a norm of ``mu - nu`` and a pair of
     coincident atoms costs 0, so the residual LP has the same value. When
-    nothing cancels, the residual arrays equal the inputs bit for bit.
-
-    The LP is solved by ``_column_generation``. Transitional rule: an LP of
-    at least ``DENSE_FIRST_COLS`` columns first gets the dense solve with a
-    budget of one simplex iteration per cap, and keeps its result when it
-    finishes; that keeps the values recorded before column generation,
-    some of which lie just below the certified optimum."""
+    nothing cancels, the residual arrays equal the inputs bit for bit. The
+    LP is solved by ``_column_generation``."""
     pairs, mu, nu = _cancel_coincident(v, w)
     keep_a, keep_b = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
     cancelled = len(v) + len(w) - len(keep_a) - len(keep_b)
     v = DiscreteVarifold(v.ambient_dim, v.dim, v.positions[keep_a], v.frames[keep_a], mu[keep_a])
     w = DiscreteVarifold(w.ambient_dim, w.dim, w.positions[keep_b], w.frames[keep_b], nu[keep_b])
     mu, nu = v.masses, w.masses
+    a, b = len(v), len(w)
     total = float(mu.sum() + nu.sum())
-    if len(v) == 0 or len(w) == 0:
-        return BLDistanceReport(total, "exact-LP", witness=pairs,
-                                detail={"lp_status": "degenerate-empty-side",
-                                        "lp_lower": total, "lp_upper": total,
-                                        "lp_rows": 0, "lp_cols": 0,
-                                        "cancelled_atoms": cancelled, "lp_rounds": 0,
-                                        "lp_edges": 0, "lp_min_reduced_cost": 0.0})
-    cost = _cost_matrix(v, w)
-    a, b = cost.shape
-    solve = _dense_lp(cost, mu, nu) if a * b >= DENSE_FIRST_COLS else None
-    if solve is None:
+    status, value, witness, lp_lower, lp_upper = "degenerate-empty-side", total, pairs, total, total
+    rows, rounds, edges, min_reduced = 0, 0, 0, 0.0
+    if a and b:
+        cost = _cost_matrix(v, w)
         solve = _column_generation(cost, mu, nu)
-    value = total + solve.objective
-    nz = np.argwhere(solve.plan > 1e-12)
-    witness = sorted(pairs + [(int(keep_a[i]), int(keep_b[j]), float(solve.plan[i, j]))
-                              for i, j in nz])
-    lp_lower, lp_upper = _lp_certificate(cost, mu, nu, solve.plan, solve.marginals)
-    return BLDistanceReport(max(value, 0.0), "exact-LP", witness=witness,
-                            detail={"lp_status": "optimal", "lp_lower": lp_lower,
-                                    "lp_upper": lp_upper, "lp_rows": a + b,
-                                    "lp_cols": a * b, "cancelled_atoms": cancelled,
-                                    "lp_rounds": solve.rounds, "lp_edges": solve.edges,
-                                    "lp_min_reduced_cost": solve.min_reduced_cost})
+        status, value = "optimal", max(total + solve.objective, 0.0)
+        nz = np.argwhere(solve.plan > 1e-12)
+        witness = sorted(pairs + [(int(keep_a[i]), int(keep_b[j]), float(solve.plan[i, j]))
+                                  for i, j in nz])
+        lp_lower, lp_upper = _lp_certificate(cost, mu, nu, solve.plan, solve.marginals)
+        rows, rounds, edges, min_reduced = a + b, solve.rounds, solve.edges, solve.min_reduced_cost
+    return BLDistanceReport(value, "exact-LP", witness=witness,
+                            detail={"lp_status": status, "lp_lower": lp_lower,
+                                    "lp_upper": lp_upper, "lp_rows": rows, "lp_cols": a * b,
+                                    "cancelled_atoms": cancelled, "lp_rounds": rounds,
+                                    "lp_edges": edges, "lp_min_reduced_cost": min_reduced})
 
 
 def _lp_certificate(cost, mu, nu, plan, marginals):
@@ -396,34 +374,34 @@ def _smooth_window(t):
     return np.where(t <= 1.0, 1.0, s * s * (3 - 2 * s))
 
 
-def _position_features(n, r1):
-    """[(name, eval(points)->vals, sup_abs, lip_x)] on support |x| <= r1."""
-    feats = [("1", lambda p: np.ones(len(p)), 1.0, 0.0)]
-    for i in range(n):
-        feats.append((f"x{i}", lambda p, i=i: p[:, i] / r1, 1.0, 1.0 / r1))
-    for i in range(n):
-        for j in range(i, n):
-            feats.append((f"x{i}*x{j}",
-                          lambda p, i=i, j=j: p[:, i] * p[:, j] / r1 ** 2,
-                          1.0, 2.0 / r1))
-    dirs = [np.eye(n)[i] for i in range(n)]
+def _position_table(p, r1):
+    """The position features at the points ``p`` (A, n), supported on
+    |x| <= r1: their names, values (F, A) and Lipschitz constants (F,)."""
+    n = p.shape[1]
+    feats = [("1", np.ones(len(p)), 0.0)]
+    feats += [(f"x{i}", p[:, i] / r1, 1.0 / r1) for i in range(n)]
+    feats += [(f"x{i}*x{j}", p[:, i] * p[:, j] / r1 ** 2, 2.0 / r1)
+              for i in range(n) for j in range(i, n)]
+    eye = np.eye(n)
+    dirs = list(eye)
     for i in range(n):
         for j in range(i + 1, n):
-            d = (np.eye(n)[i] + np.eye(n)[j]) / np.sqrt(2)
-            dirs.append(d)
-            d2 = (np.eye(n)[i] - np.eye(n)[j]) / np.sqrt(2)
-            dirs.append(d2)
+            dirs += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] - eye[j]) / np.sqrt(2)]
     for di, d in enumerate(dirs):
+        u = p @ d
         for freq in (1, 2):
             om = np.pi * freq / r1
-            feats.append((f"sin{freq}_u{di}",
-                          lambda p, d=d, om=om: np.sin(om * (p @ d)), 1.0, om))
-            feats.append((f"cos{freq}_u{di}",
-                          lambda p, d=d, om=om: np.cos(om * (p @ d)), 1.0, om))
-    return feats
+            feats += [(f"sin{freq}_u{di}", np.sin(om * u), om),
+                      (f"cos{freq}_u{di}", np.cos(om * u), om)]
+    names, values, lip = zip(*feats)
+    return names, np.stack(values), np.array(lip)
 
 
+@lru_cache
 def _reference_planes(n, m):
+    """The named reference planes of the plane features, at most 12. Built
+    once per (n, m) and shared: a tuple of planes, whose arrays are
+    read-only."""
     refs = []
     if m == 1:
         for i in range(n):
@@ -438,7 +416,7 @@ def _reference_planes(n, m):
         import itertools
         for combo in itertools.combinations(range(n), m):
             refs.append(("e" + "".join(map(str, combo)), axis_plane(n, list(combo))))
-    return refs[:12]
+    return tuple(refs[:12])
 
 
 def _plane_columns(frames, n, m):
@@ -448,27 +426,27 @@ def _plane_columns(frames, n, m):
     return _projections(frames), grassmann_distance_matrix(frames, refs)
 
 
-def _plane_features(n, m):
-    """[(name, eval(columns)->vals, sup_abs, lip_T)] under the operator
-    metric, where ``columns`` is ``_plane_columns`` of a frame stack."""
-    feats = [("1", lambda c: np.ones(len(c[0])), 1.0, 0.0)]
-    for k in range(n):
-        for l in range(k, n):
-            feats.append((f"P{k}{l}", lambda c, k=k, l=l: c[0][:, k, l], 1.0, 1.0))
-    pairs = [(k, l) for k in range(n) for l in range(k, n)]
-    for a in range(len(pairs)):
-        for b in range(a, len(pairs)):
-            (k1, l1), (k2, l2) = pairs[a], pairs[b]
-            feats.append((f"P{k1}{l1}*P{k2}{l2}",
-                          lambda c, k1=k1, l1=l1, k2=k2, l2=l2:
-                          c[0][:, k1, l1] * c[0][:, k2, l2], 1.0, 2.0))
+def _plane_table(frames, n, m):
+    """The plane features of a frame stack (A, n, m) under the operator
+    metric: their names, values (G, A) and Lipschitz constants (G,)."""
+    proj, gd = _plane_columns(frames, n, m)
+    entries = [(k, l) for k in range(n) for l in range(k, n)]
+    feats = [("1", np.ones(len(frames)), 0.0)]
+    feats += [(f"P{k}{l}", proj[:, k, l], 1.0) for k, l in entries]
+    feats += [(f"P{k1}{l1}*P{k2}{l2}", proj[:, k1, l1] * proj[:, k2, l2], 2.0)
+              for e, (k1, l1) in enumerate(entries) for k2, l2 in entries[e:]]
     for r, (name, _) in enumerate(_reference_planes(n, m)):
-        feats.append((f"gd_{name}", lambda c, r=r: c[1][:, r], 1.0, 1.0))
-        feats.append((f"gd2_{name}", lambda c, r=r: c[1][:, r] ** 2, 1.0, 2.0))
-    return feats
+        feats += [(f"gd_{name}", gd[:, r], 1.0), (f"gd2_{name}", gd[:, r] ** 2, 2.0)]
+    names, values, lip = zip(*feats)
+    return names, np.stack(values), np.array(lip)
 
 
 def _bl_dictionary(v: DiscreteVarifold, w: DiscreteVarifold, domain) -> BLDistanceReport:
+    """The largest ``|(mu - nu)(window f g)|`` over the products of a
+    position feature f and a plane feature g, each divided by its BL norm.
+    Every feature is bounded by 1, so the product is too; its Lipschitz
+    constant is ``lip_w + lip_f`` in x (the window adds its slope) and
+    ``lip_g`` in T, so the norm is ``max(1, lip_w + lip_f, lip_g)``."""
     n, m = v.ambient_dim, v.dim
     all_pos = [p for var in (v, w) if len(var) for p in (var.positions,)]
     r0 = max([1.0] + [float(np.linalg.norm(p, axis=1).max()) for p in all_pos])
@@ -477,35 +455,16 @@ def _bl_dictionary(v: DiscreteVarifold, w: DiscreteVarifold, domain) -> BLDistan
     r1 = 1.5 * r0
     lip_w = 3.0 / r0
 
-    pos_feats = _position_features(n, r1)
-    plane_feats = _plane_features(n, m)
-
-    def tables(var):
-        if len(var) == 0:
-            return (np.zeros((len(pos_feats), 0)), np.zeros((len(plane_feats), 0)),
-                    np.zeros(0))
-        window = _smooth_window(np.linalg.norm(var.positions, axis=1) / r0)
-        fp = np.stack([f(var.positions) for _, f, _, _ in pos_feats])
-        cols = _plane_columns(var.frames, n, m)
-        ft = np.stack([g(cols) for _, g, _, _ in plane_feats])
-        return fp, ft, window * var.masses
-
-    fp_v, ft_v, wm_v = tables(v)
-    fp_w, ft_w, wm_w = tables(w)
-    diff = np.abs((fp_v * wm_v) @ ft_v.T - (fp_w * wm_w) @ ft_w.T)
-
-    sup_f = np.array([s for _, _, s, _ in pos_feats])
-    lip_f = np.array([l for _, _, _, l in pos_feats])
-    sup_g = np.array([s for _, _, s, _ in plane_feats])
-    lip_g = np.array([l for _, _, _, l in plane_feats])
-    sup_fg = np.outer(sup_f, sup_g)
-    lip_x = np.outer(sup_f * lip_w + lip_f, sup_g)   # window adds its slope
-    lip_t = np.outer(sup_f, lip_g)
-    norm = np.maximum(sup_fg, np.maximum(lip_x, lip_t))
-    norm = np.where(norm > 0, norm, 1.0)
-    vals = diff / norm
+    moments = []
+    for var in (v, w):
+        names_f, f, lip_f = _position_table(var.positions, r1)
+        names_g, g, lip_g = _plane_table(var.frames, n, m)
+        wm = _smooth_window(np.linalg.norm(var.positions, axis=1) / r0) * var.masses
+        moments.append((f * wm) @ g.T)
+    norm = np.maximum(1.0, np.maximum((lip_w + lip_f)[:, None], lip_g[None, :]))
+    vals = np.abs(moments[0] - moments[1]) / norm
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    witness = f"{pos_feats[idx[0]][0]} x {plane_feats[idx[1]][0]}"
+    witness = f"{names_f[idx[0]]} x {names_g[idx[1]]}"
     return BLDistanceReport(float(vals[idx]), "dictionary-lower-bound", witness=witness,
                             detail={"dictionary_size": int(vals.size)})
 

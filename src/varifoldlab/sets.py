@@ -206,6 +206,8 @@ class SimplicialSet:
             raise ValueError("ambient dimension below set dimension")
         v = np.array(self.vertices, dtype=float).reshape(-1, n)
         s = np.array(self.simplices, dtype=np.int64).reshape(-1, m + 1)
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         if len(s) and (s.min() < 0 or s.max() >= len(v)):
             raise ValueError("simplex vertex index out of range")
         meas, frames, areas = _simplex_measures_and_frames(v, s, m)
@@ -276,6 +278,8 @@ class PointCloudSet:
         w = np.array(self.masses, dtype=float).reshape(-1)
         if len(pts) != len(w):
             raise ValueError("one mass per point required")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if len(w) and w.min() <= 0:
             raise ValueError("masses must be positive")
         if not np.isfinite(w).all():

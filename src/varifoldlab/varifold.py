@@ -66,6 +66,10 @@ class DiscreteVarifold:
             raise ValueError("atom masses must be positive")
         if not np.isfinite(w).all():
             raise ValueError("atom masses must be finite")
+        if not np.isfinite(pos).all():
+            raise ValueError("atom positions must be finite")
+        if not np.isfinite(fr).all():
+            raise ValueError("atom frames must be finite")
         if len(fr):
             gram = np.einsum("aij,aik->ajk", fr, fr)
             if np.max(np.abs(gram - np.eye(m))) > 1e-8:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -161,6 +162,12 @@ class TestRunScenario:
             raise ValueError(f"non-standard JSON constant {name}")
         doc = json.loads(run_scenario(spec).to_json_bytes(), parse_constant=reject)
         assert ScenarioSpec.from_dict(doc["spec"]) == spec
+
+    def test_non_finite_report_raises(self):
+        spec = ScenarioSpec(family="segment", k_schedule=(1, 2), atoms=16, samples=16)
+        report = dataclasses.replace(run_scenario(spec), spearman_d_vs_bl=float("nan"))
+        with pytest.raises(ValueError):
+            report.to_json_bytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -463,6 +470,39 @@ class TestCLI:
                          "--plane-angle", "0"])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind, field, bad, argv, message", [
+        ("set", "vertices", float("inf"),
+         ["projected-mass", "@", "--center", "0.5,0", "--radius", "0.25", "--plane-angle", "0"],
+         "vertices must be finite"),
+        ("set", "vertices", float("inf"),
+         ["distance", "--kind", "hausdorff", "@", "@", "--center", "0.5,0"],
+         "vertices must be finite"),
+        ("cloud", "points", float("nan"),
+         ["distance", "--kind", "hausdorff", "@", "@", "--center", "0.5,0"],
+         "points must be finite"),
+        ("varifold", "x", float("nan"), ["density", "@", "--center", "0.5,0", "--radii", "0.5"],
+         "atom positions must be finite"),
+        ("varifold", "frame", float("nan"), ["distance", "--kind", "bl", "@", "@"],
+         "atom frames must be finite"),
+    ])
+    def test_non_finite_file_exit_2(self, tmp_path, capsys, kind, field, bad, argv, message):
+        # json.load reads the NaN and Infinity literals that json.dump writes
+        path = tmp_path / f"{kind}.json"
+        if kind == "varifold":
+            save_varifold(var_of_set(segment_set(8), 1), path)
+        else:
+            save_set(segment_set(8) if kind == "set" else
+                     PointCloudSet(2, 1, np.array([[0.0, 0.0], [0.5, 0.0]]), np.ones(2)), path)
+        doc = json.loads(path.read_text())
+        if kind == "varifold":
+            doc["atoms"][1][field][0] = [bad, 0.0] if field == "frame" else bad
+        else:
+            doc[field][1][0] = bad
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "@" else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_plane_axes_out_of_range_exit_2(self, capsys):
         for axes in ("5", "-1"):

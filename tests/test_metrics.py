@@ -485,6 +485,30 @@ def test_dictionary_one_grassmann_call_per_side(monkeypatch):
     assert calls == [len(_reference_planes(3, 2))] * 2
 
 
+def test_dictionary_keeps_its_bits():
+    # value, witness and size recorded before the feature tables were plain
+    # arrays: the zigzag pair, random pairs of equal total mass, and a pair
+    # whose sides differ only in their planes
+    def equal_mass(seed, n, m, scale):
+        rng = np.random.default_rng(seed)
+        v, w = random_varifold(rng, 20, n, m, scale), random_varifold(rng, 20, n, m, scale)
+        return v, with_atoms(w, w.positions, w.frames, w.masses * (v.masses.sum() / w.masses.sum()))
+
+    rng = np.random.default_rng(3)
+    v, w = random_varifold(rng, 30, 3, 2), random_varifold(rng, 30, 3, 2)
+    cases = [
+        ((var_of_set(scenario_sequence("zigzag", 8), 16), var_of_set(segment_set(256), 1)),
+         0.3333333333333333, "1 x gd_e0", 396),
+        (equal_mass(0, 2, 1, 0.3), 1.2741468777884002, "1 x P00*P00", 396),
+        (equal_mass(60, 2, 1, 1.0), 0.8780556083162481, "cos1_u3 x gd2_d01-", 396),
+        (equal_mass(11, 3, 2, 3.0), 5.175299714249634, "cos2_u2 x gd_e01", 1564),
+        ((v, with_atoms(v, v.positions, w.frames, v.masses)), 2.9440466374071113, "1 x P01", 1564),
+    ]
+    for pair, value, witness, size in cases:
+        rep = bl_distance(*pair, "dictionary")
+        assert (rep.value, rep.witness, rep.detail) == (value, witness, {"dictionary_size": size})
+
+
 def sample_points_loop(clipped, level):
     """The per-simplex sampling loop that _sample_points vectorizes."""
     pts = []
