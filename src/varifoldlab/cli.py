@@ -59,6 +59,14 @@ def _parse_plane(args, n) -> Plane:
     raise ConfigError("specify a plane with --plane-axes, --plane-angle or --plane-frame")
 
 
+def _finite_point(text, flag):
+    """The comma-separated coordinates given to ``flag``, all finite."""
+    x = np.array([float(c) for c in text.split(",")])
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{flag} must be finite, got {text}")
+    return x
+
+
 def _load_integrand(spec: str):
     if spec.endswith(".json"):
         return load_tabulated_integrand(spec)
@@ -101,7 +109,7 @@ def _cmd_distance(args):
 
 def _cmd_density(args):
     v = load_varifold(args.varifold)
-    center = np.array([float(c) for c in args.center.split(",")])
+    center = _finite_point(args.center, "--center")
     radii = [float(r) for r in args.radii.split(",")]
     rep = density_report(v, center, radii)
     _emit(rep.to_dict(), args.output)
@@ -115,7 +123,7 @@ def _cmd_density(args):
 
 def _cmd_audit_ellipticity(args):
     f = _load_integrand(args.integrand)
-    x = np.array([float(c) for c in args.x.split(",")])
+    x = _finite_point(args.x, "--x")
     t = _parse_plane(args, len(x))
     competitors = None
     if args.competitors:

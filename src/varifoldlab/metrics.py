@@ -226,13 +226,67 @@ def _cancel_coincident(v: DiscreteVarifold, w: DiscreteVarifold):
     return pairs, mu, nu
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first exact LP so that
-    ``import varifoldlab`` does not load scipy. This module-level name is
-    the one place the tests and the benchmark tracer patch."""
-    from scipy.optimize import linprog as solve
+def linprog(c, A_ub, b_ub, options=None, basis=None):
+    """``min c.x`` over ``x >= 0`` with ``A_ub x <= b_ub``, ``A_ub`` a
+    scipy CSC sparse array with sorted row indices, solved by the
+    HiGHS bindings that scipy ships, imported on the first exact LP so that
+    ``import varifoldlab`` does not load scipy. The HiGHS options are those
+    that ``scipy.optimize.linprog(method="highs")`` sets, so a cold solve
+    returns its bits; ``options={"maxiter": n}`` caps the iterations.
+    ``basis``, a pair of HiGHS column and row statuses, starts the simplex
+    from that basis. The result has ``status`` (0 optimal, 1 iteration
+    limit, 4 otherwise), ``message``, ``nit``, and when optimal ``x``,
+    ``fun``, ``ineqlin.marginals`` (the row duals) and ``basis``. This
+    module-level name is the one place the tests and the benchmark tracer
+    patch."""
+    from types import SimpleNamespace
 
-    return solve(*args, **kwargs)
+    from scipy.optimize._highspy import _core as highs
+
+    m, k = A_ub.shape
+    solver = highs._Highs()
+    settings = {"output_flag": False, "log_to_console": False, "presolve": "on",
+                "simplex_strategy": 1}  # dual simplex
+    if options is not None:
+        settings.update(simplex_iteration_limit=options["maxiter"],
+                        ipm_iteration_limit=options["maxiter"])
+    for name, value in settings.items():
+        solver.setOptionValue(name, value)
+    solver.passModel(k, m, A_ub.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+                     0.0, c, np.zeros(k), np.full(k, highs.kHighsInf),
+                     np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices, A_ub.data,
+                     np.zeros(k, dtype=np.int32))  # every column continuous
+    if basis is not None:
+        statuses = {int(s): s for s in highs.HighsBasisStatus.__members__.values()}
+        start = highs.HighsBasis()
+        start.col_status = [statuses[s] for s in basis[0].tolist()]
+        start.row_status = [statuses[s] for s in basis[1].tolist()]
+        start.valid = True
+        solver.setBasis(start)
+    solver.run()
+    model = solver.getModelStatus()
+    info = solver.getInfo()
+    res = SimpleNamespace(status=4, message=solver.modelStatusToString(model),
+                          nit=info.simplex_iteration_count or info.ipm_iteration_count,
+                          x=None, fun=None, ineqlin=None, basis=None)
+    if model == highs.HighsModelStatus.kIterationLimit:
+        res.status = 1
+    elif model == highs.HighsModelStatus.kOptimal:
+        found, basic = solver.getBasicVariables()
+        if found != highs.HighsStatus.kOk:
+            res.message = "optimal, but HiGHS gives no basis"
+            return res
+        solution = solver.getSolution()
+        res.status, res.x, res.fun = 0, np.array(solution.col_value), info.objective_function_value
+        res.ineqlin = SimpleNamespace(marginals=np.array(solution.row_dual))
+        # a nonbasic column sits at its bound 0 and a nonbasic row at b_ub,
+        # so the basic variables (column j >= 0, row i as -1 - i) give every status
+        cols = np.full(k, int(highs.HighsBasisStatus.kLower), dtype=np.int8)
+        rows = np.full(m, int(highs.HighsBasisStatus.kUpper), dtype=np.int8)
+        cols[basic[basic >= 0]] = int(highs.HighsBasisStatus.kBasic)
+        rows[-1 - basic[basic < 0]] = int(highs.HighsBasisStatus.kBasic)
+        res.basis = (cols, rows)
+    return res
 
 
 @dataclass(frozen=True)
@@ -265,8 +319,10 @@ def _column_generation(cost, mu, nu) -> _TransportSolve:
     LP's cap duals and add the negative ones, until no pair outside the set
     prices negative. The last restricted optimum is then optimal for the
     full LP: its duals price every pair non-negative, up to the pairs in
-    the set, which HiGHS priced within its own tolerance. SolverError when
-    a restricted solve fails.
+    the set, which HiGHS priced within its own tolerance. Each restricted
+    round after the first starts from the basis the round before ended
+    on, with its new pairs nonbasic at 0. SolverError when a restricted
+    solve fails.
 
     Transitional rule: an LP of at least ``DENSE_FIRST_COLS`` pairs first
     gets a round over every pair with a budget of one simplex iteration per
@@ -285,13 +341,15 @@ def _column_generation(cost, mu, nu) -> _TransportSolve:
     chosen = np.ones((a, b), dtype=bool) if budget else seed
     b_ub = np.concatenate([mu, nu])
     rounds = 0
+    status, row_status = np.zeros((a, b), dtype=np.int8), None  # 0: nonbasic at x = 0
     while True:
         rows, cols = np.nonzero(chosen)
         k = len(rows)
-        a_ub = sp.csr_matrix((np.ones(2 * k), (np.r_[rows, a + cols], np.r_[0:k, 0:k])),
-                             shape=(a + b, k))
-        res = linprog(cost[rows, cols] - 2.0, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
-                      method="highs", options={"maxiter": a + b} if budget else None)
+        a_ub = sp.csc_array((np.ones(2 * k), np.column_stack([rows, a + cols]).ravel(),
+                             np.arange(0, 2 * k + 1, 2)), shape=(a + b, k))
+        res = linprog(cost[rows, cols] - 2.0, A_ub=a_ub, b_ub=b_ub,
+                      options={"maxiter": a + b} if budget else None,
+                      basis=None if row_status is None else (status[rows, cols], row_status))
         if budget:
             budget = False
             if res.status != 0:
@@ -301,6 +359,7 @@ def _column_generation(cost, mu, nu) -> _TransportSolve:
             rounds += 1
             if res.status != 0:
                 raise SolverError(f"transshipment LP failed: {res.message}")
+        status[rows, cols], row_status = res.basis
         reduced = _reduced_costs(cost, res.ineqlin.marginals)
         missing = (reduced < 0.0) & ~chosen
         if not missing.any():

@@ -393,6 +393,12 @@ class TestCLI:
          "ball centre must be finite"),
         (["density", "@var", "--center", "0.5,0", "--radii", "0.5,nan"],
          "radii must be finite and positive"),
+        (["density", "@var", "--center", "nan,0", "--radii", "0.5"],
+         "--center must be finite, got nan,0"),
+        (["density", "@var", "--center", "0,inf", "--radii", "0.5"],
+         "--center must be finite, got 0,inf"),
+        (["audit-ellipticity", "area", "--x", "nan,0", "--plane-angle", "0"],
+         "--x must be finite, got nan,0"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
         files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}

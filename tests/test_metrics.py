@@ -459,6 +459,94 @@ class TestColumnGeneration:
             assert options == {"maxiter": 512} and status == 0
             assert nit <= 384, f"k={k}: {nit} of 512 iterations"
 
+    def test_restricted_rounds_start_from_the_last_basis(self, monkeypatch):
+        # graph_decay k=1 at 256 atoms: the budgeted round runs out, then
+        # three restricted rounds; the last adds 2 pairs to the 14,201 of
+        # the round before, so from that round's basis it is a few pivots
+        calls = []
+        real = metrics.linprog
+
+        def spy(c, **kwargs):
+            res = real(c, **kwargs)
+            calls.append((c, kwargs, res))
+            return res
+
+        monkeypatch.setattr(metrics, "linprog", spy)
+        fam = get_family("graph_decay")
+        rep = bl_distance(_var_with_target_atoms(fam.make(1), 256),
+                          _var_with_target_atoms(fam.limit(), 256))
+        restricted = [(c, kwargs, res) for c, kwargs, res in calls if kwargs["options"] is None]
+        assert len(restricted) == rep.detail["lp_rounds"] >= 3
+        assert restricted[0][1]["basis"] is None
+        for c, kwargs, _ in restricted[1:]:
+            columns, rows = kwargs["basis"]
+            assert len(columns) == len(c) and len(rows) == 512
+        c, kwargs, warm = restricted[-1]
+        cold = real(c, A_ub=kwargs["A_ub"], b_ub=kwargs["b_ub"])
+        assert warm.status == cold.status == 0
+        assert 10 * warm.nit < cold.nit, f"{warm.nit} warm against {cold.nit} cold iterations"
+
+
+def transport_lp(cost, mu, nu, pairs):
+    """The transshipment LP over the (rows, cols) pairs, as
+    ``_column_generation`` builds it: c, A_ub, b_ub."""
+    rows, cols = pairs
+    a, k = len(mu), len(rows)
+    a_ub = sp.csc_array((np.ones(2 * k), np.column_stack([rows, a + cols]).ravel(),
+                         np.arange(0, 2 * k + 1, 2)), shape=(a + len(nu), k))
+    return cost[rows, cols] - 2.0, a_ub, np.concatenate([mu, nu])
+
+
+def assert_seam_matches_scipy(c, a_ub, b_ub, options=None):
+    ours = metrics.linprog(c, A_ub=a_ub, b_ub=b_ub, options=options)
+    theirs = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs",
+                     options=options)
+    assert ours.status == theirs.status
+    if ours.status == 0:
+        assert ours.fun == theirs.fun
+        assert np.array_equal(ours.x, theirs.x)
+        assert np.array_equal(ours.ineqlin.marginals, theirs.ineqlin.marginals)
+    return ours
+
+
+class TestLinprogSeam:
+    """A cold ``metrics.linprog`` gives ``scipy.optimize.linprog``'s bits,
+    which the values of the budgeted all-pairs round rest on."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
+           sizes=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+           every_pair=st.booleans())
+    def test_random_transport_lps(self, seed, nm, sizes, every_pair):
+        rng = np.random.default_rng(seed)
+        v, w = (random_varifold(rng, count, *nm) for count in sizes)
+        cost = _cost_matrix(v, w)
+        keep = np.ones(cost.shape, dtype=bool) if every_pair else rng.random(cost.shape) < 0.3
+        keep[:, 0] = True  # no empty LP
+        lp = transport_lp(cost, v.masses, w.masses, np.nonzero(keep))
+        res = assert_seam_matches_scipy(*lp)
+        # the returned basis is the optimal one: a solve started from it
+        # takes no pivot
+        again = metrics.linprog(*lp, basis=res.basis)
+        assert again.status == 0 and again.nit == 0
+        assert np.array_equal(again.basis[0], res.basis[0])
+
+    def test_graph_decay_all_pairs_round(self):
+        fam = get_family("graph_decay")
+        v = _var_with_target_atoms(fam.make(32), 256)
+        w = _var_with_target_atoms(fam.limit(), 256)
+        lp = transport_lp(_cost_matrix(v, w), v.masses, w.masses,
+                          np.nonzero(np.ones((256, 256), dtype=bool)))
+        assert assert_seam_matches_scipy(*lp, options={"maxiter": 512}).nit == 256
+
+    def test_budget_runs_out_on_both(self):
+        rng = np.random.default_rng(9)
+        v, w = random_varifold(rng, 64), random_varifold(rng, 64)
+        lp = transport_lp(_cost_matrix(v, w), v.masses, w.masses,
+                          np.nonzero(np.ones((64, 64), dtype=bool)))
+        res = assert_seam_matches_scipy(*lp, options={"maxiter": 8})
+        assert res.status == 1 and res.x is None
+
 
 def test_plane_columns_keep_the_per_reference_bits():
     rng = np.random.default_rng(6)
