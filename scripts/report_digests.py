@@ -12,7 +12,8 @@ by its ``run_op``). Run it from the root of a checkout, which it imports
 and ``=2``, and diff the outputs.
 
 Each digest line of a scenario is followed by one ``<key>/k=<k>/bl <repr>``
-line per row, and each exact-BL query by a ``<key>/value <repr>`` line, so
+line per row, and each exact-BL query by ``<key>/value``, ``<key>/lp_lower``
+and ``<key>/lp_upper`` ``repr`` lines (the value and its LP certificate), so
 two checkouts diff numerically as well.
 """
 
@@ -80,7 +81,9 @@ def query_lines(seed: int):
                 key = f"queries/{seed}/{op.key}"
                 yield key, sha(str(out.exit_code).encode(), stdout, stderr)
                 if op.key.endswith("/exact") and out.exit_code == 0:
-                    yield f"{key}/value", repr(json.loads(stdout)["value"])
+                    report = json.loads(stdout)
+                    for name in ("value", "lp_lower", "lp_upper"):
+                        yield f"{key}/{name}", repr(report[name])
     finally:
         workloads.io = real_io
 

@@ -230,22 +230,24 @@ def linprog(c, A_ub, b_ub, options=None, basis=None):
     """``min c.x`` over ``x >= 0`` with ``A_ub x <= b_ub``, ``A_ub`` a
     scipy CSC sparse array with sorted row indices, solved by the
     HiGHS bindings that scipy ships, imported on the first exact LP so that
-    ``import varifoldlab`` does not load scipy. The HiGHS options are those
-    that ``scipy.optimize.linprog(method="highs")`` sets, so a cold solve
-    returns its bits; ``options={"maxiter": n}`` caps the iterations.
-    ``basis``, a pair of HiGHS column and row statuses, starts the simplex
-    from that basis. The result has ``status`` (0 optimal, 1 iteration
-    limit, 4 otherwise), ``message``, ``nit``, and when optimal ``x``,
-    ``fun``, ``ineqlin.marginals`` (the row duals) and ``basis``. This
-    module-level name is the one place the tests and the benchmark tracer
-    patch."""
+    ``import varifoldlab`` does not load scipy. Presolve is off: it removes
+    nothing from a transport LP, yet it is most of the fixed cost of a cold
+    all-pairs solve. The other HiGHS options are those that
+    ``scipy.optimize.linprog(method="highs")`` sets, so a cold solve returns
+    the bits of that call with ``options={"presolve": False}``;
+    ``options={"maxiter": n}`` caps the iterations. ``basis``, a pair of
+    HiGHS column and row statuses, starts the simplex from that basis. The
+    result has ``status`` (0 optimal, 1 iteration limit, 4 otherwise),
+    ``message``, ``nit``, and when optimal ``x``, ``fun``,
+    ``ineqlin.marginals`` (the row duals) and ``basis``. This module-level
+    name is the one place the tests and the benchmark tracer patch."""
     from types import SimpleNamespace
 
     from scipy.optimize._highspy import _core as highs
 
     m, k = A_ub.shape
     solver = highs._Highs()
-    settings = {"output_flag": False, "log_to_console": False, "presolve": "on",
+    settings = {"output_flag": False, "log_to_console": False, "presolve": "off",
                 "simplex_strategy": 1}  # dual simplex
     if options is not None:
         settings.update(simplex_iteration_limit=options["maxiter"],

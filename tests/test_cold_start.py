@@ -1,6 +1,7 @@
 """``import varifoldlab`` loads no scipy: the exact BL LP imports
-``scipy.optimize.linprog`` and ``scipy.sparse``, and the nearest-simplex
-search imports ``scipy.spatial.cKDTree``, where they are first used.
+``scipy.sparse`` and scipy's HiGHS bindings ``scipy.optimize._highspy._core``
+(which load ``scipy.optimize``), and the nearest-simplex search imports
+``scipy.spatial.cKDTree``, where they are first used.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported scipy.

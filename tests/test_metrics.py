@@ -195,6 +195,24 @@ class TestBLDistance:
             assert rep.value <= rep.detail["lp_upper"] + 1e-12
             assert rep.detail["lp_upper"] - rep.detail["lp_lower"] < 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
+           sizes=st.tuples(st.integers(2, 32), st.integers(2, 32)))
+    def test_values_within_certificates(self, seed, nm, sizes):
+        # the true value lies in both certificates, so the two directions
+        # differ by at most the sum of their widths; the dictionary is a
+        # lower bound on it
+        rng = np.random.default_rng(seed)
+        v, w = (random_varifold(rng, count, *nm) for count in sizes)
+        forward, backward = bl_distance(v, w), bl_distance(w, v)
+        widths = 0.0
+        for rep in (forward, backward):
+            lower, upper = rep.detail["lp_lower"], rep.detail["lp_upper"]
+            assert lower - 1e-12 <= rep.value <= upper + 1e-12
+            widths += upper - lower
+        assert abs(forward.value - backward.value) <= widths + 1e-12
+        assert bl_distance(v, w, "dictionary").value <= forward.detail["lp_upper"] + 1e-12
+
     def test_lp_certificate_exposes_graph_decay_error(self):
         # graph_decay k=32 at 256 atoms: HiGHS stops at its absolute
         # tolerances, about 1.9e-5 below the value certified by re-solving
@@ -500,7 +518,7 @@ def transport_lp(cost, mu, nu, pairs):
 def assert_seam_matches_scipy(c, a_ub, b_ub, options=None):
     ours = metrics.linprog(c, A_ub=a_ub, b_ub=b_ub, options=options)
     theirs = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs",
-                     options=options)
+                     options={"presolve": False, **(options or {})})
     assert ours.status == theirs.status
     if ours.status == 0:
         assert ours.fun == theirs.fun
@@ -510,8 +528,9 @@ def assert_seam_matches_scipy(c, a_ub, b_ub, options=None):
 
 
 class TestLinprogSeam:
-    """A cold ``metrics.linprog`` gives ``scipy.optimize.linprog``'s bits,
-    which the values of the budgeted all-pairs round rest on."""
+    """A cold ``metrics.linprog`` gives the bits of
+    ``scipy.optimize.linprog`` with presolve off, which the values of the
+    budgeted all-pairs round rest on."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
