@@ -14,8 +14,8 @@ midpoint subdivision, the segment-sphere quadratic, polygon signed area,
 direction-sign canonicalization, ball clipping and point-simplex distance.
 Batched code that must give the bits of a per-row loop takes its dot
 products and norms from ``_rowdot``, and its matrix-vector products
-``rows @ vec`` from ``_pair_dot``, which stacks them in padded blocks of
-``_GEMV_ROWS`` rows per vector.
+``rows @ vec`` from ``_pair_dot``, which stacks each row on a copy of
+itself.
 
 Point-simplex distance is one batched kernel over (point, candidate
 simplex) pairs, ``_pair_distances``: it evaluates each bitwise-distinct
@@ -524,39 +524,18 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     return out
 
 
-_GEMV_ROWS = 8  # rows per block of the grouped matrix-vector product
-
-
-def _gemv_layout(simplex):
-    """Blocks of ``_GEMV_ROWS`` slots over pairs sorted by simplex: each
-    block holds pairs of one simplex and is padded with that simplex's
-    first pair. Returns the pair at each slot, the simplex of each block
-    and the slot of each pair."""
-    starts = np.flatnonzero(np.r_[True, simplex[1:] != simplex[:-1]])
-    counts = np.diff(np.r_[starts, len(simplex)])
-    blocks = -(-counts // _GEMV_ROWS)
-    slots = blocks * _GEMV_ROWS
-    first_slot = np.cumsum(slots) - slots
-    offset = np.arange(slots.sum()) - np.repeat(first_slot, slots)
-    src = np.repeat(starts, slots) + np.where(offset < np.repeat(counts, slots), offset, 0)
-    slot = np.arange(len(simplex)) + np.repeat(first_slot - starts, counts)
-    return src, np.repeat(simplex[starts], blocks), slot
-
-
-def _pair_dot(x, vecs, simplex, layout):
+def _pair_dot(x, vecs, simplex, one_row):
     """``x[i] . vecs[simplex[i]]`` for each row i of x.
 
-    With a ``_gemv_layout`` of ``simplex``, one stacked matrix-vector
-    product over its blocks: a stack of (R, k) @ (k, 1) products with
-    R >= 2 gives each row the bits of the BLAS matrix-vector product
-    ``rows @ vec`` over the rows of its simplex. With None, ``_rowdot``:
-    the BLAS dot that a one-row product takes instead.
+    Each row is stacked on a copy of itself, and a stack of (2, k) @ (k, 1)
+    products gives it the bits of the BLAS matrix-vector product
+    ``rows @ vec`` over the rows of its simplex, however many there are.
+    With ``one_row``, ``_rowdot``: the BLAS dot that a one-row product
+    takes instead.
     """
-    if layout is None:
+    if one_row:
         return _rowdot(x, vecs[simplex])
-    src, block_simplex, slot = layout
-    blocks = x[src].reshape(-1, _GEMV_ROWS, x.shape[1])
-    return (blocks @ vecs[block_simplex][:, :, None]).reshape(-1)[slot]
+    return (np.stack([x, x], axis=1) @ vecs[simplex][:, :, None])[:, 0, 0]
 
 
 def _simplex_constants(target: SimplicialSet):
@@ -575,25 +554,25 @@ def _simplex_constants(target: SimplicialSet):
     return a, u, v, t2, d, _rowdot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(-1, 3)
 
 
-def _clamped_foot_distance(p, a, d, denom, simplex, layout):
+def _clamped_foot_distance(p, a, d, denom, simplex, one_row):
     """Distances from the rows of p to the segments [a, a + d] of their
     simplices: the foot of the perpendicular clamped to the segment (to a
     when d.d is 0)."""
     a, denom = a[simplex], denom[simplex]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(_pair_dot(p - a, d, simplex, layout) / denom, 0.0, 1.0)
+        t = np.clip(_pair_dot(p - a, d, simplex, one_row) / denom, 0.0, 1.0)
     t[denom == 0] = 0.0
     return np.linalg.norm(p - (a + t[:, None] * d[simplex]), axis=1)
 
 
-def _pair_distances(p, simplex, const, layout):
+def _pair_distances(p, simplex, const, one_row):
     """Distance from each row of p to the target simplex paired with it."""
     if len(const) == 3:  # segments
-        return _clamped_foot_distance(p, *const, simplex, layout)
+        return _clamped_foot_distance(p, *const, simplex, one_row)
     a, u, v, t2, d, denom = const
     rel = p - a[simplex]
-    x = _pair_dot(rel, u, simplex, layout)
-    y = _pair_dot(rel, v, simplex, layout)
+    x = _pair_dot(rel, u, simplex, one_row)
+    y = _pair_dot(rel, v, simplex, one_row)
     perp2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - x * x - y * y, 0.0)
     p2 = np.column_stack([x, y])
     # barycentric inside test
@@ -607,7 +586,7 @@ def _pair_distances(p, simplex, const, layout):
     inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
     dist = np.where(inside, 0.0, np.inf)
     for i in range(3):
-        edge = _clamped_foot_distance(p2, t2[:, i], d[:, i], denom[:, i], simplex, layout)
+        edge = _clamped_foot_distance(p2, t2[:, i], d[:, i], denom[:, i], simplex, one_row)
         dist = np.minimum(dist, edge)
     return np.sqrt(dist * dist + perp2)
 
@@ -645,7 +624,7 @@ def _simplex_bounds(target: SimplicialSet, const):
 
 def _candidate_pairs(pts, target, const):
     """The (row, simplex) pairs of points and the simplices each can be
-    nearest to, ordered by simplex, then row.
+    nearest to, in no particular order.
 
     Upper bound: each point's ``ub`` is the kernel's own distance to the
     simplex of its nearest centroid. The winner's distance is at most
@@ -686,9 +665,7 @@ def _candidate_pairs(pts, target, const):
 
     centroids, radii, kappa, capsule = _simplex_bounds(target, const)
     nearest = cKDTree(centroids).query(pts)[1]
-    order = np.argsort(nearest, kind="stable")
-    ub = np.empty(len(pts))
-    ub[order] = _pair_distances(pts[order], nearest[order], const, _gemv_layout(nearest[order]))
+    ub = _pair_distances(pts, nearest, const, False)
     margin = 1e-6 * (1.0 + radii.max() + ub.max())
     band = np.frexp(np.maximum(ub, margin))[1]
     by_band = np.argsort(band, kind="stable")
@@ -708,11 +685,24 @@ def _candidate_pairs(pts, target, const):
         lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - radii[simplex]
     else:
         start, d, dd, h = capsule
-        lower = _clamped_foot_distance(pts[row], start, d, dd, simplex, None) - h[simplex]
+        lower = _clamped_foot_distance(pts[row], start, d, dd, simplex, True) - h[simplex]
     keep = lower <= ub[row] + kappa[simplex] + margin
-    row, simplex = row[keep], simplex[keep]
-    order = np.lexsort((row, simplex))
-    return row[order], simplex[order]
+    return row[keep], simplex[keep]
+
+
+_QUERY_BLOCK = 4096  # distinct query rows per candidate search and kernel pass
+
+
+def _query_points(points, target):
+    """The query points as an (N, n) float array for a target in R^n."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = target.ambient_dim
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"query points of shape {np.shape(points)} are not rows in R^{n}, "
+                         "the target's space")
+    if not np.isfinite(pts).all():
+        raise ValueError("query points must be finite")
+    return pts
 
 
 def nearest_simplex(points, target: SimplicialSet):
@@ -727,35 +717,38 @@ def nearest_simplex(points, target: SimplicialSet):
     kernel's distance to a kept simplex, so it can neither win nor tie.
     On the ``disk`` Hausdorff inputs that is about 4.7 pairs per point.
 
-    The kernel runs once, on all pairs sorted by simplex. Its products are
-    stacked matrix-vector products, which give each pair the bits of the
-    per-simplex ``rows @ vec`` whatever else is stacked with it; a
-    one-point call takes the dot path, as a one-row product does.
+    The search and the kernel run over blocks of ``_QUERY_BLOCK`` distinct
+    points, so memory stays bounded however many points come in. The
+    kernel's products are stacked matrix-vector products, which give each
+    pair the bits of the per-simplex ``rows @ vec`` whatever else is
+    stacked with it; a one-point call takes the dot path, as a one-row
+    product does.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _query_points(points, target)
     if target.is_empty() or len(pts) == 0:
         return np.full(len(pts), np.inf), np.full(len(pts), -1, dtype=np.int64)
     distinct, inverse = _distinct_rows(pts)
     const = _simplex_constants(target)
-    row, simplex = _candidate_pairs(distinct, target, const)
-    layout = None if len(pts) == 1 else _gemv_layout(simplex)
-    dist = _pair_distances(distinct[row], simplex, const, layout)
-    # per row, the smallest distance at the lowest simplex: the loop's
-    # first strict improvement; NaN sorts last and never wins
-    first = np.lexsort((simplex, dist, row))
-    first = first[np.r_[True, row[first[1:]] != row[first[:-1]]]]
-    found = first[dist[first] < np.inf]
     best = np.full(len(distinct), np.inf)
     index = np.full(len(distinct), -1, dtype=np.int64)
-    best[row[found]] = dist[found]
-    index[row[found]] = simplex[found]
+    for lo in range(0, len(distinct), _QUERY_BLOCK):
+        block = distinct[lo:lo + _QUERY_BLOCK]
+        row, simplex = _candidate_pairs(block, target, const)
+        dist = _pair_distances(block[row], simplex, const, len(pts) == 1)
+        # per row, the smallest distance at the lowest simplex: the loop's
+        # first strict improvement; NaN sorts last and never wins
+        first = np.lexsort((simplex, dist, row))
+        first = first[np.r_[True, row[first[1:]] != row[first[:-1]]]]
+        found = first[dist[first] < np.inf]
+        best[lo + row[found]] = dist[found]
+        index[lo + row[found]] = simplex[found]
     return best[inverse], index[inverse]
 
 
 def distance_to_set(points, target) -> np.ndarray:
     """Exact Euclidean distances from each point to a SimplicialSet or
     PointCloudSet (point-segment / point-triangle / nearest sample point)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _query_points(points, target)
     if isinstance(target, PointCloudSet):
         if len(target.points) == 0:
             return np.full(len(pts), np.inf)

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import (_canonical_signs, _first_edge_rejection, _gemv_layout, _pair_dot,
-                   _polygon_area, _rowdot)
+from .sets import _canonical_signs, _first_edge_rejection, _pair_dot, _polygon_area, _rowdot
 
 __all__ = [
     "interval_union_length",
@@ -402,9 +401,8 @@ def _coplanar_areas(tris, rows, group, n_groups):
     corners = tris[rows] - tris[t0[usable], 0][group][:, None, :]
     flat = corners.reshape(-1, tris.shape[2])
     row_group = np.repeat(group, 3)
-    layout = _gemv_layout(row_group)
-    points = np.column_stack([_pair_dot(flat, u[usable], row_group, layout),
-                              _pair_dot(flat, v[usable], row_group, layout)])
+    points = np.column_stack([_pair_dot(flat, u[usable], row_group, False),
+                              _pair_dot(flat, v[usable], row_group, False)])
     areas[usable] = _planar_union_areas(points, np.full(len(rows), 3), group,
                                         int(usable.sum()))
     return areas

@@ -213,6 +213,26 @@ class TestBLDistance:
         assert abs(forward.value - backward.value) <= widths + 1e-12
         assert bl_distance(v, w, "dictionary").value <= forward.detail["lp_upper"] + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nm=st.sampled_from([(2, 1), (3, 2)]),
+           sizes=st.tuples(st.integers(1, 32), st.integers(1, 32), st.integers(1, 32)),
+           translates=st.booleans())
+    def test_triangle_inequality_within_certificates(self, seed, nm, sizes, translates):
+        # each exact value lies within its certificate, so the inequality
+        # holds up to the sum of the three widths; the translates u,
+        # u + a e, u + (a + b) e make it an equality
+        rng = np.random.default_rng(seed)
+        u, v, w = (random_varifold(rng, count, *nm) for count in sizes)
+        if translates:
+            e = rng.standard_normal(nm[0])
+            e /= np.linalg.norm(e)
+            a, b = rng.uniform(0.0, 0.3, 2)
+            v, w = (DiscreteVarifold(*nm, u.positions + t * e, u.frames, u.masses)
+                    for t in (a, a + b))
+        reps = [bl_distance(x, y) for x, y in ((u, v), (v, w), (u, w))]
+        widths = sum(rep.detail["lp_upper"] - rep.detail["lp_lower"] for rep in reps)
+        assert reps[2].value <= reps[0].value + reps[1].value + widths + 1e-12
+
     def test_lp_certificate_exposes_graph_decay_error(self):
         # graph_decay k=32 at 256 atoms: HiGHS stops at its absolute
         # tolerances, about 1.9e-5 below the value certified by re-solving

@@ -3,6 +3,8 @@ bit for bit, and the index is the loop's first minimizer. The loop and its
 per-simplex point-segment and point-triangle kernels are kept here as the
 oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from varifoldlab.metrics import _sample_points
 from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
 from varifoldlab.scenarios import disk_set, get_family
 from varifoldlab import sets
-from varifoldlab.sets import (Ball, SimplicialSet, _distinct_rows, _nondegenerate,
-                              _simplex_constants, distance_to_set, nearest_simplex, restrict)
+from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _distinct_rows,
+                              _nondegenerate, _simplex_constants, distance_to_set,
+                              nearest_simplex, restrict)
 
 
 def point_segment_distance(points, a, b):
@@ -210,6 +213,61 @@ def test_empty_target_and_no_points():
     e = height_field_set(np.random.default_rng(0), 2, 0.1)
     dist, index = nearest_simplex(np.zeros((0, 3)), e)
     assert dist.shape == (0,) and index.shape == (0,)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("surface", [False, True])
+def test_blocks_match_one_pass(surface, block, monkeypatch):
+    # one-row blocks as well: the dot path follows the call's row count,
+    # not the block's
+    rng = np.random.default_rng(31 + surface)
+    target = height_field_set(rng, 4, 0.3) if surface else grid_polyline_set(rng, 4)
+    pts = query_points(rng, target, 60)
+    whole = nearest_simplex(pts, target)
+    monkeypatch.setattr(sets, "_QUERY_BLOCK", block)
+    blocked = nearest_simplex(pts, target)
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+    assert_matches_oracle(pts, target)
+
+
+def test_block_memory_does_not_grow_with_points(monkeypatch):
+    """Points up to 1.2 from a 960-triangle disk: far points have hundreds
+    of pre-filter pairs each, so one pass over 4x the points peaks at about
+    3.5x the memory. Blocks of 50 rows keep the peak flat."""
+    monkeypatch.setattr(sets, "_QUERY_BLOCK", 50)
+    target = disk_set(radius=1.0, angular=64, ring_radii=[k / 8 for k in range(1, 9)])
+    rng = np.random.default_rng(5)
+    nearest_simplex(np.zeros((2, 3)), target)  # imports scipy outside the trace
+    peaks = []
+    for count in (250, 1000):
+        pts = np.column_stack([rng.uniform(-1.2, 1.2, (count, 2)), rng.uniform(-0.3, 0.3, count)])
+        tracemalloc.start()
+        try:
+            nearest_simplex(pts, target)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("target", [
+    SimplicialSet.from_segments([np.array([[0.0, 0.0], [1.0, 0.0]])]),
+    SimplicialSet.empty(2, 1),
+    PointCloudSet(2, 0, np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2)),
+    PointCloudSet(2, 0, np.zeros((0, 2)), np.zeros(0)),
+], ids=["segment", "empty", "cloud", "empty-cloud"])
+def test_bad_query_points(target):
+    calls = [distance_to_set]
+    if isinstance(target, SimplicialSet):
+        calls.append(nearest_simplex)
+    for call in calls:
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) are not rows in R\^2"):
+            call(np.zeros((3, 3)), target)
+        with pytest.raises(ValueError, match=r"shape \(2, 1\) are not rows in R\^2"):
+            call(np.zeros((2, 1)), target)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                call(np.array([[0.0, 0.0], [bad, 0.0]]), target)
 
 
 def test_simplex_with_one_candidate_row():

@@ -9,8 +9,8 @@ from varifoldlab.geometry import axis_plane, haar_sample
 from varifoldlab.integrands import competitor_registry
 from varifoldlab.quasimin import make_deformation
 from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, SimplicialSet, _clip,
-                              _gemv_layout, _in_plane_corners, _nondegenerate, _pair_dot,
-                              _plane_rows, _polygon_area, _rowdot, _simplex_measures,
+                              _in_plane_corners, _nondegenerate, _pair_dot, _plane_rows,
+                              _polygon_area, _rowdot, _simplex_measures,
                               _simplex_measures_and_frames, ahlfors_ratios, distance_to_set,
                               load_set, measure, rescale, restrict, save_set, translate)
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
@@ -372,31 +372,30 @@ class TestRowdot:
 
 
 class TestGroupedMatvec:
-    """The invariant of the batched distance kernel: a stack of padded
-    (_GEMV_ROWS, k) @ (k, 1) products gives each row the bits of the BLAS
-    matrix-vector product ``rows @ vec`` over its group's rows (a group of
-    one row as a duplicated two-row input). A one-row product takes the dot
-    path and differs on some rows, which is why blocks are padded with rows
-    of their own group. A numpy or BLAS upgrade that breaks it fails here
-    first."""
+    """The invariant of the batched distance kernel: a stack of (2, k) @
+    (k, 1) products, each row stacked on a copy of itself, gives each row
+    the bits of the BLAS matrix-vector product ``rows @ vec`` over its
+    group's rows (a group of one row as a duplicated two-row input). A
+    one-row product takes the dot path and differs on some rows, which is
+    why each row is stacked on its copy. A numpy or BLAS upgrade that
+    breaks it fails here first."""
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_padded_stack_matches_per_group_product(self, k):
         rng = np.random.default_rng(k)
         sizes = np.arange(1, 18)
         group = np.repeat(np.arange(len(sizes)), sizes)
-        layout = _gemv_layout(group)
         differs = 0
         for _ in range(100):
             x = rng.standard_normal((len(group), k)) * 10.0 ** rng.integers(-6, 6, (len(group), 1))
             vecs = rng.standard_normal((len(sizes), k))
-            got = _pair_dot(x, vecs, group, layout)
+            got = _pair_dot(x, vecs, group, False)
             for g, size in enumerate(sizes):
                 rows = x[group == g]
                 want = (rows if size > 1 else rows[[0, 0]]) @ vecs[g]
                 assert np.array_equal(got[group == g], want[:size])
             one_row = np.array([(x[i:i + 1] @ vecs[g])[0] for i, g in enumerate(group)])
-            assert np.array_equal(_pair_dot(x, vecs, group, None), one_row)
+            assert np.array_equal(_pair_dot(x, vecs, group, True), one_row)
             differs += int((one_row != got).sum())
         assert differs > 0
 
