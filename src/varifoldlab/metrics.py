@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
-from .sets import Ball, PointCloudSet, SimplicialSet, _clip, _rowdot, distance_to_set, restrict
+from .sets import (Ball, PointCloudSet, SimplicialSet, _clip, _rowdot, _sup_distance,
+                   distance_to_set, restrict)
 from .unions import interval_union_length, polygon_union_area
 from .varifold import DiscreteVarifold, unit_ball_volume
 
@@ -95,7 +96,10 @@ def _one_sided_sup(source_clipped, target, r, samples):
 
     Each refinement level measures only its new lattice points: the points
     of the level before are bitwise among them, so the max over the level
-    is the max of the previous sup and the new points' distances."""
+    is the max of the previous sup and the new points' distances. That max
+    is ``sets._sup_distance`` with the previous sup as its floor, which
+    evaluates only the new points whose upper bound exceeds the running
+    sup; the skipped ones cannot raise it."""
     if isinstance(source_clipped, PointCloudSet):
         if len(source_clipped.points) == 0:
             return 0.0, 0.0
@@ -107,17 +111,11 @@ def _one_sided_sup(source_clipped, target, r, samples):
     per = max(1, int(np.ceil(samples / n_simplices)))
     level = max(0, int(np.ceil(np.log2(per))))
     prev = -np.inf
-    sup, gap = 0.0, 0.0
+    sup, gap = -np.inf, 0.0
     for lv in range(level, level + 8):
         pts, gap = _sample_points(source_clipped, lv)
-        if lv == level:
-            sup = float(distance_to_set(pts, target).max())
-        else:
-            new = pts[np.tile(_lattice(source_clipped.dim, lv)[1], n_simplices)]
-            if len(new) == 1:
-                # a one-point call takes the dot path; the full level would not
-                new = new[[0, 0]]
-            sup = float(np.max(np.r_[sup, distance_to_set(new, target)]))
+        new = pts if lv == level else pts[np.tile(_lattice(source_clipped.dim, lv)[1], n_simplices)]
+        sup = _sup_distance(new, target, sup)
         if prev >= 0 and sup - prev < SUP_REFINE_TOL * r:
             break
         if len(pts) > 200_000:
@@ -143,6 +141,13 @@ class HausdorffReport:
 
 
 def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffReport:
+    """The two one-sided sups of ``hausdorff_local`` and their sum over r,
+    with the sampling resolution. Each sup is exact over its samples: a
+    sample is measured only when its upper bound, the kernel's distance to
+    the simplices of its nearest centroids, exceeds the sup reached so far,
+    and a skipped sample's distance is at most that bound, so it could not
+    raise the sup. Each side's target terms are built once, on its first
+    query (``sets._DistanceIndex``), and serve every level."""
     if r <= 0:
         raise ValueError("radius must be positive")
     if samples < 1:

@@ -19,16 +19,24 @@ itself.
 
 Point-simplex distance is one batched kernel over (point, candidate
 simplex) pairs, ``_pair_distances``: it evaluates each bitwise-distinct
-query point once, on the simplices that can be nearest to it (a bound
-from the kernel itself against centroid-sphere and longest-edge capsule
-bounds), with the bits of the per-simplex loop it replaced.
+query point once, on the simplices that can be nearest to it (an upper
+bound from the kernel itself on the simplices of the nearest centroids,
+against centroid-sphere and longest-edge capsule lower bounds), with the
+bits of the per-simplex loop it replaced. The target's terms of that
+search, ``_DistanceIndex``, are built on a set's first distance query
+and kept with it (scipy is imported then, not with the package). The
+Hausdorff sup, ``_sup_distance``, runs the search only on the points
+whose upper bound exceeds the sup reached so far: the others cannot
+raise it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -235,6 +243,12 @@ class SimplicialSet:
 
     def is_empty(self) -> bool:
         return len(self.simplices) == 0
+
+    @cached_property
+    def _distance_index(self):
+        """The terms that distance queries against this set read
+        (``_DistanceIndex``), built on the first such query and kept."""
+        return _build_distance_index(self)
 
     @classmethod
     def empty(cls, ambient_dim: int, dim: int) -> "SimplicialSet":
@@ -622,15 +636,53 @@ def _simplex_bounds(target: SimplicialSet, const):
     return centroids, radii, kappa, (start, d, dd, h)
 
 
-def _candidate_pairs(pts, target, const):
-    """The (row, simplex) pairs of points and the simplices each can be
-    nearest to, in no particular order.
+class _DistanceIndex(NamedTuple):
+    """A target's terms of the distance kernel and its candidate search:
+    ``const`` of ``_simplex_constants``, the centroids, radii, frame slacks
+    and longest-edge capsules of ``_simplex_bounds``, and a cKDTree of the
+    centroids. ``SimplicialSet._distance_index`` builds it once per set."""
 
-    Upper bound: each point's ``ub`` is the kernel's own distance to the
-    simplex of its nearest centroid. The winner's distance is at most
-    ``ub``, and that simplex is never dropped. (The distance to a vertex or
-    centroid would bound the true distance, not the kernel's, and on a
-    sliver the two differ by more than the margin.)
+    const: tuple
+    centroids: np.ndarray
+    radii: np.ndarray
+    kappa: np.ndarray
+    capsule: Optional[tuple]
+    tree: object
+
+
+def _build_distance_index(target: SimplicialSet) -> _DistanceIndex:
+    from scipy.spatial import cKDTree
+
+    const = _simplex_constants(target)
+    centroids, radii, kappa, capsule = _simplex_bounds(target, const)
+    return _DistanceIndex(const, centroids, radii, kappa, capsule, cKDTree(centroids))
+
+
+BOUND_NEIGHBOURS = 4  # nearest centroids whose simplices give each point's upper bound
+_QUERY_BLOCK = 4096  # distinct query rows per candidate search and kernel pass
+
+
+def _upper_bounds(pts, index):
+    """Each point's ``ub``: the least kernel distance, on the product path,
+    to the simplices of its ``BOUND_NEIGHBOURS`` nearest centroids (NaN
+    where every one of them is NaN). The point's distance to the set, the
+    least over all simplices, is at most ``ub``."""
+    k = min(BOUND_NEIGHBOURS, len(index.radii))
+    near = index.tree.query(pts, k=k)[1].reshape(-1)
+    dist = _pair_distances(np.repeat(pts, k, axis=0), near, index.const, False)
+    return np.fmin.reduce(dist.reshape(-1, k), axis=1)
+
+
+def _candidate_pairs(pts, index, ub):
+    """The (row, simplex) pairs of points and the simplices each can be
+    nearest to, in no particular order, given each point's ``ub`` from
+    ``_upper_bounds``.
+
+    Upper bound: ``ub`` is the kernel's own distance to some simplex, so
+    the winner's distance is at most ``ub``, and that simplex is never
+    dropped. (The distance to a vertex or centroid would bound the true
+    distance, not the kernel's, and on a sliver the two differ by more
+    than the margin.)
 
     Lower bounds: no point of a simplex lies farther than ``R_s`` from its
     centroid, and no point of a triangle lies farther than ``h_s`` from its
@@ -663,9 +715,7 @@ def _candidate_pairs(pts, target, const):
     """
     from scipy.spatial import cKDTree
 
-    centroids, radii, kappa, capsule = _simplex_bounds(target, const)
-    nearest = cKDTree(centroids).query(pts)[1]
-    ub = _pair_distances(pts, nearest, const, False)
+    centroids, radii, kappa, capsule = index.centroids, index.radii, index.kappa, index.capsule
     margin = 1e-6 * (1.0 + radii.max() + ub.max())
     band = np.frexp(np.maximum(ub, margin))[1]
     by_band = np.argsort(band, kind="stable")
@@ -690,7 +740,22 @@ def _candidate_pairs(pts, target, const):
     return row[keep], simplex[keep]
 
 
-_QUERY_BLOCK = 4096  # distinct query rows per candidate search and kernel pass
+def _nearest(pts, index, ub, one_row):
+    """Distance and first nearest simplex of each distinct row of ``pts``,
+    over the pairs that ``_candidate_pairs`` keeps (inf and -1 where no
+    pair's distance is below inf)."""
+    row, simplex = _candidate_pairs(pts, index, ub)
+    dist = _pair_distances(pts[row], simplex, index.const, one_row)
+    # per row, the smallest distance at the lowest simplex: the loop's
+    # first strict improvement; NaN sorts last and never wins
+    first = np.lexsort((simplex, dist, row))
+    first = first[np.r_[True, row[first[1:]] != row[first[:-1]]]]
+    found = first[dist[first] < np.inf]
+    best = np.full(len(pts), np.inf)
+    nearest = np.full(len(pts), -1, dtype=np.int64)
+    best[row[found]] = dist[found]
+    nearest[row[found]] = simplex[found]
+    return best, nearest
 
 
 def _query_points(points, target):
@@ -705,6 +770,10 @@ def _query_points(points, target):
     return pts
 
 
+def _blocks(rows):
+    return (rows[lo:lo + _QUERY_BLOCK] for lo in range(0, len(rows), _QUERY_BLOCK))
+
+
 def nearest_simplex(points, target: SimplicialSet):
     """Exact Euclidean distance from each point to a SimplicialSet, and the
     index of its first nearest simplex (-1 on an empty set).
@@ -715,9 +784,11 @@ def nearest_simplex(points, target: SimplicialSet):
     simplices that ``_candidate_pairs`` keeps: a dropped simplex's kernel
     distance is provably above the point's upper bound ``ub``, itself the
     kernel's distance to a kept simplex, so it can neither win nor tie.
-    On the ``disk`` Hausdorff inputs that is about 4.7 pairs per point.
+    On the ``disk`` Hausdorff inputs that is about 4.8 pairs per point,
+    after the ``BOUND_NEIGHBOURS`` pairs of ``ub``.
 
-    The search and the kernel run over blocks of ``_QUERY_BLOCK`` distinct
+    The target's terms are built once per set (``_DistanceIndex``). The
+    search and the kernel run over blocks of ``_QUERY_BLOCK`` distinct
     points, so memory stays bounded however many points come in. The
     kernel's products are stacked matrix-vector products, which give each
     pair the bits of the per-simplex ``rows @ vec`` whatever else is
@@ -728,21 +799,46 @@ def nearest_simplex(points, target: SimplicialSet):
     if target.is_empty() or len(pts) == 0:
         return np.full(len(pts), np.inf), np.full(len(pts), -1, dtype=np.int64)
     distinct, inverse = _distinct_rows(pts)
-    const = _simplex_constants(target)
-    best = np.full(len(distinct), np.inf)
-    index = np.full(len(distinct), -1, dtype=np.int64)
-    for lo in range(0, len(distinct), _QUERY_BLOCK):
-        block = distinct[lo:lo + _QUERY_BLOCK]
-        row, simplex = _candidate_pairs(block, target, const)
-        dist = _pair_distances(block[row], simplex, const, len(pts) == 1)
-        # per row, the smallest distance at the lowest simplex: the loop's
-        # first strict improvement; NaN sorts last and never wins
-        first = np.lexsort((simplex, dist, row))
-        first = first[np.r_[True, row[first[1:]] != row[first[:-1]]]]
-        found = first[dist[first] < np.inf]
-        best[lo + row[found]] = dist[found]
-        index[lo + row[found]] = simplex[found]
-    return best[inverse], index[inverse]
+    index = target._distance_index
+    parts = [_nearest(block, index, _upper_bounds(block, index), len(pts) == 1)
+             for block in _blocks(distinct)]
+    best, nearest = (np.concatenate(part) for part in zip(*parts))
+    return best[inverse], nearest[inverse]
+
+
+def _sup_distance(points, target, floor: float) -> float:
+    """``max(floor, distance_to_set(points, target).max())`` bit for bit,
+    with the kernel's product path that every call of two or more rows
+    takes, evaluating only the points whose distance can reach it.
+
+    Each distinct point's ``ub`` from ``_upper_bounds`` is at least its
+    distance (a NaN ``ub`` counts as +inf). Points are evaluated in order
+    of decreasing ``ub``: first the largest alone, whose distance raises
+    the running sup from ``floor``, then blocks of ``_QUERY_BLOCK``, each
+    raising it further. A point whose ``ub`` is at most the running sup is
+    skipped, which is exact: its distance cannot exceed a value that the
+    sup already holds. This is the early break of Taha and Hanbury's exact
+    Hausdorff distance (IEEE TPAMI 2015), on the kernel's own bound. A
+    PointCloudSet target takes every point's ``distance_to_set``.
+    """
+    pts = _query_points(points, target)
+    if isinstance(target, PointCloudSet):
+        return float(np.max(np.r_[floor, distance_to_set(pts, target)]))
+    if len(pts) == 0:
+        return float(floor)
+    if target.is_empty():
+        return float(np.inf)
+    distinct = _distinct_rows(pts)[0]
+    index = target._distance_index
+    ub = np.concatenate([_upper_bounds(block, index) for block in _blocks(distinct)])
+    bound = np.where(np.isnan(ub), np.inf, ub)
+    sup, step = float(floor), 1
+    todo = np.argsort(-bound, kind="stable")
+    while len(todo := todo[bound[todo] > sup]):
+        block = todo[:step]
+        sup = float(np.max(np.r_[sup, _nearest(distinct[block], index, ub[block], False)[0]]))
+        todo, step = todo[step:], _QUERY_BLOCK
+    return sup
 
 
 def distance_to_set(points, target) -> np.ndarray:

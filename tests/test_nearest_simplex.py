@@ -3,7 +3,9 @@ bit for bit, and the index is the loop's first minimizer. The loop and its
 per-simplex point-segment and point-triangle kernels are kept here as the
 oracle."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from test_sets import thin_triangles
 from varifoldlab.geometry import Plane
-from varifoldlab.metrics import _sample_points
+from varifoldlab.metrics import _sample_points, hausdorff_local_report
 from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
 from varifoldlab.scenarios import disk_set, get_family
 from varifoldlab import sets
 from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _distinct_rows,
-                              _nondegenerate, _simplex_constants, distance_to_set,
+                              _nondegenerate, distance_to_set,
                               nearest_simplex, restrict)
 
 
@@ -307,7 +309,7 @@ def test_disk_hausdorff_inputs(r):
 
 
 def test_disk_hausdorff_candidate_pairs():
-    """The candidate search sends the exact kernel about 4.7 pairs per
+    """The candidate search sends the exact kernel about 4.8 pairs per
     distinct point on the disk k=1 Hausdorff inputs; more than 6 means a
     bound got looser."""
     fam = get_family("disk")
@@ -320,10 +322,115 @@ def test_disk_hausdorff_candidate_pairs():
             level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(clipped.simplices))))))))
             for lv in (level, level + 1):
                 distinct = _distinct_rows(_sample_points(clipped, lv)[0])[0]
-                row, _ = sets._candidate_pairs(distinct, target, _simplex_constants(target))
+                index = target._distance_index
+                row, _ = sets._candidate_pairs(distinct, index, sets._upper_bounds(distinct, index))
                 pairs += len(row)
                 points += len(distinct)
     assert pairs <= 6 * points
+
+
+def segment_soup(rng, n):
+    """Random segments of R^n, some sharing an end, at one random scale."""
+    ends = rng.standard_normal((int(rng.integers(1, 30)), 2, n)) * rng.uniform(0.01, 3.0)
+    shared = rng.random(len(ends)) < 0.3
+    ends[1:, 0][shared[1:]] = ends[:-1, 1][shared[1:]]
+    return SimplicialSet.from_segments(ends)
+
+
+def sup_points(rng, target, count):
+    """Points of the target's simplices, the same moved off by 1e-12 to
+    1e-1, far points and vertices, with duplicates."""
+    corners = target.vertices[target.simplices[rng.integers(0, len(target.simplices), count)]]
+    on = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(target.dim + 1), count), corners)
+    off = on + rng.standard_normal(on.shape) * 10.0 ** rng.uniform(-12, -1, (count, 1))
+    far = 1e3 * rng.standard_normal((max(1, count // 10), target.ambient_dim))
+    pts = np.concatenate([on, off, far, target.vertices[:count]])
+    return rng.permutation(np.concatenate([pts, pts[rng.integers(0, len(pts), count // 2)]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["segments", "triangles", "slivers"]),
+       count=st.integers(1, 120),
+       floor=st.sampled_from(["-inf", "below", "just below", "equal", "above", "inf"]))
+def test_sup_distance_matches_oracle(seed, kind, count, floor):
+    """The early-break sup is max(floor, the oracle's largest distance) bit
+    for bit. The oracle runs on the points doubled, so that even a single
+    point takes the product path, as every exact evaluation of the sup does."""
+    rng = np.random.default_rng(seed)
+    if kind == "segments":
+        target = segment_soup(rng, int(rng.integers(2, 4)))
+    elif kind == "triangles":
+        target = height_field_set(rng, int(rng.integers(1, 6)), float(rng.choice([0.0, 1e-9, 0.3])))
+    else:
+        target = sliver_targets(rng)
+    pts = sup_points(rng, target, count)
+    for points in (pts, pts[:1], pts[np.zeros(5, dtype=int)]):
+        sup = oracle(np.concatenate([points, points]), target)[0].max()
+        low = {"-inf": -np.inf, "below": 0.5 * sup, "just below": np.nextafter(sup, -np.inf),
+               "equal": sup, "above": 2.0 * sup + 1.0, "inf": np.inf}[floor]
+        got = sets._sup_distance(points, target, low)
+        assert type(got) is float and got == max(low, sup)
+
+
+def test_sup_distance_on_empty_inputs_and_clouds():
+    rng = np.random.default_rng(2)
+    target = height_field_set(rng, 2, 0.1)
+    cloud = PointCloudSet(3, 0, rng.standard_normal((20, 3)), np.ones(20))
+    pts = rng.standard_normal((30, 3))
+    sup = distance_to_set(pts, cloud).max()
+    for floor in (-np.inf, 0.0, 1.5, np.inf):
+        assert sets._sup_distance(np.zeros((0, 3)), target, floor) == floor
+        assert sets._sup_distance(np.zeros((2, 3)), SimplicialSet.empty(3, 2), floor) == np.inf
+        assert sets._sup_distance(pts, cloud, floor) == max(floor, sup)
+
+
+def fresh(e):
+    """A copy of a set with no distance index yet."""
+    return SimplicialSet(e.ambient_dim, e.dim, e.vertices, e.simplices)
+
+
+def test_distance_index_built_once_per_set(monkeypatch):
+    """A Hausdorff report refines each side over several levels, and a
+    long nearest_simplex call runs many blocks; each target set's terms
+    are built once for all of them."""
+    built = []
+    bounds = sets._simplex_bounds
+    monkeypatch.setattr(sets, "_simplex_bounds",
+                        lambda target, const: built.append(target) or bounds(target, const))
+    fam = get_family("disk")
+    e, limit = fresh(fam.make(1)), fresh(fam.limit())
+    for r in fam.base_radii:
+        hausdorff_local_report(e, limit, fam.base_point, r)
+    assert len(built) == 2 and {id(s) for s in built} == {id(e), id(limit)}
+    built.clear()
+    monkeypatch.setattr(sets, "_QUERY_BLOCK", 50)
+    target = fresh(limit)
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (400, 3))
+    nearest_simplex(pts, target)
+    nearest_simplex(pts[:1], target)
+    assert len(built) == 1 and built[0] is target
+
+
+def test_distance_index_shared_across_threads():
+    """run_scenario's per-k threads query one limit set at once; each gets
+    the answer of a single thread, whichever builds the set's terms."""
+    limit = get_family("disk").limit()
+    pts = np.random.default_rng(12).uniform(-1.0, 1.0, (300, 3))
+    want = nearest_simplex(pts, fresh(limit))
+    want_sup = sets._sup_distance(pts, fresh(limit), -np.inf)
+    target = fresh(limit)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            near = [pool.submit(nearest_simplex, pts, target) for _ in range(8)]
+            sup = [pool.submit(sets._sup_distance, pts, target, -np.inf) for _ in range(8)]
+            got = [f.result(timeout=120) for f in near]
+            got_sup = [f.result(timeout=120) for f in sup]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(np.array_equal(d, want[0]) and np.array_equal(i, want[1]) for d, i in got)
+    assert got_sup == [want_sup] * 8
 
 
 def test_tangent_project_uses_first_nearest_simplex():
