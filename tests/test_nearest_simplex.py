@@ -188,10 +188,10 @@ def sliver_targets(rng):
 
 
 def points_on_off_and_far(rng, target, count):
-    """Points of the target's triangles, the same points moved off them by
+    """Points of the target's simplices, the same points moved off them by
     1e-12 to 1e-1, and points about 1e3 away, in one input."""
     corners = target.vertices[target.simplices[rng.integers(0, len(target.simplices), count)]]
-    weights = rng.dirichlet(np.ones(3), count)
+    weights = rng.dirichlet(np.ones(target.dim + 1), count)
     on = np.einsum("ij,ijk->ik", weights, corners)
     off = on + rng.standard_normal(on.shape) * 10.0 ** rng.uniform(-12, -1, (count, 1))
     far = 1e3 * rng.standard_normal((max(1, count // 10), target.ambient_dim))
@@ -337,17 +337,6 @@ def segment_soup(rng, n):
     return SimplicialSet.from_segments(ends)
 
 
-def sup_points(rng, target, count):
-    """Points of the target's simplices, the same moved off by 1e-12 to
-    1e-1, far points and vertices, with duplicates."""
-    corners = target.vertices[target.simplices[rng.integers(0, len(target.simplices), count)]]
-    on = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(target.dim + 1), count), corners)
-    off = on + rng.standard_normal(on.shape) * 10.0 ** rng.uniform(-12, -1, (count, 1))
-    far = 1e3 * rng.standard_normal((max(1, count // 10), target.ambient_dim))
-    pts = np.concatenate([on, off, far, target.vertices[:count]])
-    return rng.permutation(np.concatenate([pts, pts[rng.integers(0, len(pts), count // 2)]]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["segments", "triangles", "slivers"]),
        count=st.integers(1, 120),
@@ -363,7 +352,8 @@ def test_sup_distance_matches_oracle(seed, kind, count, floor):
         target = height_field_set(rng, int(rng.integers(1, 6)), float(rng.choice([0.0, 1e-9, 0.3])))
     else:
         target = sliver_targets(rng)
-    pts = sup_points(rng, target, count)
+    pts = points_on_off_and_far(rng, target, count)
+    pts = np.concatenate([pts, pts[rng.integers(0, len(pts), count // 2)]])  # duplicates
     for points in (pts, pts[:1], pts[np.zeros(5, dtype=int)]):
         sup = oracle(np.concatenate([points, points]), target)[0].max()
         low = {"-inf": -np.inf, "below": 0.5 * sup, "just below": np.nextafter(sup, -np.inf),
