@@ -47,11 +47,13 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
 
     Modified Gram-Schmidt with one re-orthogonalization pass. Raises
     DegenerateFrameError if a column's residual norm falls below 1e-12
-    relative to its original norm.
+    relative to its original norm, and ValueError on non-finite input.
     """
     v = np.array(vectors, dtype=float)
     if v.ndim != 2:
         raise ValueError("expected a 2-d array of column vectors")
+    if not np.isfinite(v).all():
+        raise ValueError("frame vectors must be finite")
     n, m = v.shape
     if m > n:
         raise DimensionMismatchError(f"cannot span {m} dimensions in R^{n}")
@@ -91,6 +93,8 @@ class Plane:
         n, m = f.shape
         if not (1 <= m <= n):
             raise DimensionMismatchError(f"need 1 <= m <= n, got n={n}, m={m}")
+        if not np.isfinite(f).all():
+            raise ValueError("plane frame must be finite")
         gram = f.T @ f
         if np.max(np.abs(gram - np.eye(m))) > 1e-8:
             f = orthonormalize(f)

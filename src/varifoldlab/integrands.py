@@ -201,10 +201,17 @@ def load_tabulated_integrand(path) -> Integrand:
     yg = np.asarray(doc["y_grid"], dtype=float)
     tg = np.asarray(doc["theta_grid"], dtype=float)
     vals = np.asarray(doc["values"], dtype=float)  # (len(xg), len(yg), len(tg))
+    for name, grid, least in (("x_grid", xg, 2), ("y_grid", yg, 2), ("theta_grid", tg, 1)):
+        if (grid.ndim != 1 or len(grid) < least or not np.isfinite(grid).all()
+                or np.any(np.diff(grid) <= 0)):
+            raise ValueError(f"{name} must hold at least {least} finite, strictly "
+                             "increasing values")
+    if tg[0] < 0 or tg[-1] >= np.pi:
+        raise ValueError("theta_grid must lie in [0, pi)")
     if vals.shape != (len(xg), len(yg), len(tg)):
         raise ValueError("values shape does not match grids")
-    if vals.min() <= 0:
-        raise ValueError("integrand values must be positive")
+    if not (np.isfinite(vals).all() and vals.min() > 0):
+        raise ValueError("integrand values must be finite and positive")
 
     def interp_axis(grid, q):
         q = np.clip(q, grid[0], grid[-1])

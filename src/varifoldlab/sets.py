@@ -21,13 +21,13 @@ Point-simplex distance is one batched kernel over (point, candidate
 simplex) pairs, ``_pair_distances``: it evaluates each bitwise-distinct
 query point once, on the simplices that can be nearest to it (an upper
 bound from the kernel itself on the simplices of the nearest centroids,
-against centroid-sphere and longest-edge capsule lower bounds), with the
-bits of the per-simplex loop it replaced. The target's terms of that
-search, ``_DistanceIndex``, are built on a set's first distance query
-and kept with it (scipy is imported then, not with the package). The
-Hausdorff sup, ``_sup_distance``, runs the search only on the points
-whose upper bound exceeds the sup reached so far: the others cannot
-raise it.
+against a centroid-sphere pre-filter and a longest-edge capsule lower
+bound), with the bits of the per-simplex loop it replaced. The target's
+terms of that search, ``_DistanceIndex``, are built on a set's first
+distance query and kept with it (scipy is imported then, not with the
+package). The Hausdorff sup, ``_sup_distance``, runs the search only on
+the points whose upper bound exceeds the sup reached so far: the others
+cannot raise it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -538,17 +538,15 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
     return out
 
 
-def _pair_dot(x, vecs, simplex, one_row):
+def _pair_dot(x, vecs, simplex):
     """``x[i] . vecs[simplex[i]]`` for each row i of x.
 
     Each row is stacked on a copy of itself, and a stack of (2, k) @ (k, 1)
     products gives it the bits of the BLAS matrix-vector product
-    ``rows @ vec`` over the rows of its simplex, however many there are.
-    With ``one_row``, ``_rowdot``: the BLAS dot that a one-row product
-    takes instead.
+    ``rows @ vec`` over the rows of its simplex, however many there are; a
+    simplex's lone row gets the bits of that row stacked twice (a one-row
+    product takes the BLAS dot instead, whose bits differ).
     """
-    if one_row:
-        return _rowdot(x, vecs[simplex])
     return (np.stack([x, x], axis=1) @ vecs[simplex][:, :, None])[:, 0, 0]
 
 
@@ -568,25 +566,25 @@ def _simplex_constants(target: SimplicialSet):
     return a, u, v, t2, d, _rowdot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(-1, 3)
 
 
-def _clamped_foot_distance(p, a, d, denom, simplex, one_row):
+def _clamped_foot_distance(p, a, d, denom, simplex):
     """Distances from the rows of p to the segments [a, a + d] of their
     simplices: the foot of the perpendicular clamped to the segment (to a
     when d.d is 0)."""
     a, denom = a[simplex], denom[simplex]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(_pair_dot(p - a, d, simplex, one_row) / denom, 0.0, 1.0)
+        t = np.clip(_pair_dot(p - a, d, simplex) / denom, 0.0, 1.0)
     t[denom == 0] = 0.0
     return np.linalg.norm(p - (a + t[:, None] * d[simplex]), axis=1)
 
 
-def _pair_distances(p, simplex, const, one_row):
+def _pair_distances(p, simplex, const):
     """Distance from each row of p to the target simplex paired with it."""
     if len(const) == 3:  # segments
-        return _clamped_foot_distance(p, *const, simplex, one_row)
+        return _clamped_foot_distance(p, *const, simplex)
     a, u, v, t2, d, denom = const
     rel = p - a[simplex]
-    x = _pair_dot(rel, u, simplex, one_row)
-    y = _pair_dot(rel, v, simplex, one_row)
+    x = _pair_dot(rel, u, simplex)
+    y = _pair_dot(rel, v, simplex)
     perp2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - x * x - y * y, 0.0)
     p2 = np.column_stack([x, y])
     # barycentric inside test
@@ -600,7 +598,7 @@ def _pair_distances(p, simplex, const, one_row):
     inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
     dist = np.where(inside, 0.0, np.inf)
     for i in range(3):
-        edge = _clamped_foot_distance(p2, t2[:, i], d[:, i], denom[:, i], simplex, one_row)
+        edge = _clamped_foot_distance(p2, t2[:, i], d[:, i], denom[:, i], simplex)
         dist = np.minimum(dist, edge)
     return np.sqrt(dist * dist + perp2)
 
@@ -608,14 +606,16 @@ def _pair_distances(p, simplex, const, one_row):
 def _simplex_bounds(target: SimplicialSet, const):
     """Per-simplex terms of the candidate search: each centroid, the
     bounding radius ``R_s`` about it, the frame slack ``kappa_s`` (see
-    ``_candidate_pairs``) and, for triangles, the longest edge (its first
-    end, direction and ``d.d``) with the third corner's distance ``h_s``
-    from it."""
+    ``_candidate_pairs``) and the capsule: the longest edge (its first
+    end, direction and ``d.d``) and ``h_s``, the third corner's distance
+    from it. A segment is its own longest edge, so its capsule is the
+    kernel's terms with ``h_s = 0``."""
     corners = target.vertices[target.simplices]  # (S, m+1, n)
     centroids = corners.mean(axis=1)
     radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
     if target.dim == 1:
-        return centroids, radii, np.zeros_like(radii), None
+        zeros = np.zeros_like(radii)
+        return centroids, radii, zeros, (*const, zeros)
     edges = np.roll(corners, -1, axis=1) - corners  # edge i runs from corner i to corner i + 1
     length2 = np.einsum("sij,sij->si", edges, edges)
     at = np.argmax(length2, axis=1)
@@ -646,7 +646,7 @@ class _DistanceIndex(NamedTuple):
     centroids: np.ndarray
     radii: np.ndarray
     kappa: np.ndarray
-    capsule: Optional[tuple]
+    capsule: tuple
     tree: object
 
 
@@ -669,7 +669,7 @@ def _upper_bounds(pts, index):
     least over all simplices, is at most ``ub``."""
     k = min(BOUND_NEIGHBOURS, len(index.radii))
     near = index.tree.query(pts, k=k)[1].reshape(-1)
-    dist = _pair_distances(np.repeat(pts, k, axis=0), near, index.const, False)
+    dist = _pair_distances(np.repeat(pts, k, axis=0), near, index.const)
     return np.fmin.reduce(dist.reshape(-1, k), axis=1)
 
 
@@ -684,11 +684,11 @@ def _candidate_pairs(pts, index, ub):
     distance, not the kernel's, and on a sliver the two differ by more
     than the margin.)
 
-    Lower bounds: no point of a simplex lies farther than ``R_s`` from its
-    centroid, and no point of a triangle lies farther than ``h_s`` from its
-    longest edge (both angles at that edge are acute). So a segment is
-    dropped when ``|p - centroid| - R_s``, and a triangle when
-    ``dist(p, longest edge) - h_s``, exceeds ``ub + kappa_s + margin``.
+    Lower bound: no point of a triangle lies farther than ``h_s`` from its
+    longest edge (both angles at that edge are acute), so a simplex is
+    dropped when ``dist(p, longest edge) - h_s`` exceeds
+    ``ub + kappa_s + margin``. A segment is its own longest edge, with
+    ``h_s = 0``: its bound is the kernel's own distance to it, bit for bit.
 
     ``kappa_s`` is 0 for segments. A triangle's kernel measures p against
     its frame (u, v), and on a sliver that frame is not orthonormal: near
@@ -702,12 +702,13 @@ def _candidate_pairs(pts, index, ub):
     the kernel's evaluation, so no dropped simplex can round to a distance
     at or below a kept one's. The largest such error is the ``perp2``
     cancellation of the triangle distance, a few 1e-8 * |p - a|, and a
-    point near a bound has |p - a| <= ub + 3 R_s. It also covers the
-    product path: ``ub`` comes from the stacked matrix-vector products, and
-    a one-point call evaluates on the dot path.
+    point near a bound has |p - a| <= ub + 3 R_s. ``ub``, the capsule
+    distance and the kernel all take the stacked matrix-vector products
+    of ``_pair_dot``.
 
-    Before either test, the sphere bound runs from the simplex side as a
-    pre-filter: each simplex queries the points within
+    Before that test, a sphere bound runs from the simplex side as a
+    pre-filter (no point of a simplex lies farther than ``R_s`` from its
+    centroid): each simplex queries the points within
     ``R_s + kappa_s + 2^b + margin`` of its centroid, over the points whose
     ``ub`` lies in the power-of-two band ``2^(b-1) <= ub < 2^b`` (ub below
     the margin counts as the margin), so a few far points do not make
@@ -715,7 +716,7 @@ def _candidate_pairs(pts, index, ub):
     """
     from scipy.spatial import cKDTree
 
-    centroids, radii, kappa, capsule = index.centroids, index.radii, index.kappa, index.capsule
+    centroids, radii, kappa = index.centroids, index.radii, index.kappa
     margin = 1e-6 * (1.0 + radii.max() + ub.max())
     band = np.frexp(np.maximum(ub, margin))[1]
     by_band = np.argsort(band, kind="stable")
@@ -730,22 +731,18 @@ def _candidate_pairs(pts, index, ub):
                                          count=int(counts.sum()))])
         simplices.append(np.repeat(np.arange(len(near)), counts))
     row, simplex = np.concatenate(rows), np.concatenate(simplices)
-    if capsule is None:
-        gap = pts[row] - centroids[simplex]
-        lower = np.sqrt(np.einsum("ij,ij->i", gap, gap)) - radii[simplex]
-    else:
-        start, d, dd, h = capsule
-        lower = _clamped_foot_distance(pts[row], start, d, dd, simplex, True) - h[simplex]
+    start, d, dd, h = index.capsule
+    lower = _clamped_foot_distance(pts[row], start, d, dd, simplex) - h[simplex]
     keep = lower <= ub[row] + kappa[simplex] + margin
     return row[keep], simplex[keep]
 
 
-def _nearest(pts, index, ub, one_row):
+def _nearest(pts, index, ub):
     """Distance and first nearest simplex of each distinct row of ``pts``,
     over the pairs that ``_candidate_pairs`` keeps (inf and -1 where no
     pair's distance is below inf)."""
     row, simplex = _candidate_pairs(pts, index, ub)
-    dist = _pair_distances(pts[row], simplex, index.const, one_row)
+    dist = _pair_distances(pts[row], simplex, index.const)
     # per row, the smallest distance at the lowest simplex: the loop's
     # first strict improvement; NaN sorts last and never wins
     first = np.lexsort((simplex, dist, row))
@@ -784,32 +781,32 @@ def nearest_simplex(points, target: SimplicialSet):
     simplices that ``_candidate_pairs`` keeps: a dropped simplex's kernel
     distance is provably above the point's upper bound ``ub``, itself the
     kernel's distance to a kept simplex, so it can neither win nor tie.
-    On the ``disk`` Hausdorff inputs that is about 4.8 pairs per point,
-    after the ``BOUND_NEIGHBOURS`` pairs of ``ub``.
+    On the k=1 Hausdorff inputs that is about 4.8 pairs per point on
+    ``disk`` and 1.2 on ``graph_decay`` and ``zigzag``, after the
+    ``BOUND_NEIGHBOURS`` pairs of ``ub``.
 
     The target's terms are built once per set (``_DistanceIndex``). The
     search and the kernel run over blocks of ``_QUERY_BLOCK`` distinct
     points, so memory stays bounded however many points come in. The
     kernel's products are stacked matrix-vector products, which give each
     pair the bits of the per-simplex ``rows @ vec`` whatever else is
-    stacked with it; a one-point call takes the dot path, as a one-row
-    product does.
+    stacked with it. A single point gets the loop's bits on that point
+    stacked twice, since the loop's one-row products would take the dot.
     """
     pts = _query_points(points, target)
     if target.is_empty() or len(pts) == 0:
         return np.full(len(pts), np.inf), np.full(len(pts), -1, dtype=np.int64)
     distinct, inverse = _distinct_rows(pts)
     index = target._distance_index
-    parts = [_nearest(block, index, _upper_bounds(block, index), len(pts) == 1)
-             for block in _blocks(distinct)]
+    parts = [_nearest(block, index, _upper_bounds(block, index)) for block in _blocks(distinct)]
     best, nearest = (np.concatenate(part) for part in zip(*parts))
     return best[inverse], nearest[inverse]
 
 
 def _sup_distance(points, target, floor: float) -> float:
     """``max(floor, distance_to_set(points, target).max())`` bit for bit,
-    with the kernel's product path that every call of two or more rows
-    takes, evaluating only the points whose distance can reach it.
+    on the kernel's product path, evaluating only the points whose
+    distance can reach it.
 
     Each distinct point's ``ub`` from ``_upper_bounds`` is at least its
     distance (a NaN ``ub`` counts as +inf). Points are evaluated in order
@@ -836,7 +833,7 @@ def _sup_distance(points, target, floor: float) -> float:
     todo = np.argsort(-bound, kind="stable")
     while len(todo := todo[bound[todo] > sup]):
         block = todo[:step]
-        sup = float(np.max(np.r_[sup, _nearest(distinct[block], index, ub[block], False)[0]]))
+        sup = float(np.max(np.r_[sup, _nearest(distinct[block], index, ub[block])[0]]))
         todo, step = todo[step:], _QUERY_BLOCK
     return sup
 

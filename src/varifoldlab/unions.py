@@ -401,8 +401,8 @@ def _coplanar_areas(tris, rows, group, n_groups):
     corners = tris[rows] - tris[t0[usable], 0][group][:, None, :]
     flat = corners.reshape(-1, tris.shape[2])
     row_group = np.repeat(group, 3)
-    points = np.column_stack([_pair_dot(flat, u[usable], row_group, False),
-                              _pair_dot(flat, v[usable], row_group, False)])
+    points = np.column_stack([_pair_dot(flat, u[usable], row_group),
+                              _pair_dot(flat, v[usable], row_group)])
     areas[usable] = _planar_union_areas(points, np.full(len(rows), 3), group,
                                         int(usable.sum()))
     return areas

@@ -44,6 +44,14 @@ class TestPlane:
         with pytest.raises(DegenerateFrameError):
             orthonormalize(v)
 
+    @pytest.mark.parametrize("frame", [[[np.nan], [0.0]], [[1.0, np.nan], [0.0, 1.0]],
+                                       [[np.inf], [0.0]], [[1.0, 0.0], [0.0, -np.inf]]],
+                             ids=["nan", "nan-2d", "inf", "-inf-2d"])
+    def test_non_finite_frame_rejected(self, frame):
+        for build in (Plane, orthonormalize, Plane.from_vectors):
+            with pytest.raises(ValueError, match="finite"):
+                build(np.array(frame))
+
     def test_callers_frame_stays_writable(self):
         f = np.array([[1.0], [0.0]])
         Plane(f)

@@ -239,12 +239,30 @@ class TestTabulatedIntegrand:
         assert f.inf_value > 0
 
     def test_rejects_nonpositive(self, tmp_path):
-        doc = {"ambient_dim": 2, "dim": 1, "x_grid": [0, 1], "y_grid": [0, 1],
-               "theta_grid": [0.0], "values": [[[0.0]], [[1.0]]]}
+        # nonpositive or NaN values, and grids the interpolation cannot read
+        good = {"ambient_dim": 2, "dim": 1, "x_grid": [0, 1], "y_grid": [0, 1],
+                "theta_grid": [0.0], "values": [[[1.0], [1.0]], [[1.0], [1.0]]]}
+        nan = float("nan")
+        bad = [({"values": [[[0.0], [1.0]], [[1.0], [1.0]]]}, "finite and positive"),
+               ({"values": [[[nan], [1.0]], [[1.0], [1.0]]]}, "finite and positive"),
+               ({"x_grid": [1, -1]}, "x_grid must hold at least 2 finite, strictly increasing"),
+               ({"y_grid": [0, 0]}, "y_grid must hold"),
+               ({"x_grid": [0, nan]}, "x_grid must hold"),
+               ({"x_grid": [0], "values": [[[1.0], [1.0]]]}, "x_grid must hold"),
+               ({"theta_grid": [0.0, 4.0], "values": [[[1.0, 1.0]] * 2] * 2},
+                "theta_grid must lie in"),
+               ({"theta_grid": [np.pi]}, "theta_grid must lie in"),
+               ({"theta_grid": [-0.5]}, "theta_grid must lie in"),
+               ({"theta_grid": [1.0, 0.5], "values": [[[1.0, 1.0]] * 2] * 2},
+                "theta_grid must hold at least 1"),
+               ({"theta_grid": [nan]}, "theta_grid must hold")]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_tabulated_integrand(path)
+        for change, message in bad:
+            path.write_text(json.dumps({**good, **change}))
+            with pytest.raises(ValueError, match=message):
+                load_tabulated_integrand(path)
+        path.write_text(json.dumps(good))
+        assert load_tabulated_integrand(path).inf_value == 1.0
 
 
 class TestRegistry:

@@ -399,6 +399,15 @@ class TestCLI:
          "--center must be finite, got 0,inf"),
         (["audit-ellipticity", "area", "--x", "nan,0", "--plane-angle", "0"],
          "--x must be finite, got nan,0"),
+        # non-finite plane frames are named before any NaN reaches the numerics
+        (["projected-mass", "@seg", "--center", "0.5,0", "--radius", "0.25",
+          "--plane-frame", "[[NaN, 1]]"], "frame vectors must be finite"),
+        (["audit-ellipticity", "area", "--plane-frame", "[[NaN, 0]]"],
+         "frame vectors must be finite"),
+        (["audit-ellipticity", "area", "--plane-frame", "[[1, 0], [0, Infinity]]"],
+         "frame vectors must be finite"),
+        (["audit-ellipticity", "area", "--plane-frame", "[[Infinity, 0]]"],
+         "frame vectors must be finite"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
         files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}
@@ -406,9 +415,12 @@ class TestCLI:
             save_set(e, tmp_path / f"{name[1:]}.json")
         save_varifold(var_of_set(segment_set(8), 4), tmp_path / "var.json")
         argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
-        assert cli.main(argv) == cli.EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv", [
         ["audit-qm"],
