@@ -154,13 +154,7 @@ def _cmd_audit_qm(args):
         span = float(np.linalg.norm(e.vertices - center, axis=1).max())
         domain = Ball(center, max(span, 1e-6))
     registry = args.registry.split(",") if args.registry else None
-    params = None
-    if args.params:
-        with open(args.params) as fh:
-            params = json.load(fh)
-        if not (isinstance(params, dict) and all(isinstance(v, dict) for v in params.values())):
-            raise ConfigError("--params must map deformation names to objects of keyword arguments")
-    rep = qm_audit(e, args.M, gauge, domain, registry=registry, params=params)
+    rep = qm_audit(e, args.M, gauge, domain, registry=registry)
     _emit(rep.to_dict(), args.output)
     return EXIT_OK
 
@@ -227,7 +221,6 @@ def _build_parser():
     q.add_argument("--h-delta", type=float, default=np.inf)
     q.add_argument("--domain", help="domain ball as center coords then radius, comma-separated")
     q.add_argument("--registry", help="comma-separated deformation names")
-    q.add_argument("--params", help="JSON file: deformation name -> keyword arguments")
     q.add_argument("--output")
     q.set_defaults(func=_cmd_audit_qm)
 

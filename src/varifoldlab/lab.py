@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -93,6 +94,10 @@ class ScenarioSpec:
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or not ks:
             raise ValueError("k schedule must be nonempty and strictly increasing")
         object.__setattr__(self, "k_schedule", ks)
+        if self.radii is not None and not (self.radii and all(
+                isinstance(r, numbers.Real) and 0 < r < np.inf for r in self.radii)):
+            raise ValueError(f"radii must be a nonempty list of finite positive numbers, "
+                             f"got {list(self.radii)!r}")
         for name in ("atoms", "samples"):
             object.__setattr__(self, name, _int_at_least(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _int_at_least("seed", self.seed, 0))

@@ -1,18 +1,20 @@
 """Quasiminimality audits: the defining inequality of QM(U, M, h) evaluated
-against a registry of explicit deformations, plus the mass semicontinuity
-and upper-bound checks along scenario sequences.
+against a fixed registry of explicit deformations, plus the mass
+semicontinuity and upper-bound checks along scenario sequences.
 
 A deformation is represented by its endpoint map phi, required to fix the
 complement of its ball; the homotopy to the identity is taken to be the
-straight line, and is not verified. The moved region W1 is resolved
-combinatorially: simplices whose sampled displacements disagree are split
-until concordant. The image measure counts overlaps once (it is the
-measure of an image set).
+straight line, and is not verified. The registry's deformations take no
+parameters, so an audit row's competitor is fixed by its name, ball and
+set; a custom competitor is a ``Deformation`` passed to ``qm_gap``. The
+moved region W1 is resolved combinatorially: simplices whose sampled
+displacements disagree are split until concordant. The image is measured on
+pieces of diameter r/128 (curves) or r/16 (surfaces) and counts overlaps
+once (it is the measure of an image set).
 """
 
 from __future__ import annotations
 
-import inspect
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -121,15 +123,11 @@ class Deformation:
     ``phi`` maps an (A, n) array of points to an (A, n) array and must be
     the identity outside the ball (tested on boundary samples at
     construction). The homotopy to the identity is the straight line.
-    ``feature_scale``, when set, is the size of the map's finest feature
-    (the vertex_snap lattice pitch); ``qm_gap`` refines the image below a
-    quarter of it.
     """
 
     name: str
     ball: Ball
     phi: Callable[[np.ndarray], np.ndarray]
-    feature_scale: Optional[float] = None
 
     def __post_init__(self):
         n = len(self.ball.center)
@@ -218,19 +216,14 @@ def _make_tooth_flatten(ball: Ball, e: SimplicialSet) -> Optional[Deformation]:
     return _affine_projection_deformation("tooth_flatten", ball, mean, proj)
 
 
-def _make_vertex_snap(ball: Ball, e: SimplicialSet, frac=None) -> Deformation:
+def _make_vertex_snap(ball: Ball, e: SimplicialSet) -> Deformation:
     """Continuous snap toward a delta-lattice: points are pulled to the
     nearest lattice point with a tent profile vanishing on cell boundaries,
-    all inside the ball cutoff. The lattice pitch is kept a few times the
-    image-refinement resolution so the piecewise-affine image is faithful."""
+    all inside the ball cutoff. The lattice pitch, r/16 on curves and r/4
+    on surfaces, is 8 and 4 times the image-refinement resolution, so the
+    piecewise-affine image is faithful."""
     c, r = ball.center, ball.radius
-    if frac is None:
-        frac = 1 / 16 if e.dim == 1 else 1 / 4
-    if not (isinstance(frac, (int, float)) and 0 < frac < np.inf):
-        # a zero lattice pitch makes phi NaN; a negative one makes the
-        # image refinement split forever
-        raise ValueError(f"vertex_snap frac must be a positive finite number, got {frac!r}")
-    delta = r * frac
+    delta = r / 16 if e.dim == 1 else r / 4
     # lattice offset keeps the zero-displacement cell boundaries away from
     # the dyadic vertices produced by midpoint refinement
     offset = delta * 0.31830988618367
@@ -245,7 +238,7 @@ def _make_vertex_snap(ball: Ball, e: SimplicialSet, frac=None) -> Deformation:
         g = np.clip(1.0 - 2.0 * np.abs(d).max(axis=1) / delta, 0.0, 1.0)
         return p + (w * g)[:, None] * d
 
-    return Deformation("vertex_snap", ball, phi, feature_scale=delta)
+    return Deformation("vertex_snap", ball, phi)
 
 
 _FACTORIES = {
@@ -258,19 +251,14 @@ _FACTORIES = {
 DEFORMATION_NAMES = tuple(_FACTORIES)
 
 
-def make_deformation(name: str, ball: Ball, e: SimplicialSet, **params):
+def make_deformation(name: str, ball: Ball, e: SimplicialSet):
     """Build a registry deformation for the given ball and set; returns
     None when the deformation does not apply (e.g. collapse center on E)."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown deformation {name!r}; known: {DEFORMATION_NAMES}") from None
-    accepted = list(inspect.signature(factory).parameters)[2:]  # after (ball, e)
-    for key in params:
-        if key not in accepted:
-            raise ValueError(f"deformation {name!r} has no parameter {key!r}; "
-                             f"accepted: {accepted}")
-    return factory(ball, e, **params)
+    return factory(ball, e)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +319,8 @@ def _collect_moved(e: SimplicialSet, d: Deformation):
 
 def _refine_for_image(pieces, m, target):
     """Split the pieces until each has diameter <= target. Raises
-    ValueError when that takes more than PIECE_BUDGET pieces (a target far
-    below the piece size, such as a tiny vertex_snap lattice)."""
+    ValueError when that takes more than PIECE_BUDGET pieces (many moved
+    pieces: one of diameter 2r splits into 256 on curves, 1,024 on surfaces)."""
     done = [np.zeros((0,) + pieces.shape[1:])]
     kept = 0
     current = pieces
@@ -414,8 +402,6 @@ def qm_gap(e: SimplicialSet, m_factor: float, gauge: GaugeFunction,
         return result if detail else result.gap
     source = float(_simplex_measures(moved, m).sum())
     target = r / 128 if m == 1 else r / 16
-    if deformation.feature_scale:
-        target = min(target, deformation.feature_scale / 4)
     fine = _refine_for_image(moved, m, target)
     flat = fine.reshape(-1, fine.shape[2])
     images = deformation.phi(flat).reshape(fine.shape)
@@ -484,26 +470,25 @@ def _default_balls(e: SimplicialSet, domain: Ball):
 
 
 def qm_audit(e: SimplicialSet, m_factor: float, gauge: GaugeFunction, domain: Ball,
-             registry=None, balls=None, params=None) -> QMAuditReport:
+             registry=None, balls=None) -> QMAuditReport:
     """Run qm_gap over the deformation registry across a ball grid.
 
-    ``params`` optionally maps deformation names to factory keyword
-    arguments (e.g. the vertex_snap grid fraction). Deformations that do
-    not apply to a ball (collapse center on the set, empty intersection)
-    are reported as skipped, not failed. The set must have a simplex and
-    the domain must lie in its ambient space (ValueError otherwise)."""
+    ``registry`` selects names of ``DEFORMATION_NAMES`` (default: all).
+    Deformations that do not apply to a ball (collapse center on the set,
+    empty intersection) are reported as skipped, not failed. The set must
+    have a simplex and the domain must lie in its ambient space (ValueError
+    otherwise)."""
     _check_m_factor(m_factor)
     if e.is_empty():
         raise ValueError("the quasiminimality audit needs a set with at least one simplex")
     _check_ball(e, domain)
     registry = registry if registry is not None else DEFORMATION_NAMES
     balls = balls if balls is not None else _default_balls(e, domain)
-    params = params or {}
     rows, skipped = [], []
     min_gap, argmin = np.inf, None
     for ball in balls:
         for name in registry:
-            d = make_deformation(name, ball, e, **params.get(name, {}))
+            d = make_deformation(name, ball, e)
             if d is None:
                 skipped.append((tuple(ball.center), ball.radius, name))
                 continue

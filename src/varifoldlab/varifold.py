@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GrassmannSample, Plane
-from .sets import Ball, PointCloudSet, SimplicialSet, _midpoint_split
+from .sets import Ball, PointCloudSet, SimplicialSet, _check_ball, _midpoint_split
 
 __all__ = [
     "DiscreteVarifold",
@@ -157,6 +157,7 @@ def var_of_pointcloud(e: PointCloudSet, haar: GrassmannSample) -> DiscreteVarifo
 
 def mass_in_ball(v: DiscreteVarifold, ball: Ball) -> float:
     """Sum of masses of atoms whose position lies in the closed ball."""
+    _check_ball(v, ball)
     if len(v) == 0:
         return 0.0
     inside = np.linalg.norm(v.positions - ball.center, axis=1) <= ball.radius
@@ -165,6 +166,7 @@ def mass_in_ball(v: DiscreteVarifold, ball: Ball) -> float:
 
 def restrict_to_ball(v: DiscreteVarifold, ball: Ball) -> DiscreteVarifold:
     """Atoms with position in the closed ball."""
+    _check_ball(v, ball)
     if len(v) == 0:
         return v
     inside = np.linalg.norm(v.positions - ball.center, axis=1) <= ball.radius
@@ -199,6 +201,14 @@ class DensityReport:
 DENSITY_MIN_ATOMS = 10
 
 
+def _point_of(v: DiscreteVarifold, x) -> np.ndarray:
+    """x as a float array; ValueError unless it is a point of v's R^n."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (v.ambient_dim,):
+        raise ValueError(f"centre must be a point of R^{v.ambient_dim}, got {x.tolist()}")
+    return x
+
+
 def density_report(v: DiscreteVarifold, x, radii) -> DensityReport:
     """Density ratios of ||V|| at x over a strictly decreasing radius list.
 
@@ -206,7 +216,7 @@ def density_report(v: DiscreteVarifold, x, radii) -> DensityReport:
     still contains at least ``DENSITY_MIN_ATOMS`` atoms; if no radius
     qualifies the report is flagged unreliable (a warning, not a failure).
     """
-    x = np.asarray(x, dtype=float)
+    x = _point_of(v, x)
     radii = np.asarray([float(r) for r in radii])
     if len(radii) == 0 or not (np.isfinite(radii) & (radii > 0)).all():
         raise ValueError(f"radii must be finite and positive, got {radii.tolist()}")
@@ -244,7 +254,7 @@ def blowup(v: DiscreteVarifold, x, r: float) -> DiscreteVarifold:
     with var of the rescaled set, and density ratios scale-invariant."""
     if r <= 0:
         raise ValueError("blow-up radius must be positive")
-    x = np.asarray(x, dtype=float)
+    x = _point_of(v, x)
     return DiscreteVarifold(v.ambient_dim, v.dim, (v.positions - x) / r,
                             v.frames, v.masses / r ** v.dim)
 

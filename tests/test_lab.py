@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varifoldlab import cli, lab, metrics
+from varifoldlab import cli, lab, metrics, quasimin
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
 from varifoldlab.scenarios import FAMILIES, segment_set
@@ -361,7 +361,11 @@ class TestCLI:
         ({"family": "zigzag", "h": {"kind": "power", "exponent": float("nan")}},
          "gauge exponent must be positive"),
         ({"family": "segment", "k_schedule": [1], "radii": [float("nan")]},
-         "ball radius must be finite and positive, got nan"),
+         "finite positive numbers, got [nan]"),
+        ({"family": "segment", "k_schedule": [1], "radii": []},
+         "finite positive numbers, got []"),
+        ({"family": "segment", "k_schedule": [1], "radii": [0.5, -0.25]},
+         "finite positive numbers, got [0.5, -0.25]"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, doc, message):
         spec_path = tmp_path / "spec.json"
@@ -408,6 +412,9 @@ class TestCLI:
          "frame vectors must be finite"),
         (["audit-ellipticity", "area", "--plane-frame", "[[Infinity, 0]]"],
          "frame vectors must be finite"),
+        # a centre of R^1 was broadcast over both coordinates of R^2
+        (["density", "@var", "--center", "0.3", "--radii", "0.5"],
+         "centre must be a point of R^2, got [0.3]"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
         files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}
@@ -432,19 +439,21 @@ class TestCLI:
         assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_CONFIG
         assert "error: " in capsys.readouterr().err
 
-    def test_audit_qm_registry_and_params(self, tmp_path):
+    def test_audit_qm_registry_and_params(self, tmp_path, capsys):
         set_path = tmp_path / "seg.json"
         save_set(segment_set(32), set_path)
-        params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps({"vertex_snap": {"frac": 0.125}}))
         res = run_cli("audit-qm", str(set_path), "--M", "1",
-                      "--registry", "identity,vertex_snap",
-                      "--params", str(params_path))
+                      "--registry", "identity,vertex_snap")
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         names = {row["deformation"] for row in doc["rows"]}
         assert names == {"identity", "vertex_snap"}
         assert doc["min_gap"] >= -1e-9
+        # the registry takes no parameters: --params is an unknown option
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["audit-qm", str(set_path), "--params", "x"])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --params x" in capsys.readouterr().err
 
     def test_every_subcommand_writes_strict_json(self, tmp_path, capsys):
         def reject(name):
@@ -528,29 +537,12 @@ class TestCLI:
             assert code == cli.EXIT_CONFIG
             assert "out of range" in capsys.readouterr().err
 
-    def test_audit_qm_bad_params_exit_2(self, tmp_path, capsys):
-        set_path = tmp_path / "seg.json"
-        save_set(segment_set(8), set_path)
-        params_path = tmp_path / "params.json"
-        for params, message in (({"vertex_snap": {"fraction": 0.1}}, "'fraction'"),
-                                ({"vertex_snap": {"frac": 0.0}}, "frac must be a positive"),
-                                ({"vertex_snap": {"frac": "x"}}, "frac must be a positive"),
-                                ({"vertex_snap": 0.1}, "--params must map"),
-                                ([0.1], "--params must map")):
-            params_path.write_text(json.dumps(params))
-            code = cli.main(["audit-qm", str(set_path), "--registry", "vertex_snap",
-                             "--params", str(params_path)])
-            assert code == cli.EXIT_CONFIG
-            assert message in capsys.readouterr().err
-
-    def test_audit_qm_image_refinement_budget_exit_2(self, tmp_path, capsys):
-        # a tiny snap lattice asks the image refinement for billions of
-        # pieces; the piece budget turns that into a config error
+    def test_audit_qm_image_refinement_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an image refinement past the piece budget is a config error; a
+        # budget of 100 puts this small audit past it
+        monkeypatch.setattr(quasimin, "PIECE_BUDGET", 100)
         set_path = tmp_path / "seg.json"
         save_set(segment_set(32), set_path)
-        params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps({"vertex_snap": {"frac": 1e-6}}))
-        code = cli.main(["audit-qm", str(set_path), "--domain", "0.5,0,0.5",
-                         "--params", str(params_path)])
+        code = cli.main(["audit-qm", str(set_path), "--domain", "0.5,0,0.5"])
         assert code == cli.EXIT_CONFIG
-        assert "400000 pieces" in capsys.readouterr().err
+        assert "than 100 pieces" in capsys.readouterr().err

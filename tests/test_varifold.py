@@ -155,6 +155,14 @@ class TestMassInBall:
         masses = [mass_in_ball(v, Ball(np.zeros(2), r)) for r in (0.1, 0.3, 0.8)]
         assert masses == sorted(masses)
 
+    @pytest.mark.parametrize("query", [mass_in_ball, restrict_to_ball])
+    def test_ball_outside_rn_rejected(self, query):
+        # a centre of R^1 was broadcast over both coordinates of R^2
+        for v in (var_of_set(segment_set(8), 1), DiscreteVarifold.empty(2, 1)):
+            for center in ([0.3], [0.3, 0.0, 0.0]):
+                with pytest.raises(ValueError, match="ambient dimensions differ"):
+                    query(v, Ball(center, 0.5))
+
 
 class TestDensityReport:
     def test_line_density_one(self):
@@ -189,6 +197,12 @@ class TestDensityReport:
         for radii in ([0.5, np.nan], [np.nan], [np.inf, 0.5]):
             with pytest.raises(ValueError, match="radii must be finite and positive"):
                 density_report(v, np.zeros(2), radii)
+
+    def test_centre_outside_rn_rejected(self):
+        v = var_of_set(segment_set(8), 1)
+        for center in (0.3, [0.3], [0.0, 0.0, 0.0], [[0.3, 0.0]]):
+            with pytest.raises(ValueError, match="centre must be a point of R\\^2"):
+                density_report(v, center, [0.5])
 
 
 class TestBlowup:
@@ -232,6 +246,13 @@ class TestBlowup:
         v = var_of_set(segment_set(2), 1)
         with pytest.raises(ValueError):
             blowup(v, np.zeros(2), -1.0)
+
+    def test_centre_outside_rn_rejected(self):
+        # a centre of R^1 used to shift both coordinates
+        v = var_of_set(segment_set(8), 1)
+        for center in (0.3, [0.3], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="centre must be a point of R\\^2"):
+                blowup(v, center, 0.5)
 
 
 class TestConeScaling:
