@@ -153,8 +153,13 @@ def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffR
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     ball = Ball(np.asarray(x, dtype=float), float(r))
-    xc = restrict(x_set, ball)
-    yc = restrict(y_set, ball)
+    return _hausdorff_report(restrict(x_set, ball), restrict(y_set, ball), x_set, y_set, r,
+                             samples)
+
+
+def _hausdorff_report(xc, yc, x_set, y_set, r, samples) -> HausdorffReport:
+    """``hausdorff_local_report`` from the two sets' restrictions to the
+    ball, xc of x_set and yc of y_set."""
     sup_xy, gap_x = _one_sided_sup(xc, y_set, r, samples)
     sup_yx, gap_y = _one_sided_sup(yc, x_set, r, samples)
     value = (sup_xy + sup_yx) / r
@@ -568,11 +573,16 @@ def projected_mass(e: SimplicialSet, x, r: float, t: Plane) -> float:
     if t.dim != e.dim or t.ambient_dim != e.ambient_dim:
         raise ValueError("projection plane must match the set's (n, m)")
     x = np.asarray(x, dtype=float)
-    pieces, loops, _, _ = _clip(e, Ball(x, float(r)))
+    return _projected_mass(_clip(e, Ball(x, float(r))), x, r, t)
+
+
+def _projected_mass(clip, x, r, t: Plane) -> float:
+    """``projected_mass`` from ``clip``, the ``_clip`` of the set in B(x, r)."""
+    pieces, loops, _, _ = clip
     if not len(pieces):
         return 0.0
-    if e.dim == 1:
-        ends = (pieces.reshape(-1, e.ambient_dim) - x) / r
+    if t.dim == 1:
+        ends = (pieces.reshape(-1, t.ambient_dim) - x) / r
         return interval_union_length((ends @ t.frame).reshape(-1, 2))
     # project the convex clipped regions as whole polygons; projections of
     # convex planar regions stay convex, and the sweep is linear in their
@@ -618,9 +628,15 @@ def filling_check(sets, x, t: Plane, radii) -> FillingReport:
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    ks = [int(k) for k in sets]
-    om = unit_ball_volume(t.dim)
     values = {(int(k), r): projected_mass(e, x, r, t) for k, e in sets.items() for r in radii}
+    return _filling_report(values, [int(k) for k in sets], radii, t.dim)
+
+
+def _filling_report(values, ks, radii, m) -> FillingReport:
+    """``filling_check``'s report from ``values``, the projected masses
+    keyed by (k, r) in schedule then radius order, over the schedule ``ks``
+    and the strictly decreasing ``radii`` of an m-plane."""
+    om = unit_ball_volume(m)
     rows = [(k, r, val) for (k, r), val in values.items()]
     threshold = (1 - FILLING_TOL) * om
     k_start, tail_inf = {}, {}

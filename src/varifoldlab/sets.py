@@ -529,7 +529,12 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
         _check_ball(e, ball)
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
-    pieces, _, arc_points, defect = _clip(e, ball)
+    return _clipped_set(e, _clip(e, ball))
+
+
+def _clipped_set(e: SimplicialSet, clip) -> SimplicialSet:
+    """``restrict``'s result from ``clip``, the ``_clip`` of e in a ball."""
+    pieces, _, arc_points, defect = clip
     if not len(pieces):
         return SimplicialSet.empty(e.ambient_dim, e.dim)
     out = (SimplicialSet.from_segments if e.dim == 1 else SimplicialSet.from_triangles)(pieces)

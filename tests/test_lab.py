@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varifoldlab import cli, lab, metrics, quasimin
+from varifoldlab import cli, lab, metrics, quasimin, sets
 from varifoldlab.lab import ScenarioSpec, run_scenario, spearman_rank
 from varifoldlab.quasimin import GaugeFunction
 from varifoldlab.scenarios import FAMILIES, segment_set
@@ -168,6 +168,45 @@ class TestRunScenario:
         report = dataclasses.replace(run_scenario(spec), spearman_d_vs_bl=float("nan"))
         with pytest.raises(ValueError):
             report.to_json_bytes()
+
+    @pytest.mark.parametrize("family, k_schedule, clips", [
+        ("disk", (1, 2), 9),
+        ("graph_decay", ScenarioSpec(family="graph_decay").k_schedule, 24),
+    ])
+    def test_each_set_clipped_once_per_radius(self, monkeypatch, family, k_schedule, clips):
+        # the limit once per radius, shared by every row, and each E_k once
+        # per radius for both its Hausdorff sups and its projected mass
+        real, calls = sets._clip, []
+
+        def counting(e, ball):
+            calls.append(ball.radius)
+            return real(e, ball)
+        for module in (sets, metrics, lab):
+            monkeypatch.setattr(module, "_clip", counting)
+        run_scenario(ScenarioSpec(family=family, k_schedule=k_schedule, atoms=16))
+        radii = FAMILIES[family].base_radii
+        assert len(calls) == clips == len(radii) * (len(k_schedule) + 1)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_shared_clips_match_public_functions(monkeypatch, family, threads):
+    # run_scenario shares one clip per set and radius between the Hausdorff
+    # sups and the projected mass; the public functions clip on their own
+    monkeypatch.setenv("VARIFOLD_LAB_THREADS", threads)
+    fam = FAMILIES[family]
+    spec = ScenarioSpec(family=family, k_schedule=(1, 2), atoms=16)
+    report = run_scenario(spec)
+    limit, made = fam.limit(), {k: fam.make(k) for k in spec.k_schedule}
+    for row in report.rows:
+        assert row["hausdorff"] == {
+            f"{r:g}": metrics.hausdorff_local(made[row["k"]], limit, fam.base_point, r,
+                                              spec.samples)
+            for r in fam.base_radii}
+    verdict = (None if fam.limit_tangent is None else
+               metrics.filling_check(made, fam.base_point, fam.limit_tangent,
+                                     fam.base_radii).verdict)
+    assert report.filling_verdict == verdict
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -366,13 +405,26 @@ class TestCLI:
          "finite positive numbers, got []"),
         ({"family": "segment", "k_schedule": [1], "radii": [0.5, -0.25]},
          "finite positive numbers, got [0.5, -0.25]"),
+        # the order is the spec's rule, so it holds for families without a
+        # limit tangent too
+        ({"family": "segment", "k_schedule": [1, 2, 4], "radii": [0.25, 0.5]},
+         "radii must be strictly decreasing, got [0.25, 0.5]"),
+        ({"family": "ycone", "k_schedule": [1, 2, 4], "radii": [0.25, 0.5]},
+         "radii must be strictly decreasing, got [0.25, 0.5]"),
+        ({"family": "zigzag", "k_schedule": [1], "radii": [0.5, 0.5]},
+         "radii must be strictly decreasing, got [0.5, 0.5]"),
     ])
-    def test_bad_spec_exit_2(self, tmp_path, capsys, doc, message):
+    def test_bad_spec_exit_2(self, tmp_path, capsys, monkeypatch, doc, message):
+        made = []
+        for name, fam in FAMILIES.items():
+            monkeypatch.setitem(FAMILIES, name, dataclasses.replace(
+                fam, make=lambda k, make=fam.make: made.append(k) or make(k)))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(doc))
         assert cli.main(["run", str(spec_path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert made == []  # rejected before any set is built
 
     @pytest.mark.parametrize("argv, message", [
         (["audit-qm", "@seg", "--h-kind", "step", "--h-delta", "0"], "delta must be positive"),
