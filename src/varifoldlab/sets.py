@@ -3,8 +3,9 @@
 SimplicialSet covers the rectifiable case with exact per-simplex measure
 and tangent planes (m = 1 segments, m = 2 triangles). PointCloudSet is the
 weighted-sample stand-in for irregular sets. Ball clipping is one
-function, ``_clip``, behind ``restrict``, ``projected_mass`` and the
-quasiminimality audit: it classifies all simplices at once, on the triangle
+function, ``_clip``, behind ``restrict``, ``projected_mass``,
+``run_scenario`` (one clip per set and radius) and the quasiminimality
+audit: it classifies all simplices at once, on the triangle
 frames and in-plane corners of ``_simplex_constants`` that the distance
 kernel uses, and traces only the boundary of each triangle the sphere cuts.
 
