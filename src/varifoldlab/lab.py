@@ -26,7 +26,7 @@ from .metrics import (_filling_report, _hausdorff_report, _projected_mass, bl_di
                       filling_check, hausdorff_local)
 from .quasimin import GaugeFunction, _check_m_factor
 from .scenarios import get_family
-from .sets import Ball, _clip, _clipped_set, measure
+from .sets import Ball, _clip, measure
 from .varifold import var_of_set
 
 __all__ = ["ScenarioSpec", "ConvergenceReport", "run_scenario", "spearman_rank"]
@@ -230,6 +230,9 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
         raise ValueError(f"domain needs the center coordinates, then the radius: "
                          f"{limit.ambient_dim + 1} numbers for family {spec.family!r}, "
                          f"got {len(spec.domain)}")
+    if spec.base_point is not None and len(spec.base_point) != limit.ambient_dim:
+        raise ValueError(f"base_point needs {limit.ambient_dim} coordinates for family "
+                         f"{spec.family!r}, got {len(spec.base_point)}")
     base = np.asarray(spec.base_point if spec.base_point is not None
                       else family.base_point, dtype=float)
     radii = tuple(float(r) for r in (spec.radii if spec.radii is not None
@@ -246,15 +249,14 @@ def run_scenario(spec: ScenarioSpec) -> ConvergenceReport:
     warnings = []
     tangent = family.limit_tangent
     balls = [Ball(base, r) for r in radii]
-    limit_clips = [_clipped_set(limit, _clip(limit, ball)) for ball in balls]
+    limit_clips = [_clip(limit, ball)[0] for ball in balls]
 
     def row_for(k):
         e = family.make(k)
         h, masses = {}, []
         for r, ball, limit_clip in zip(radii, balls, limit_clips):
             clip = _clip(e, ball)
-            h[f"{r:g}"] = _hausdorff_report(_clipped_set(e, clip), limit_clip, e, limit, r,
-                                            spec.samples).value
+            h[f"{r:g}"] = _hausdorff_report(clip[0], limit_clip, e, limit, r, spec.samples).value
             if tangent is not None:
                 masses.append(_projected_mass(clip, base, r, tangent))
         v = _var_with_target_atoms(e, spec.atoms)

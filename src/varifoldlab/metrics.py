@@ -2,7 +2,8 @@
 functional that links them.
 
 - ``hausdorff_local``: normalized two-sided sup distance inside a ball,
-  exact point-to-simplex distances, sup over adaptively refined samples.
+  exact point-to-simplex distances, sup over adaptively refined samples of
+  the corner array of ``sets._clip`` (a point cloud's points as 0-simplices).
 - ``bl_distance``: bounded-Lipschitz distance between discrete varifolds
   under the product metric |x - y| + grassmann_distance. The exact method
   solves the mass-transshipment LP with unit-rate slack for unmatched mass
@@ -15,7 +16,7 @@ functional that links them.
   1-Lipschitz, bounded-by-1 test functions and is always a lower bound of
   the LP value.
 - ``projected_mass``: m-measure of the image (overlaps counted once) of
-  the clipped, rescaled set under projection to a plane.
+  the set's ``sets._clip``, rescaled, under projection to a plane.
 - ``filling_check``: tabulates projected_mass over (k, r) and flags whether
   the rescaled projections fill the unit disk in the limit.
 """
@@ -23,12 +24,14 @@ functional that links them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .geometry import Plane, _distinct_rows, _projections, axis_plane, grassmann_distance_matrix
+# nothing here calls distance_to_set; the name stays because
+# perfbench/layers.py hooks it in this module
 from .sets import (Ball, PointCloudSet, SimplicialSet, _clip, _rowdot, _sup_distance,
                    distance_to_set, restrict)
 from .unions import interval_union_length, polygon_union_area
@@ -65,34 +68,30 @@ def _lattice(m, level):
     weights of corners 1..m at each point, in sampling order, and the mask
     of the points that the lattice one level coarser does not hold. The
     step is a power of two, so the coarser points are bitwise the points
-    whose indices are all even."""
+    whose indices are all even. A 0-simplex is one point with no new ones."""
     k = 2 ** level
-    if m == 1:
-        i = np.arange(k + 1)
-        return (i / k)[:, None], i % 2 == 1
-    ii, jj = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(k + 1)) <= k)
-    return np.column_stack([ii / k, jj / k]), (ii % 2 == 1) | (jj % 2 == 1)
+    idx = np.indices((k + 1,) * m).reshape(m, (k + 1) ** m).T
+    idx = idx[idx.sum(axis=1) <= k]
+    return idx / k, (idx % 2 == 1).any(axis=1)
 
 
-def _sample_points(clipped, level):
-    """Sample points of a ball-clipped set at the given refinement level:
-    per simplex, the barycentric lattice of step 2**-level, and the largest
-    simplex diameter times that step as the sampling gap."""
-    if clipped.is_empty():
-        return np.zeros((0, clipped.ambient_dim)), 0.0
-    corners = clipped.vertices[clipped.simplices]  # (S, m+1, n)
+def _sample_points(corners, weights):
+    """The points a + (b - a) w1 + (c - a) w2 of each simplex of an
+    (S, m+1, n) corner array at each row of a (W, m) weight array, simplex
+    by simplex: (S * W, n). Each point's arithmetic is its own, so a subset
+    of the weights gives the bits of the same subset of the points."""
     a = corners[:, 0, None, :]
-    pts = a
-    for j, w in enumerate(_lattice(clipped.dim, level)[0].T, start=1):
+    pts = np.broadcast_to(a, (len(corners), len(weights), corners.shape[2]))
+    for j, w in enumerate(weights.T, start=1):
         pts = pts + (corners[:, j, None, :] - a) * w[None, :, None]
-    # every edge, each way round for a segment: b - a, c - b, a - c
-    edges = np.roll(corners, -1, axis=1) - corners
-    gap = _max_edge_length(edges.reshape(-1, clipped.ambient_dim)) / 2 ** level
-    return pts.reshape(-1, clipped.ambient_dim), gap
+    return pts.reshape(-1, corners.shape[2])
 
 
-def _one_sided_sup(source_clipped, target, r, samples):
-    """sup over samples of source∩B of dist(., target); 0 on empty source.
+def _one_sided_sup(source, target, r, samples):
+    """sup over samples of source∩B of dist(., target), and the sampling
+    gap, the longest edge times the lattice step; (0, 0) on an empty
+    source. ``source`` is the (S, m+1, n) corner array of source∩B: a
+    ``_clip``'s pieces, or a point cloud's points as (P, 1, n) 0-simplices.
 
     Each refinement level measures only its new lattice points: the points
     of the level before are bitwise among them, so the max over the level
@@ -100,28 +99,22 @@ def _one_sided_sup(source_clipped, target, r, samples):
     is ``sets._sup_distance`` with the previous sup as its floor, which
     evaluates only the new points whose upper bound exceeds the running
     sup; the skipped ones cannot raise it."""
-    if isinstance(source_clipped, PointCloudSet):
-        if len(source_clipped.points) == 0:
-            return 0.0, 0.0
-        d = distance_to_set(source_clipped.points, target)
-        return float(d.max()), 0.0
-    if source_clipped.is_empty():
+    if not len(source):
         return 0.0, 0.0
-    n_simplices = len(source_clipped.simplices)
-    per = max(1, int(np.ceil(samples / n_simplices)))
+    per = max(1, int(np.ceil(samples / len(source))))
     level = max(0, int(np.ceil(np.log2(per))))
-    prev = -np.inf
-    sup, gap = -np.inf, 0.0
+    # every edge, each way round for a segment: b - a, c - b, a - c
+    edges = np.roll(source, -1, axis=1) - source
+    longest = _max_edge_length(edges.reshape(-1, source.shape[2]))
+    prev = sup = -np.inf
     for lv in range(level, level + 8):
-        pts, gap = _sample_points(source_clipped, lv)
-        new = pts if lv == level else pts[np.tile(_lattice(source_clipped.dim, lv)[1], n_simplices)]
-        sup = _sup_distance(new, target, sup)
-        if prev >= 0 and sup - prev < SUP_REFINE_TOL * r:
-            break
-        if len(pts) > 200_000:
+        weights, new = _lattice(source.shape[1] - 1, lv)
+        sup = _sup_distance(_sample_points(source, weights if lv == level else weights[new]),
+                            target, sup)
+        if prev >= 0 and sup - prev < SUP_REFINE_TOL * r or len(source) * len(weights) > 200_000:
             break
         prev = sup
-    return sup, gap
+    return sup, longest / 2 ** lv
 
 
 @dataclass(frozen=True)
@@ -132,12 +125,7 @@ class HausdorffReport:
     resolution: float  # one-sided bound: true value <= value + resolution
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "sup_first_to_second": self.sup_first_to_second,
-            "sup_second_to_first": self.sup_second_to_first,
-            "resolution": self.resolution,
-        }
+        return asdict(self)
 
 
 def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffReport:
@@ -148,18 +136,18 @@ def hausdorff_local_report(x_set, y_set, x, r, samples: int = 256) -> HausdorffR
     and a skipped sample's distance is at most that bound, so it could not
     raise the sup. Each side's target terms are built once, on its first
     query (``sets._DistanceIndex``), and serve every level."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    ball = Ball(np.asarray(x, dtype=float), float(r))
-    return _hausdorff_report(restrict(x_set, ball), restrict(y_set, ball), x_set, y_set, r,
-                             samples)
+    ball = Ball(np.asarray(x, dtype=float), float(r))  # rejects r <= 0
+    xc, yc = (restrict(e, ball).points[:, None, :] if isinstance(e, PointCloudSet)
+              else _clip(e, ball)[0] for e in (x_set, y_set))
+    return _hausdorff_report(xc, yc, x_set, y_set, r, samples)
 
 
 def _hausdorff_report(xc, yc, x_set, y_set, r, samples) -> HausdorffReport:
-    """``hausdorff_local_report`` from the two sets' restrictions to the
-    ball, xc of x_set and yc of y_set."""
+    """``hausdorff_local_report`` from the corner arrays of the two sets'
+    parts in the ball, xc of x_set and yc of y_set, as ``_one_sided_sup``
+    reads them."""
     sup_xy, gap_x = _one_sided_sup(xc, y_set, r, samples)
     sup_yx, gap_y = _one_sided_sup(yc, x_set, r, samples)
     value = (sup_xy + sup_yx) / r
@@ -625,6 +613,8 @@ def filling_check(sets, x, t: Plane, radii) -> FillingReport:
     ``sets`` maps each scheduled k, in schedule order, to the k-th set.
     ``radii`` must be strictly decreasing.
     """
+    if not sets:
+        raise ValueError("filling_check needs at least one set")
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -647,8 +637,7 @@ def _filling_report(values, ks, radii, m) -> FillingReport:
                 start = k
                 break
         k_start[r] = start
-        tail_inf[r] = (min(values[(kk, r)] for kk in ks if kk >= start)
-                       if start is not None else min(values[(kk, r)] for kk in ks))
+        tail_inf[r] = min(values[(kk, r)] for kk in ks if start is None or kk >= start)
     if any(k_start[r] is None for r in radii):
         verdict = "FAILS"
     else:

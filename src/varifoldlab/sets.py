@@ -3,9 +3,9 @@
 SimplicialSet covers the rectifiable case with exact per-simplex measure
 and tangent planes (m = 1 segments, m = 2 triangles). PointCloudSet is the
 weighted-sample stand-in for irregular sets. Ball clipping is one
-function, ``_clip``, behind ``restrict``, ``projected_mass``,
-``run_scenario`` (one clip per set and radius) and the quasiminimality
-audit: it classifies all simplices at once, on the triangle
+function, ``_clip``, whose arrays the Hausdorff sups, ``projected_mass``
+and the quasiminimality audit read as they are; only ``restrict`` builds
+a set from them. It classifies all simplices at once, on the triangle
 frames and in-plane corners of ``_simplex_constants`` that the distance
 kernel uses, and traces only the boundary of each triangle the sphere cuts.
 
@@ -530,14 +530,7 @@ def restrict(e: SimplicialSet | PointCloudSet, ball: Ball) -> SimplicialSet | Po
         _check_ball(e, ball)
         inside = ball.contains(e.points)
         return PointCloudSet(e.ambient_dim, e.dim, e.points[inside], e.masses[inside])
-    return _clipped_set(e, _clip(e, ball))
-
-
-def _clipped_set(e: SimplicialSet, clip) -> SimplicialSet:
-    """``restrict``'s result from ``clip``, the ``_clip`` of e in a ball."""
-    pieces, _, arc_points, defect = clip
-    if not len(pieces):
-        return SimplicialSet.empty(e.ambient_dim, e.dim)
+    pieces, _, arc_points, defect = _clip(e, ball)
     out = (SimplicialSet.from_segments if e.dim == 1 else SimplicialSet.from_triangles)(pieces)
     object.__setattr__(out, "diagnostics", {"clip_area_error_bound": float(defect),
                                             "arc_points": int(arc_points)})
@@ -890,13 +883,19 @@ def save_set(e, path) -> None:
         fh.write("\n")
 
 
+def _read_keys(path, doc, keys, what="the file"):
+    """``doc[key]`` for each key; ValueError naming ``path`` and the first missing one."""
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise ValueError(f"{path}: {what} has no {missing[0]!r} key")
+    return [doc[key] for key in keys]
+
+
 def load_set(path):
     with open(path) as fh:
         doc = json.load(fh)
-    if "points" in doc:
-        return PointCloudSet(doc["ambient_dim"], doc["dim"],
-                             np.array(doc["points"], dtype=float),
-                             np.array(doc["masses"], dtype=float))
-    return SimplicialSet(doc["ambient_dim"], doc["dim"],
-                         np.array(doc["vertices"], dtype=float),
-                         np.array(doc["simplices"], dtype=np.int64))
+    if isinstance(doc, dict) and "points" in doc:
+        n, m, pts, w = _read_keys(path, doc, ("ambient_dim", "dim", "points", "masses"))
+        return PointCloudSet(n, m, np.array(pts, dtype=float), np.array(w, dtype=float))
+    n, m, v, s = _read_keys(path, doc, ("ambient_dim", "dim", "vertices", "simplices"))
+    return SimplicialSet(n, m, np.array(v, dtype=float), np.array(s, dtype=np.int64))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GrassmannSample, Plane
-from .sets import Ball, PointCloudSet, SimplicialSet, _check_ball, _midpoint_split
+from .sets import Ball, PointCloudSet, SimplicialSet, _check_ball, _midpoint_split, _read_keys
 
 __all__ = [
     "DiscreteVarifold",
@@ -278,11 +278,11 @@ def save_varifold(v: DiscreteVarifold, path) -> None:
 def load_varifold(path) -> DiscreteVarifold:
     with open(path) as fh:
         doc = json.load(fh)
-    n, m = int(doc["ambient_dim"]), int(doc["dim"])
-    atoms = doc["atoms"]
+    n, m, atoms = _read_keys(path, doc, ("ambient_dim", "dim", "atoms"))
     if not atoms:
-        return DiscreteVarifold.empty(n, m)
-    pos = np.array([a["x"] for a in atoms], dtype=float)
-    frames = np.array([np.array(a["frame"], dtype=float).T for a in atoms])
-    masses = np.array([a["mass"] for a in atoms], dtype=float)
-    return DiscreteVarifold(n, m, pos, frames, masses)
+        return DiscreteVarifold.empty(int(n), int(m))
+    pos, frames, masses = zip(*(_read_keys(path, a, ("x", "frame", "mass"), f"atom {i}")
+                                for i, a in enumerate(atoms)))
+    return DiscreteVarifold(int(n), int(m), np.array(pos, dtype=float),
+                            np.array([np.array(f, dtype=float).T for f in frames]),
+                            np.array(masses, dtype=float))

@@ -413,6 +413,11 @@ class TestCLI:
          "radii must be strictly decreasing, got [0.25, 0.5]"),
         ({"family": "zigzag", "k_schedule": [1], "radii": [0.5, 0.5]},
          "radii must be strictly decreasing, got [0.5, 0.5]"),
+        # a base point of the wrong length is named before any E_k is built
+        ({"family": "zigzag", "base_point": [0.5]},
+         "base_point needs 2 coordinates for family 'zigzag', got 1"),
+        ({"family": "disk", "k_schedule": [1], "base_point": [0.5, 0.0]},
+         "base_point needs 3 coordinates for family 'disk', got 2"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, monkeypatch, doc, message):
         made = []
@@ -490,6 +495,34 @@ class TestCLI:
         save_set(PointCloudSet(2, 1, np.array([[0.0, 0.0], [0.5, 0.0]]), np.ones(2)), path)
         assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_CONFIG
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, drop, argv, message", [
+        ("set", "simplices", ["audit-qm", "@"], "the file has no 'simplices' key"),
+        ("set", None, ["density", "@", "--center", "0.5,0", "--radii", "0.5"],
+         "the file has no 'atoms' key"),
+        ("varifold", "mass", ["distance", "--kind", "bl", "@", "@"],
+         "atom 0 has no 'mass' key"),
+        ("list", None, ["distance", "--kind", "hausdorff", "@", "@"],
+         "the file has no 'ambient_dim' key"),
+    ])
+    def test_missing_key_exit_2(self, tmp_path, capsys, kind, drop, argv, message):
+        # the loaders name the file and the key, not a bare KeyError
+        path = tmp_path / f"{kind}.json"
+        if kind == "varifold":
+            save_varifold(var_of_set(segment_set(8), 1), path)
+        else:
+            save_set(segment_set(8), path)
+        doc = json.loads(path.read_text())
+        if kind == "list":
+            doc = [doc]
+        elif drop in doc:
+            del doc[drop]
+        elif drop:
+            del doc["atoms"][0][drop]
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "@" else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_audit_qm_registry_and_params(self, tmp_path, capsys):
         set_path = tmp_path / "seg.json"

@@ -9,7 +9,7 @@ from varifoldlab.geometry import (Plane, axis_plane, grassmann_distance,
                                   grassmann_distance_matrix, haar_sample)
 from varifoldlab.lab import ScenarioSpec, _var_with_target_atoms
 from varifoldlab.metrics import (CG_SEED_PAIRS, DENSE_FIRST_COLS, SUP_REFINE_TOL,
-                                 _column_generation, _cost_matrix, _lp_certificate,
+                                 _column_generation, _cost_matrix, _lattice, _lp_certificate,
                                  _max_edge_length, _one_sided_sup, _plane_columns,
                                  _reduced_costs, _reference_planes, _sample_points,
                                  bl_distance, filling_check, hausdorff_local,
@@ -17,7 +17,7 @@ from varifoldlab.metrics import (CG_SEED_PAIRS, DENSE_FIRST_COLS, SUP_REFINE_TOL
 from varifoldlab.sets import distance_to_set
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, get_family,
                                    scenario_sequence, segment_set)
-from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
+from varifoldlab.sets import Ball, PointCloudSet, SimplicialSet, _clip, measure, restrict
 from varifoldlab.varifold import DiscreteVarifold, var_of_set
 
 
@@ -636,26 +636,29 @@ def test_dictionary_keeps_its_bits():
         assert (rep.value, rep.witness, rep.detail) == (value, witness, {"dictionary_size": size})
 
 
-def sample_points_loop(clipped, level):
-    """The per-simplex sampling loop that _sample_points vectorizes."""
+def sample_points_loop(corners, level):
+    """The per-simplex sampling loop that _sample_points vectorizes, over an
+    (S, m+1, n) corner array, with the sampling gap: the largest simplex
+    diameter times the step."""
     pts = []
     gap = 0.0
-    for i in range(len(clipped.simplices)):
-        spx = clipped.simplex_points(i)
-        if clipped.dim == 1:
-            t = np.linspace(0.0, 1.0, 2 ** level + 1)
+    k = 2 ** level
+    for spx in corners:
+        if len(spx) == 1:
+            pts.append(spx)
+        elif len(spx) == 2:
+            t = np.linspace(0.0, 1.0, k + 1)
             pts.append(spx[0] + t[:, None] * (spx[1] - spx[0]))
-            gap = max(gap, float(np.linalg.norm(spx[1] - spx[0])) / 2 ** level)
+            gap = max(gap, float(np.linalg.norm(spx[1] - spx[0])) / k)
         else:
             a, b, c = spx
-            k = 2 ** level
             for ii in range(k + 1):
                 for jj in range(k + 1 - ii):
                     pts.append((a + (b - a) * (ii / k) + (c - a) * (jj / k))[None, :])
             diam = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
             gap = max(gap, float(diam) / k)
     if not pts:
-        return np.zeros((0, clipped.ambient_dim)), 0.0
+        return np.zeros((0, corners.shape[2])), 0.0
     return np.concatenate(pts, axis=0), gap
 
 
@@ -664,12 +667,27 @@ def test_sample_points_match_loop(family):
     fam = get_family(family)
     for k in (1, 4):
         for r in fam.base_radii:
-            clipped = restrict(fam.make(k), Ball(np.asarray(fam.base_point, dtype=float), r))
+            corners = _clip(fam.make(k), Ball(np.asarray(fam.base_point, dtype=float), r))[0]
             for level in range(4):
-                pts, gap = _sample_points(clipped, level)
-                want_pts, want_gap = sample_points_loop(clipped, level)
-                assert np.array_equal(pts, want_pts) and pts.shape == want_pts.shape
-                assert gap == want_gap
+                weights, new = _lattice(corners.shape[1] - 1, level)
+                want = sample_points_loop(corners, level)[0]
+                pts = _sample_points(corners, weights)
+                assert np.array_equal(pts, want) and pts.shape == want.shape
+                # the new weights alone give the loop's new points, bit for bit
+                want = want[np.tile(new, len(corners))]
+                pts = _sample_points(corners, weights[new])
+                assert np.array_equal(pts, want) and pts.shape == want.shape
+
+
+def test_point_cloud_lattice_has_no_new_points():
+    # a 0-simplex is its one point at every level; its new weights are
+    # empty and must give no points, not the base points again
+    points = np.random.default_rng(5).standard_normal((7, 3))[:, None, :]
+    for level in range(3):
+        weights, new = _lattice(0, level)
+        assert weights.shape == (1, 0) and not new.any()
+        assert np.array_equal(_sample_points(points, weights), points[:, 0])
+        assert _sample_points(points, weights[new]).shape == (0, 3)
 
 
 def test_max_edge_length_is_the_one_dimensional_norm():
@@ -687,13 +705,13 @@ def test_max_edge_length_is_the_one_dimensional_norm():
     assert _max_edge_length(np.stack([e, f])) == _max_edge_length(np.stack([f, e])) == longest
 
 
-def one_sided_sup_full(source_clipped, target, r, samples):
+def one_sided_sup_full(corners, target, r, samples):
     """The refinement loop measuring every lattice point of every level."""
-    per = max(1, int(np.ceil(samples / len(source_clipped.simplices))))
+    per = max(1, int(np.ceil(samples / len(corners))))
     level = max(0, int(np.ceil(np.log2(per))))
     prev = -np.inf
     for lv in range(level, level + 8):
-        pts, gap = sample_points_loop(source_clipped, lv)
+        pts, gap = sample_points_loop(corners, lv)
         sup = float(distance_to_set(pts, target).max())
         if prev >= 0 and sup - prev < SUP_REFINE_TOL * r:
             break
@@ -710,20 +728,42 @@ def test_nested_sup_matches_full_recompute(family):
     for r in fam.base_radii:
         ball = Ball(np.asarray(fam.base_point, dtype=float), r)
         for source, target in ((e, limit), (limit, e)):
-            clipped = restrict(source, ball)
+            corners = _clip(source, ball)[0]
             for samples in (1, 256):
-                assert (_one_sided_sup(clipped, target, r, samples)
-                        == one_sided_sup_full(clipped, target, r, samples))
+                assert (_one_sided_sup(corners, target, r, samples)
+                        == one_sided_sup_full(corners, target, r, samples))
 
 
 def test_nested_sup_with_one_new_point():
     # one clipped segment at level 0 has two points; level 1 adds only its midpoint
     rng = np.random.default_rng(8)
     for _ in range(40):
-        seg = SimplicialSet.from_segments([rng.standard_normal((2, 3))])
+        seg = rng.standard_normal((1, 2, 3))
         target = SimplicialSet.from_triangles(list(rng.standard_normal((6, 3, 3))))
         assert (_one_sided_sup(seg, target, 1.0, 1)
                 == one_sided_sup_full(seg, target, 1.0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       source=st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+       count=st.integers(1, 30), samples=st.sampled_from([1, 5, 32]),
+       cloud_target=st.booleans())
+def test_nested_sup_property(seed, source, count, samples, cloud_target):
+    """On random corner arrays (point clouds as 0-simplices, segments in R^2
+    and R^3, triangles in R^3) the nested sup with its early break is the
+    sup and gap of measuring every lattice point of every level, bit for
+    bit."""
+    m, n = source
+    rng = np.random.default_rng(seed)
+    corners = rng.standard_normal((count, m + 1, n)) * rng.uniform(0.01, 3.0)
+    ends = rng.standard_normal((int(rng.integers(1, 12)), n, n))
+    target = (PointCloudSet(n, n - 1, ends.reshape(-1, n), np.ones(len(ends) * n))
+              if cloud_target else
+              (SimplicialSet.from_segments if n == 2 else SimplicialSet.from_triangles)(ends))
+    r = float(rng.uniform(0.1, 2.0))
+    assert (_one_sided_sup(corners, target, r, samples)
+            == one_sided_sup_full(corners, target, r, samples))
 
 
 class TestProjectedMass:
@@ -818,3 +858,7 @@ class TestFillingCheck:
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             filling_check(self.sets("zigzag", [1, 2]), self.X, H, [0.1, 0.5])
+
+    def test_no_sets_rejected(self):
+        with pytest.raises(ValueError, match="filling_check needs at least one set"):
+            filling_check({}, self.X, H, self.RADII)

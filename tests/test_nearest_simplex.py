@@ -15,13 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from test_sets import thin_triangles
 from varifoldlab.geometry import Plane
-from varifoldlab.metrics import _sample_points, hausdorff_local_report
+from varifoldlab.metrics import _lattice, _sample_points, hausdorff_local_report
 from varifoldlab.quasimin import _affine_projection_deformation, make_deformation
 from varifoldlab.scenarios import disk_set, get_family
 from varifoldlab import sets
 from varifoldlab.sets import (Ball, PointCloudSet, SimplicialSet, _distinct_rows,
-                              _nondegenerate, distance_to_set,
-                              nearest_simplex, restrict)
+                              _nondegenerate, distance_to_set, nearest_simplex)
 
 
 def point_segment_distance(points, a, b):
@@ -309,10 +308,10 @@ def test_disk_hausdorff_inputs(r):
     e, limit = fam.make(1), fam.limit()
     ball = Ball(np.asarray(fam.base_point, dtype=float), r)
     for source, target in ((e, limit), (limit, e)):
-        clipped = restrict(source, ball)
-        level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(clipped.simplices))))))))
+        corners = sets._clip(source, ball)[0]
+        level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(corners))))))))
         for lv in (level, level + 1):
-            pts, _ = _sample_points(clipped, lv)
+            pts = _sample_points(corners, _lattice(corners.shape[1] - 1, lv)[0])
             assert_matches_oracle(pts, target)
 
 
@@ -329,12 +328,13 @@ def test_hausdorff_candidate_pairs(family, bound):
     for r in fam.base_radii:
         ball = Ball(np.asarray(fam.base_point, dtype=float), r)
         for source, target in ((e, limit), (limit, e)):
-            clipped = restrict(source, ball)
-            if clipped.is_empty():  # the Hausdorff stage queries nothing
+            corners = sets._clip(source, ball)[0]
+            if not len(corners):  # the Hausdorff stage queries nothing
                 continue
-            level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(clipped.simplices))))))))
+            level = max(0, int(np.ceil(np.log2(max(1, int(np.ceil(256 / len(corners))))))))
             for lv in (level, level + 1):
-                distinct = _distinct_rows(_sample_points(clipped, lv)[0])[0]
+                pts = _sample_points(corners, _lattice(corners.shape[1] - 1, lv)[0])
+                distinct = _distinct_rows(pts)[0]
                 index = target._distance_index
                 row, _ = sets._candidate_pairs(distinct, index, sets._upper_bounds(distinct, index))
                 pairs += len(row)
