@@ -4,12 +4,15 @@ numerics should leave byte-identical.
     python3 scripts/report_digests.py --seed 1 --seed 2 > digests.txt
 
 The outputs are ``run_scenario(spec).to_json_bytes()`` for the default
-spec of every registered family and for ``disk`` at k=(1, 2), and the exit
-code, stdout and stderr of every call of the benchmark's ``queries``
-workload for each given seed (built by ``perfbench/workloads.py`` and run
-by its ``run_op``). Run it from the root of a checkout, which it imports
-``varifoldlab`` from; run it on two checkouts, at ``VARIFOLD_LAB_THREADS=1``
-and ``=2``, and diff the outputs.
+spec of every registered family and for ``disk`` at k=(1, 2); the exit
+code, stdout and stderr of the CLI commands that the benchmark does not
+call, on fixed input files (``distance --kind hausdorff`` on two curves
+and on a Cantor point cloud against a curve, ``density``, and
+``projected-mass`` at m=1 and m=2); and the same three of every call of
+the benchmark's ``queries`` workload for each given seed (built by
+``perfbench/workloads.py`` and run by its ``run_op``). Run it from the
+root of a checkout, which it imports ``varifoldlab`` from; run it on two
+checkouts, at ``VARIFOLD_LAB_THREADS=1`` and ``=2``, and diff the outputs.
 
 Each digest line of a scenario is followed by one ``<key>/k=<k>/bl <repr>``
 line per row, and each exact-BL query by ``<key>/value``, ``<key>/lp_lower``
@@ -20,19 +23,24 @@ two checkouts diff numerically as well.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from varifoldlab import cli  # noqa: E402
 from varifoldlab.lab import ScenarioSpec, run_scenario  # noqa: E402
-from varifoldlab.scenarios import FAMILIES  # noqa: E402
+from varifoldlab.scenarios import FAMILIES, cantor4_set, scenario_sequence, ycone_set  # noqa: E402
+from varifoldlab.sets import save_set  # noqa: E402
+from varifoldlab.varifold import save_varifold, var_of_set  # noqa: E402
 
 
 def sha(*parts: bytes) -> str:
@@ -50,6 +58,39 @@ def scenario_lines():
         yield key, sha(report.to_json_bytes())
         for row in report.rows:
             yield f"{key}/k={row['k']}/bl", repr(row["bl"])
+
+
+CLI_CALLS = [
+    ("distance-hausdorff/curves",
+     ["distance", "--kind", "hausdorff", "@zigzag", "@graph_decay", "--center", "0.5,0",
+      "--radius", "0.25"]),
+    ("distance-hausdorff/cantor4-curve",
+     ["distance", "--kind", "hausdorff", "@cantor4", "@zigzag", "--center", "0.5,0.5",
+      "--radius", "0.5"]),
+    ("density/ycone", ["density", "@ycone_var", "--center", "0,0", "--radii", "0.5,0.25,0.125"]),
+    ("projected-mass/m1",
+     ["projected-mass", "@zigzag", "--center", "0.5,0", "--radius", "0.25", "--plane-angle", "0"]),
+    ("projected-mass/m2",
+     ["projected-mass", "@disk", "--center", "0,0,0", "--radius", "0.5", "--plane-axes", "0,1"]),
+]
+
+
+def cli_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / f"{name}.json")
+                 for name in ("zigzag", "graph_decay", "cantor4", "disk", "ycone_var")}
+        save_set(scenario_sequence("zigzag", 8), paths["zigzag"])
+        save_set(scenario_sequence("graph_decay", 8), paths["graph_decay"])
+        save_set(cantor4_set(3), paths["cantor4"])
+        save_set(scenario_sequence("disk", 1), paths["disk"])
+        save_varifold(var_of_set(ycone_set(64), 2), paths["ycone_var"])
+        for key, argv in CLI_CALLS:
+            argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            yield f"cli/{key}", sha(str(code).encode(), stdout.getvalue().encode(),
+                                    stderr.getvalue().encode())
 
 
 class _Buffers:
@@ -93,7 +134,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, action="append", default=[],
                     help="a queries seed (repeatable; default: 1)")
     args = ap.parse_args(argv)
-    for key, digest in scenario_lines():
+    for key, digest in chain(scenario_lines(), cli_lines()):
         print(key, digest, flush=True)
     for seed in args.seed or [1]:
         for key, digest in query_lines(seed):

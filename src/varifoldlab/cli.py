@@ -22,7 +22,6 @@ from .integrands import (competitor_registry, get_integrand,
 from .lab import ScenarioSpec, run_scenario
 from .metrics import SolverError, bl_distance, hausdorff_local_report, projected_mass
 from .quasimin import GaugeFunction, qm_audit
-from .scenarios import UnknownFamilyError
 from .sets import Ball, PointCloudSet, load_set
 from .varifold import density_report, load_varifold
 
@@ -61,7 +60,10 @@ def _parse_plane(args, n) -> Plane:
 
 def _finite_point(text, flag):
     """The comma-separated coordinates given to ``flag``, all finite."""
-    x = np.array([float(c) for c in text.split(",")])
+    try:
+        x = np.array([float(c) for c in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text}") from None
     if not np.isfinite(x).all():
         raise ConfigError(f"{flag} must be finite, got {text}")
     return x
@@ -96,7 +98,7 @@ def _cmd_distance(args):
     if args.kind == "hausdorff":
         a = load_set(args.first)
         b = load_set(args.second)
-        center = np.array([float(c) for c in args.center.split(",")])
+        center = _finite_point(args.center, "--center")
         rep = hausdorff_local_report(a, b, center, args.radius, samples=args.samples)
         _emit(rep.to_dict(), args.output)
         return EXIT_OK
@@ -144,8 +146,8 @@ def _cmd_audit_qm(args):
                           f"needs a set with at least one simplex")
     gauge = GaugeFunction(kind=args.h_kind, h0=args.h0, delta=args.h_delta)
     if args.domain:
-        vals = [float(c) for c in args.domain.split(",")]
-        domain = Ball(np.array(vals[:-1]), vals[-1])
+        vals = _finite_point(args.domain, "--domain")
+        domain = Ball(vals[:-1], vals[-1])
     else:
         # default: smallest enclosing ball about the vertex centroid, so the
         # set's extremes sit on the domain boundary (free tips inside the
@@ -161,7 +163,7 @@ def _cmd_audit_qm(args):
 
 def _cmd_projected_mass(args):
     e = _load_simplicial_set(args.set)
-    center = np.array([float(c) for c in args.center.split(",")])
+    center = _finite_point(args.center, "--center")
     t = _parse_plane(args, e.ambient_dim)
     value = projected_mass(e, center, args.radius, t)
     _emit({"value": value, "center": center.tolist(), "radius": args.radius},
@@ -244,9 +246,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownFamilyError, FileNotFoundError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError,
+            ValueError) as exc:
+        # str() of a KeyError (an unknown family, integrand or deformation)
+        # quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ __all__ = [
     "DimensionMismatchError",
     "DegenerateFrameError",
     "orthonormalize",
-    "project",
     "grassmann_distance",
     "grassmann_distance_matrix",
     "tangent_jacobian",
@@ -143,20 +142,6 @@ def axis_plane(n: int, axes) -> Plane:
     return Plane(f)
 
 
-def project(plane: Plane, point: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``point`` onto ``plane``.
-
-    Accepts a single point of length n or an array of points with last
-    axis n; the projection is applied pointwise.
-    """
-    pt = np.asarray(point, dtype=float)
-    if pt.shape[-1] != plane.ambient_dim:
-        raise DimensionMismatchError(
-            f"point dimension {pt.shape[-1]} != ambient dimension {plane.ambient_dim}"
-        )
-    return pt @ plane.projection.T
-
-
 def grassmann_distance(p: Plane, q: Plane) -> float:
     """Operator-norm distance between two planes of equal dimension.
 
@@ -245,12 +230,6 @@ class GrassmannSample:
 
     def __len__(self):
         return len(self.planes)
-
-    def mean_projection(self) -> np.ndarray:
-        out = np.zeros((self.planes[0].ambient_dim,) * 2)
-        for pl, w in zip(self.planes, self.weights):
-            out += w * pl.projection
-        return out
 
 
 def haar_sample(n: int, m: int, count: int, seed) -> GrassmannSample:

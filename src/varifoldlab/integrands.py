@@ -28,12 +28,9 @@ __all__ = [
     "energy",
     "set_energy",
     "frozen",
-    "rescaled",
-    "frozen_deviation",
     "flat_disk",
     "competitor_registry",
     "semi_ellipticity_audit",
-    "best_c_scan",
     "get_integrand",
     "load_tabulated_integrand",
     "INTEGRAND_NAMES",
@@ -90,47 +87,6 @@ def frozen(f: Integrand, x) -> Integrand:
         return _base(fixed, frames)
 
     return Integrand(f"{f.name}@frozen", ev, f.inf_value, f.sup_value, f.modulus_c)
-
-
-def rescaled(f: Integrand, x, r: float) -> Integrand:
-    """The integrand seen in blow-up coordinates: (z, T) -> F(x + r z, T).
-
-    Composes with the inverse of the blow-up map, so the energy of a blown-up
-    varifold matches r^{-m} times the energy of the original restricted to
-    B(x, r), and the rescaled integrand tends to F^x on compacts as r -> 0.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    x = np.asarray(x, dtype=float)
-
-    def ev(points, frames, _base=f.evaluate, _x=x, _r=float(r)):
-        return _base(_x + _r * points, frames)
-
-    c = f.modulus_c
-    c2 = (lambda z, _c=c, _x=x, _r=float(r): _c(_x + _r * np.asarray(z, dtype=float))) if c else None
-    return Integrand(f"{f.name}@rescaled", ev, f.inf_value, f.sup_value, c2)
-
-
-def frozen_deviation(f: Integrand, x, r: float) -> float:
-    """sup over a grid of B(0, 1) x lines of |F(x + r z, T) - F(x, T)|: the
-    9-point grid per axis, and the 8 Haar lines of seed 0.
-
-    The grid includes the unit axis points, so radially monotone deviations
-    are attained exactly. Tends to 0 as r -> 0 for continuous integrands.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    axes = np.linspace(-1.0, 1.0, 9)
-    mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    mesh = mesh[np.linalg.norm(mesh, axis=1) <= 1.0 + 1e-12]
-    worst = 0.0
-    fr = rescaled(f, x, r)
-    fz = frozen(f, x)
-    for pl in haar_sample(n, 1, 8, 0).planes:
-        frames = np.broadcast_to(pl.frame, (len(mesh), n, pl.dim))
-        dev = np.abs(fr.evaluate(mesh, frames) - fz.evaluate(mesh, frames))
-        worst = max(worst, float(dev.max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +349,3 @@ def semi_ellipticity_audit(f: Integrand, x, t: Plane, competitors=None,
             if margin < -1e-9:
                 certs.append((pid, cid, float(margin)))
     return EllipticityReport(f.name, x, tuple(rows), tuple(certs), c_val)
-
-
-def best_c_scan(f: Integrand, x, t: Plane, **audit_kwargs) -> float:
-    """The largest c for which every registry margin
-    Φ(S) - Φ(D) - c (H(S) - H(D)) stays at or above -1e-9.
-
-    Each audit row bounds c on one side, by the sign of its measure excess
-    H(S) - H(D); the result is the upper end of the interval they leave, and
-    inf when no competitor has a positive excess. Returns 0.0 when that
-    interval is empty or lies below 0 (the audit is then already reporting
-    semi-ellipticity counterexamples)."""
-    rep = semi_ellipticity_audit(f, x, t, **audit_kwargs)
-    semi = np.array([r[2] for r in rep.rows]) + 1e-9
-    excess = np.array([r[4] - r[5] for r in rep.rows])
-    up, down = excess > 0, excess < 0
-    hi = np.min(semi[up] / excess[up], initial=np.inf)
-    lo = np.max(semi[down] / excess[down], initial=-np.inf)
-    feasible = lo <= hi and hi >= 0 and np.all(semi[excess == 0] >= 0)
-    return float(hi) if feasible else 0.0

@@ -93,6 +93,13 @@ class ScenarioSpec:
                 object.__setattr__(self, name, tuple(value))
             elif value is not None or name == "k_schedule":
                 raise ValueError(f"{name} must be a list, got {value!r}")
+        for name in ("base_point", "domain"):
+            value = getattr(self, name)
+            if value is not None and not all(
+                    isinstance(c, numbers.Real) and -np.inf < c < np.inf for c in value):
+                raise ValueError(f"{name} must be a list of finite numbers, got {list(value)!r}")
+        if self.domain and not self.domain[-1] > 0:
+            raise ValueError(f"domain radius must be > 0, got {self.domain[-1]!r}")
         ks = tuple(_int_at_least("every k", k, 1) for k in self.k_schedule)
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or not ks:
             raise ValueError("k schedule must be nonempty and strictly increasing")

@@ -600,10 +600,6 @@ class FillingReport:
     tol: float
     verdict: str
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "HOLDS"
-
 
 def filling_check(sets, x, t: Plane, radii) -> FillingReport:
     """Evaluate projected_mass(E_k, x, r, T) over a (k, r) grid and decide

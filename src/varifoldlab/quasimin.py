@@ -97,10 +97,6 @@ class GaugeFunction:
         """h(0+): the limit from the right at 0."""
         return 0.0 if self.kind == "power" else self.h0
 
-    def dominates(self, other: "GaugeFunction") -> bool:
-        """True when self >= other pointwise on a scan grid of [0, 2]."""
-        return all(self(t) >= other(t) - 1e-15 for t in np.linspace(0.0, 2.0, 41))
-
     def to_dict(self):
         """JSON fields; an infinite ``delta`` (no cutoff) is written as null."""
         return {"kind": self.kind, "h0": self.h0,
@@ -138,9 +134,6 @@ class Deformation:
         moved = np.linalg.norm(self.phi(sphere) - sphere, axis=1)
         if moved.max() > 1e-9:
             raise ValueError(f"deformation {self.name!r} moves points outside its ball")
-
-    def displacement(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.phi(points) - points, axis=1)
 
 
 # ---------------------------------------------------------------------------

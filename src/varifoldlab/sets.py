@@ -2,12 +2,14 @@
 
 SimplicialSet covers the rectifiable case with exact per-simplex measure
 and tangent planes (m = 1 segments, m = 2 triangles). PointCloudSet is the
-weighted-sample stand-in for irregular sets. Ball clipping is one
-function, ``_clip``, whose arrays the Hausdorff sups, ``projected_mass``
-and the quasiminimality audit read as they are; only ``restrict`` builds
-a set from them. It classifies all simplices at once, on the triangle
-frames and in-plane corners of ``_simplex_constants`` that the distance
-kernel uses, and traces only the boundary of each triangle the sphere cuts.
+weighted-sample stand-in for irregular sets: ``restrict``, the distance
+queries and the local Hausdorff distance take it, and no varifold is built
+from it. Ball clipping is one function, ``_clip``, whose arrays the
+Hausdorff sups, ``projected_mass`` and the quasiminimality audit read as
+they are; only ``restrict`` builds a set from them. It classifies all
+simplices at once, on the triangle frames and in-plane corners of
+``_simplex_constants`` that the distance kernel uses, and traces only the
+boundary of each triangle the sphere cuts.
 
 This module is the one home of the simplex primitives that the rest of the
 library shares: the row-wise dot product ``_rowdot``, simplex measure,
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Plane, _distinct_rows
+from .geometry import _distinct_rows
 
 __all__ = [
     "Ball",
@@ -49,11 +51,8 @@ __all__ = [
     "PointCloudSet",
     "measure",
     "restrict",
-    "rescale",
-    "translate",
     "distance_to_set",
     "nearest_simplex",
-    "ahlfors_ratios",
     "save_set",
     "load_set",
     "CLIP_AREA_TOL",
@@ -236,9 +235,6 @@ class SimplicialSet:
     def total_measure(self) -> float:
         return float(self.simplex_measures.sum())
 
-    def simplex_plane(self, i: int) -> Plane:
-        return Plane(self.simplex_frames[i])
-
     def simplex_points(self, i: int) -> np.ndarray:
         return self.vertices[self.simplices[i]]
 
@@ -306,27 +302,10 @@ class PointCloudSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", w)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 def measure(e: SimplicialSet) -> float:
     """Total m-dimensional measure: the exact sum of simplex m-volumes."""
     return e.total_measure
-
-
-def translate(e: SimplicialSet, offset) -> SimplicialSet:
-    return SimplicialSet(e.ambient_dim, e.dim, e.vertices + np.asarray(offset, dtype=float),
-                         e.simplices)
-
-
-def rescale(e: SimplicialSet, x, r: float) -> SimplicialSet:
-    """Map vertices y -> (y - x) / r. Measure scales by r^{-m} exactly."""
-    if r <= 0:
-        raise ValueError("rescale radius must be positive")
-    return SimplicialSet(e.ambient_dim, e.dim, (e.vertices - np.asarray(x, dtype=float)) / r,
-                         e.simplices)
 
 
 def _sphere_crossings(p, d, center, radius):
@@ -848,15 +827,6 @@ def distance_to_set(points, target) -> np.ndarray:
 
         return cKDTree(target.points).query(pts)[0]
     return nearest_simplex(pts, target)[0]
-
-
-def ahlfors_ratios(e: SimplicialSet, x, radii) -> np.ndarray:
-    """measure(E ∩ B(x, r)) / r^m over the given radii."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for r in radii:
-        out.append(measure(restrict(e, Ball(x, float(r)))) / float(r) ** e.dim)
-    return np.array(out)
 
 
 def save_set(e, path) -> None:

@@ -1,9 +1,8 @@
 """Discrete varifolds: finite atomic measures on positions x m-planes.
 
-Construction from simplicial sets (tangent-weighted quadrature) and from
-point clouds (tangents spread over a Haar sample), mass-in-ball queries,
-density reports, and the blow-up pushforward with the r^{-m} mass factor
-that makes blowup(var(E), x, r) agree with var(rescale(E, x, r)).
+Construction from simplicial sets (tangent-weighted quadrature), density
+reports over a decreasing radius list, and the JSON file format the CLI
+reads.
 """
 
 from __future__ import annotations
@@ -13,19 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GrassmannSample, Plane
-from .sets import Ball, PointCloudSet, SimplicialSet, _check_ball, _midpoint_split, _read_keys
+from .sets import SimplicialSet, _midpoint_split, _read_keys
 
 __all__ = [
     "DiscreteVarifold",
     "DensityReport",
     "unit_ball_volume",
     "var_of_set",
-    "var_of_pointcloud",
-    "mass_in_ball",
-    "restrict_to_ball",
     "density_report",
-    "blowup",
     "save_varifold",
     "load_varifold",
 ]
@@ -82,28 +76,12 @@ class DiscreteVarifold:
         object.__setattr__(self, "frames", fr)
         object.__setattr__(self, "masses", w)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def __len__(self):
         return len(self.masses)
-
-    def atom_plane(self, i: int) -> Plane:
-        return Plane(self.frames[i])
 
     @classmethod
     def empty(cls, n: int, m: int) -> "DiscreteVarifold":
         return cls(n, m, np.zeros((0, n)), np.zeros((0, n, m)), np.zeros(0))
-
-    def concatenated(self, other: "DiscreteVarifold") -> "DiscreteVarifold":
-        if (other.ambient_dim, other.dim) != (self.ambient_dim, self.dim):
-            raise ValueError("varifold dimensions differ")
-        return DiscreteVarifold(
-            self.ambient_dim, self.dim,
-            np.concatenate([self.positions, other.positions]),
-            np.concatenate([self.frames, other.frames]),
-            np.concatenate([self.masses, other.masses]))
 
 
 def var_of_set(e: SimplicialSet, quadrature_per_simplex: int = 1) -> DiscreteVarifold:
@@ -136,42 +114,6 @@ def var_of_set(e: SimplicialSet, quadrature_per_simplex: int = 1) -> DiscreteVar
     return DiscreteVarifold(n, m, pts.reshape(-1, n),
                             np.repeat(e.simplex_frames, count, axis=0),
                             np.repeat(e.simplex_measures / count, count))
-
-
-def var_of_pointcloud(e: PointCloudSet, haar: GrassmannSample) -> DiscreteVarifold:
-    """The varifold of an irregular sample: each point spawns one atom per
-    Haar plane, with mass = point mass * plane weight. Total mass preserved."""
-    if len(haar) == 0:
-        raise ValueError("empty Grassmann sample")
-    n = e.ambient_dim
-    if haar.planes[0].ambient_dim != n:
-        raise ValueError("Grassmann sample ambient dimension differs from cloud")
-    m = haar.planes[0].dim
-    hframes = np.stack([pl.frame for pl in haar.planes])
-    pos = np.repeat(e.points, len(haar), axis=0)
-    frames = np.tile(hframes, (len(e.points), 1, 1))
-    masses = (e.masses[:, None] * haar.weights[None, :]).ravel()
-    keep = masses > 0
-    return DiscreteVarifold(n, m, pos[keep], frames[keep], masses[keep])
-
-
-def mass_in_ball(v: DiscreteVarifold, ball: Ball) -> float:
-    """Sum of masses of atoms whose position lies in the closed ball."""
-    _check_ball(v, ball)
-    if len(v) == 0:
-        return 0.0
-    inside = np.linalg.norm(v.positions - ball.center, axis=1) <= ball.radius
-    return float(v.masses[inside].sum())
-
-
-def restrict_to_ball(v: DiscreteVarifold, ball: Ball) -> DiscreteVarifold:
-    """Atoms with position in the closed ball."""
-    _check_ball(v, ball)
-    if len(v) == 0:
-        return v
-    inside = np.linalg.norm(v.positions - ball.center, axis=1) <= ball.radius
-    return DiscreteVarifold(v.ambient_dim, v.dim, v.positions[inside],
-                            v.frames[inside], v.masses[inside])
 
 
 @dataclass(frozen=True)
@@ -245,18 +187,6 @@ def density_report(v: DiscreteVarifold, x, radii) -> DensityReport:
         reliable = False
         warnings.append("no radius contains the minimum atom count; report unreliable")
     return DensityReport(x, radii, ratios, counts, extrapolated, reliable, tuple(warnings))
-
-
-def blowup(v: DiscreteVarifold, x, r: float) -> DiscreteVarifold:
-    """Pushforward under y -> (y - x)/r with masses multiplied by r^{-m}.
-
-    The mass factor is what makes blow-ups of var(E) agree atom-by-atom
-    with var of the rescaled set, and density ratios scale-invariant."""
-    if r <= 0:
-        raise ValueError("blow-up radius must be positive")
-    x = _point_of(v, x)
-    return DiscreteVarifold(v.ambient_dim, v.dim, (v.positions - x) / r,
-                            v.frames, v.masses / r ** v.dim)
 
 
 def save_varifold(v: DiscreteVarifold, path) -> None:

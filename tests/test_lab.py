@@ -418,6 +418,18 @@ class TestCLI:
          "base_point needs 2 coordinates for family 'zigzag', got 1"),
         ({"family": "disk", "k_schedule": [1], "base_point": [0.5, 0.0]},
          "base_point needs 3 coordinates for family 'disk', got 2"),
+        # every coordinate is checked where the spec is read, not after the
+        # limit is built
+        ({"family": "segment", "base_point": ["a", 0]},
+         "base_point must be a list of finite numbers, got ['a', 0]"),
+        ({"family": "segment", "base_point": [float("nan"), 0]},
+         "base_point must be a list of finite numbers, got [nan, 0]"),
+        ({"family": "segment", "domain": [0, 0, float("nan")]},
+         "domain must be a list of finite numbers, got [0, 0, nan]"),
+        ({"family": "segment", "domain": [0, 0, 0]}, "domain radius must be > 0, got 0"),
+        # a KeyError's message is printed as it is, not quoted as its repr
+        ({"family": "bogus"}, "error: unknown scenario family 'bogus'"),
+        ({"family": "segment", "integrand": "bogus"}, "error: unknown integrand 'bogus'"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, monkeypatch, doc, message):
         made = []
@@ -451,7 +463,7 @@ class TestCLI:
         (["distance", "--kind", "hausdorff", "@seg", "@seg", "--radius", "nan"],
          "ball radius must be finite and positive, got nan"),
         (["distance", "--kind", "hausdorff", "@seg", "@seg", "--center", "nan,0"],
-         "ball centre must be finite"),
+         "--center must be finite, got nan,0"),
         (["density", "@var", "--center", "0.5,0", "--radii", "0.5,nan"],
          "radii must be finite and positive"),
         (["density", "@var", "--center", "nan,0", "--radii", "0.5"],
@@ -472,6 +484,17 @@ class TestCLI:
         # a centre of R^1 was broadcast over both coordinates of R^2
         (["density", "@var", "--center", "0.3", "--radii", "0.5"],
          "centre must be a point of R^2, got [0.3]"),
+        # every point option goes through one parser that names its flag
+        (["distance", "--kind", "hausdorff", "@seg", "@seg", "--center", "a,0"],
+         "--center must be comma-separated numbers, got a,0"),
+        (["projected-mass", "@seg", "--center", "a,0", "--radius", "0.25", "--plane-angle", "0"],
+         "--center must be comma-separated numbers, got a,0"),
+        (["projected-mass", "@seg", "--center", "0.5,nan", "--radius", "0.25", "--plane-angle", "0"],
+         "--center must be finite, got 0.5,nan"),
+        (["audit-qm", "@seg", "--domain", "0.5,x,0.5"],
+         "--domain must be comma-separated numbers, got 0.5,x,0.5"),
+        (["audit-qm", "@seg", "--domain", "0.5,0,inf"], "--domain must be finite, got 0.5,0,inf"),
+        (["audit-qm", "@seg", "--registry", "identity,warp"], "error: unknown deformation 'warp'"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
         files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}

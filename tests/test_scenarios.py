@@ -95,7 +95,7 @@ class TestCantor4:
             cloud = cantor4_set(k)
             assert isinstance(cloud, PointCloudSet)
             assert len(cloud.points) == 4 ** k
-            assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
+            assert cloud.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_points_in_unit_square(self):
         cloud = cantor4_set(4)

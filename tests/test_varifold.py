@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from varifoldlab.geometry import Plane, axis_plane, grassmann_distance, haar_sample
+from varifoldlab.geometry import Plane, axis_plane, grassmann_distance
 from varifoldlab.metrics import bl_distance
-from varifoldlab.scenarios import cantor4_set, disk_set, scenario_sequence, segment_set, ycone_set
-from varifoldlab.sets import Ball, PointCloudSet, SimplicialSet, measure, rescale, restrict
-from varifoldlab.varifold import (DiscreteVarifold, blowup, density_report,
-                                  load_varifold, mass_in_ball, restrict_to_ball,
-                                  save_varifold, unit_ball_volume,
-                                  var_of_pointcloud, var_of_set)
+from varifoldlab.scenarios import disk_set, scenario_sequence, segment_set, ycone_set
+from varifoldlab.sets import Ball, SimplicialSet, measure, restrict
+from varifoldlab.varifold import (DiscreteVarifold, density_report, load_varifold,
+                                  save_varifold, unit_ball_volume, var_of_set)
 
 
 def _triangle_refine(tri, levels):
@@ -44,9 +42,22 @@ def var_of_set_loop(e, quadrature_per_simplex=1):
     return np.concatenate(pos), np.concatenate(frames), np.concatenate(masses)
 
 
-def single_atom(x, frame, mass=1.0, n=2, m=1):
-    return DiscreteVarifold(n, m, np.array([x], dtype=float),
-                            np.array([frame], dtype=float), np.array([mass]))
+def blown_up(v, x, r):
+    """The pushforward of v under y -> (y - x) / r, masses times r^{-m}."""
+    return DiscreteVarifold(v.ambient_dim, v.dim, (v.positions - x) / r, v.frames,
+                            v.masses / r ** v.dim)
+
+
+def in_ball(v, ball):
+    """The atoms of v in the closed ball."""
+    inside = np.linalg.norm(v.positions - ball.center, axis=1) <= ball.radius
+    return DiscreteVarifold(v.ambient_dim, v.dim, v.positions[inside],
+                            v.frames[inside], v.masses[inside])
+
+
+def ball_mass(v, x, r):
+    """||V||(B(x, r)), read back from density_report's ratio."""
+    return density_report(v, x, [r]).ratios[0] * unit_ball_volume(v.dim) * r ** v.dim
 
 
 class TestVarOfSet:
@@ -54,31 +65,31 @@ class TestVarOfSet:
         seg = SimplicialSet.from_polyline([[0.0, 0], [1, 0]])
         v = var_of_set(seg, 1)
         assert len(v) == 1
-        assert v.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert grassmann_distance(v.atom_plane(0), axis_plane(2, [0])) < 1e-12
+        assert v.masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert grassmann_distance(Plane(v.frames[0]), axis_plane(2, [0])) < 1e-12
         assert np.allclose(v.positions[0], [0.5, 0.0])
 
     def test_zigzag_masses_split_between_slopes(self):
         for k in (2, 5):
             v = var_of_set(scenario_sequence("zigzag", k), 4)
-            assert v.total_mass == pytest.approx(np.sqrt(2), abs=1e-12)
+            assert v.masses.sum() == pytest.approx(np.sqrt(2), abs=1e-12)
             up = Plane.from_span([1.0, 1.0])
-            dists = np.array([grassmann_distance(v.atom_plane(i), up)
+            dists = np.array([grassmann_distance(Plane(v.frames[i]), up)
                               for i in range(len(v))])
             up_mass = v.masses[dists < 1e-9].sum()
-            assert up_mass == pytest.approx(v.total_mass / 2, abs=1e-12)
+            assert up_mass == pytest.approx(v.masses.sum() / 2, abs=1e-12)
 
     def test_mass_equals_measure_random(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             e = SimplicialSet.from_polyline(rng.standard_normal((6, 3)))
             q = int(rng.integers(1, 5))
-            assert var_of_set(e, q).total_mass == pytest.approx(measure(e), abs=1e-12)
+            assert var_of_set(e, q).masses.sum() == pytest.approx(measure(e), abs=1e-12)
 
     def test_triangles_mass(self):
         d = disk_set(angular=16)
         for q in (1, 4):
-            assert var_of_set(d, q).total_mass == pytest.approx(measure(d), abs=1e-12)
+            assert var_of_set(d, q).masses.sum() == pytest.approx(measure(d), abs=1e-12)
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
@@ -103,65 +114,27 @@ class TestVarOfSet:
             assert np.array_equal(v.masses, masses)
 
 
-class TestVarOfPointCloud:
-    def test_single_point_single_plane(self):
-        cloud = PointCloudSet(2, 1, np.array([[0.3, 0.7]]), np.array([1.0]))
-        haar = haar_sample(2, 1, 1, seed=0)
-        v = var_of_pointcloud(cloud, haar)
-        assert len(v) == 1
-        assert v.total_mass == pytest.approx(1.0, abs=1e-15)
-
-    def test_mass_preserved_random(self):
-        rng = np.random.default_rng(1)
-        cloud = PointCloudSet(3, 1, rng.standard_normal((20, 3)),
-                              rng.random(20) + 0.1)
-        haar = haar_sample(3, 1, 16, seed=2)
-        v = var_of_pointcloud(cloud, haar)
-        assert v.total_mass == pytest.approx(cloud.total_mass, rel=1e-12)
-
-    def test_cantor_mean_projection(self):
-        cloud = cantor4_set(4)
-        haar = haar_sample(2, 1, 64, seed=3)
-        v = var_of_pointcloud(cloud, haar)
-        mean_proj = np.einsum("aij,akj,a->ik", v.frames, v.frames, v.masses) / v.total_mass
-        assert np.max(np.abs(mean_proj - 0.5 * np.eye(2))) < 0.05
-
-    def test_dimension_mismatch(self):
-        cloud = PointCloudSet(3, 1, np.zeros((1, 3)), np.array([1.0]))
-        with pytest.raises(ValueError):
-            var_of_pointcloud(cloud, haar_sample(2, 1, 2, seed=0))
-
-
 class TestMassInBall:
     def test_all_inside(self):
         v = var_of_set(segment_set(32), 1)
-        assert mass_in_ball(v, Ball(np.array([0.5, 0.0]), 10.0)) == pytest.approx(
-            v.total_mass)
+        assert ball_mass(v, np.array([0.5, 0.0]), 10.0) == pytest.approx(v.masses.sum())
 
     def test_centered_quarter_ball(self):
         seg = SimplicialSet.from_polyline(
             np.linspace([-0.5, 0.0], [0.5, 0.0], 65))
         v = var_of_set(seg, 1)
         assert len(v) >= 64
-        got = mass_in_ball(v, Ball(np.zeros(2), 0.25))
+        got = ball_mass(v, np.zeros(2), 0.25)
         assert abs(got - 0.5) <= 2 / 64
 
     def test_empty_intersection(self):
         v = var_of_set(segment_set(4), 1)
-        assert mass_in_ball(v, Ball(np.array([9.0, 9.0]), 0.5)) == 0.0
+        assert ball_mass(v, np.array([9.0, 9.0]), 0.5) == 0.0
 
     def test_monotone_in_radius(self):
         v = var_of_set(ycone_set(32), 2)
-        masses = [mass_in_ball(v, Ball(np.zeros(2), r)) for r in (0.1, 0.3, 0.8)]
+        masses = [ball_mass(v, np.zeros(2), r) for r in (0.1, 0.3, 0.8)]
         assert masses == sorted(masses)
-
-    @pytest.mark.parametrize("query", [mass_in_ball, restrict_to_ball])
-    def test_ball_outside_rn_rejected(self, query):
-        # a centre of R^1 was broadcast over both coordinates of R^2
-        for v in (var_of_set(segment_set(8), 1), DiscreteVarifold.empty(2, 1)):
-            for center in ([0.3], [0.3, 0.0, 0.0]):
-                with pytest.raises(ValueError, match="ambient dimensions differ"):
-                    query(v, Ball(center, 0.5))
 
 
 class TestDensityReport:
@@ -206,28 +179,12 @@ class TestDensityReport:
 
 
 class TestBlowup:
-    def test_identity(self):
-        v = var_of_set(segment_set(8), 2)
-        b = blowup(v, np.zeros(2), 1.0)
-        assert np.allclose(b.positions, v.positions)
-        assert np.allclose(b.masses, v.masses)
-
-    def test_mass_in_ball_scaling(self):
-        rng = np.random.default_rng(2)
-        v = var_of_set(SimplicialSet.from_polyline(rng.standard_normal((8, 2))), 4)
-        for _ in range(5):
-            x = rng.standard_normal(2) * 0.3
-            r = float(rng.random() + 0.2)
-            lhs = mass_in_ball(blowup(v, x, r), Ball(np.zeros(2), 1.0))
-            rhs = mass_in_ball(v, Ball(x, r)) / r ** v.dim
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_matches_var_of_rescaled_set(self):
         e = ycone_set(16)
         x = np.array([0.1, 0.2])
         r = 0.5
-        a = blowup(var_of_set(e, 2), x, r)
-        b = var_of_set(rescale(e, x, r), 2)
+        a = blown_up(var_of_set(e, 2), x, r)
+        b = var_of_set(SimplicialSet(e.ambient_dim, e.dim, (e.vertices - x) / r, e.simplices), 2)
         assert np.allclose(np.sort(a.masses), np.sort(b.masses), atol=1e-12)
         assert np.allclose(sorted(map(tuple, a.positions)),
                            sorted(map(tuple, b.positions)), atol=1e-12)
@@ -238,21 +195,9 @@ class TestBlowup:
         v = var_of_set(d, 1)
         base = density_report(v, np.zeros(3), [0.25, 0.125]).ratios
         for r in (0.5, 0.25):
-            blown = blowup(v, np.zeros(3), r)
+            blown = blown_up(v, np.zeros(3), r)
             got = density_report(blown, np.zeros(3), [0.25, 0.125]).ratios
             assert np.allclose(got, base, atol=0.02)
-
-    def test_rejects_nonpositive(self):
-        v = var_of_set(segment_set(2), 1)
-        with pytest.raises(ValueError):
-            blowup(v, np.zeros(2), -1.0)
-
-    def test_centre_outside_rn_rejected(self):
-        # a centre of R^1 used to shift both coordinates
-        v = var_of_set(segment_set(8), 1)
-        for center in (0.3, [0.3], [0.0, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="centre must be a point of R\\^2"):
-                blowup(v, center, 0.5)
 
 
 class TestConeScaling:
@@ -266,9 +211,9 @@ class TestConeScaling:
         cone = builder()
         v = var_of_set(cone, 1)
         unit = Ball(np.zeros(cone.ambient_dim), 1.0)
-        base = restrict_to_ball(v, unit)
+        base = in_ball(v, unit)
         for r in (0.5, 0.25, 0.125):
-            blown = restrict_to_ball(blowup(v, np.zeros(cone.ambient_dim), r), unit)
+            blown = in_ball(blown_up(v, np.zeros(cone.ambient_dim), r), unit)
             atoms = min(len(blown), len(base))
             d = bl_distance(blown, base).value
             assert d < 5.0 / np.sqrt(atoms)
@@ -277,7 +222,7 @@ class TestConeScaling:
 class TestInvariantsAndIO:
     def test_total_mass_equals_measure(self):
         e = ycone_set(32)
-        assert var_of_set(e, 3).total_mass == pytest.approx(measure(e), abs=1e-12)
+        assert var_of_set(e, 3).masses.sum() == pytest.approx(measure(e), abs=1e-12)
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
@@ -285,8 +230,6 @@ class TestInvariantsAndIO:
         perm = rng.permutation(len(v))
         w = DiscreteVarifold(v.ambient_dim, v.dim, v.positions[perm],
                              v.frames[perm], v.masses[perm])
-        ball = Ball(np.array([0.4, 0.0]), 0.3)
-        assert mass_in_ball(v, ball) == pytest.approx(mass_in_ball(w, ball), abs=1e-12)
         assert bl_distance(v, w).value < 1e-9
 
     def test_positive_mass_required(self):
