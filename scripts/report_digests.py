@@ -7,8 +7,9 @@ The outputs are ``run_scenario(spec).to_json_bytes()`` for the default
 spec of every registered family and for ``disk`` at k=(1, 2); the exit
 code, stdout and stderr of the CLI commands that the benchmark does not
 call, on fixed input files (``distance --kind hausdorff`` on two curves
-and on a Cantor point cloud against a curve, ``density``, and
-``projected-mass`` at m=1 and m=2); and the same three of every call of
+and on a Cantor point cloud against a curve, ``density``,
+``projected-mass`` at m=1 and m=2, and ``audit-ellipticity`` of a
+tabulated integrand); and the same three of every call of
 the benchmark's ``queries`` workload for each given seed (built by
 ``perfbench/workloads.py`` and run by its ``run_op``). Run it from the
 root of a checkout, which it imports ``varifoldlab`` from; run it on two
@@ -31,6 +32,8 @@ import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -72,18 +75,31 @@ CLI_CALLS = [
      ["projected-mass", "@zigzag", "--center", "0.5,0", "--radius", "0.25", "--plane-angle", "0"]),
     ("projected-mass/m2",
      ["projected-mass", "@disk", "--center", "0,0,0", "--radius", "0.5", "--plane-axes", "0,1"]),
+    ("audit-ellipticity/tabulated",
+     ["audit-ellipticity", "@tabulated", "--x", "0.1,-0.2", "--plane-angle", "0.3"]),
 ]
+
+
+def tabulated_integrand():
+    """A smooth positive integrand on a 5 x 5 x 8 position x angle grid."""
+    xg = yg = np.linspace(-1.0, 1.0, 5)
+    tg = np.arange(8) * (np.pi / 8)
+    x, y, t = np.meshgrid(xg, yg, tg, indexing="ij")
+    values = 1.0 + 0.5 * np.sin(t) ** 2 + 0.1 * x - 0.05 * y * np.cos(t)
+    return {"name": "tabulated-digest", "ambient_dim": 2, "dim": 1, "x_grid": xg.tolist(),
+            "y_grid": yg.tolist(), "theta_grid": tg.tolist(), "values": values.tolist()}
 
 
 def cli_lines():
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: str(Path(tmp) / f"{name}.json")
-                 for name in ("zigzag", "graph_decay", "cantor4", "disk", "ycone_var")}
+                 for name in ("zigzag", "graph_decay", "cantor4", "disk", "ycone_var", "tabulated")}
         save_set(scenario_sequence("zigzag", 8), paths["zigzag"])
         save_set(scenario_sequence("graph_decay", 8), paths["graph_decay"])
         save_set(cantor4_set(3), paths["cantor4"])
         save_set(scenario_sequence("disk", 1), paths["disk"])
         save_varifold(var_of_set(ycone_set(64), 2), paths["ycone_var"])
+        Path(paths["tabulated"]).write_text(json.dumps(tabulated_integrand()))
         for key, argv in CLI_CALLS:
             argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
             stdout, stderr = io.StringIO(), io.StringIO()

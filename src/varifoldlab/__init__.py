@@ -8,8 +8,8 @@ the second, integrand energies and ellipticity audits cover the anisotropic
 variant, and quasiminimality audits test the deformation inequality.
 """
 
-from .geometry import (GrassmannSample, Plane, axis_plane, grassmann_distance,
-                       haar_sample, orthonormalize, tangent_jacobian)
+from .geometry import (Plane, axis_plane, grassmann_distance, haar_sample, orthonormalize,
+                       tangent_jacobian)
 from .sets import (Ball, PointCloudSet, SimplicialSet, distance_to_set, load_set,
                    measure, nearest_simplex, restrict, save_set)
 from .scenarios import (FAMILIES, ScenarioFamily, cantor4_set, disk_set, get_family,

@@ -45,7 +45,11 @@ def _emit(doc, output):
 
 def _parse_plane(args, n) -> Plane:
     if args.plane_frame:
-        frame = np.array(json.loads(args.plane_frame), dtype=float).T
+        try:
+            frame = np.array(json.loads(args.plane_frame), dtype=float).T
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"--plane-frame must be JSON rows of numbers, "
+                              f"got {args.plane_frame}") from None
         return Plane.from_vectors(frame)
     if args.plane_angle is not None:
         if n != 2:

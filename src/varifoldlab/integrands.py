@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import Plane, axis_plane, haar_sample
-from .sets import SimplicialSet, measure
+from .sets import SimplicialSet, _numbers, _read_keys, measure
 from .scenarios import disk_set
 from .varifold import DiscreteVarifold, var_of_set
 
@@ -148,15 +148,16 @@ def get_integrand(name: str) -> Integrand:
 def load_tabulated_integrand(path) -> Integrand:
     """Custom integrand from tabulated values on a position x plane-angle
     grid (n = 2, m = 1), multilinearly interpolated; the angle axis is
-    periodic over [0, pi)."""
+    periodic over [0, pi). A missing key, or a grid or table that is not
+    an array of numbers, is a ValueError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("ambient_dim") != 2 or doc.get("dim") != 1:
+    keys = ("x_grid", "y_grid", "theta_grid", "values")
+    n, m, *arrays = _read_keys(path, doc, ("ambient_dim", "dim") + keys)
+    if n != 2 or m != 1:
         raise ValueError("tabulated integrands support n=2, m=1")
-    xg = np.asarray(doc["x_grid"], dtype=float)
-    yg = np.asarray(doc["y_grid"], dtype=float)
-    tg = np.asarray(doc["theta_grid"], dtype=float)
-    vals = np.asarray(doc["values"], dtype=float)  # (len(xg), len(yg), len(tg))
+    # values has shape (len(x_grid), len(y_grid), len(theta_grid))
+    xg, yg, tg, vals = (_numbers(path, key, a) for key, a in zip(keys, arrays))
     for name, grid, least in (("x_grid", xg, 2), ("y_grid", yg, 2), ("theta_grid", tg, 1)):
         if (grid.ndim != 1 or len(grid) < least or not np.isfinite(grid).all()
                 or np.any(np.diff(grid) <= 0)):
@@ -325,7 +326,7 @@ def semi_ellipticity_audit(f: Integrand, x, t: Plane, competitors=None,
         v2 = np.zeros(n); v2[0] = 1; v2[1] = -1
         planes.append(("diag-", Plane.from_span(v2)))
     if scan_haar > 0 and m < n:
-        for i, pl in enumerate(haar_sample(n, m, scan_haar, seed).planes):
+        for i, pl in enumerate(haar_sample(n, m, scan_haar, seed)):
             planes.append((f"haar{i}", pl))
 
     rows, certs = [], []

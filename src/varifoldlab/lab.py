@@ -53,8 +53,17 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def _finite(c) -> bool:
+    """Whether c is a real number that a float holds finitely."""
+    try:
+        return isinstance(c, numbers.Real) and np.isfinite(float(c))
+    except OverflowError:
+        return False
+
+
 def _int_at_least(name, value, low) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or not _finite(value)):
         kind = "positive" if low == 1 else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
@@ -87,6 +96,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if not isinstance(self.family, str):
             raise ValueError(f"family must be a string, got {self.family!r}")
+        if self.integrand is not None and not isinstance(self.integrand, str):
+            raise ValueError(f"integrand must be null or a name, got {self.integrand!r}")
+        if self.integrand:
+            get_integrand(self.integrand)  # a KeyError naming the registered ones
         for name in ("k_schedule", "base_point", "radii", "domain"):
             value = getattr(self, name)
             if isinstance(value, (list, tuple, np.ndarray)):
@@ -95,8 +108,7 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be a list, got {value!r}")
         for name in ("base_point", "domain"):
             value = getattr(self, name)
-            if value is not None and not all(
-                    isinstance(c, numbers.Real) and -np.inf < c < np.inf for c in value):
+            if value is not None and not all(_finite(c) for c in value):
                 raise ValueError(f"{name} must be a list of finite numbers, got {list(value)!r}")
         if self.domain and not self.domain[-1] > 0:
             raise ValueError(f"domain radius must be > 0, got {self.domain[-1]!r}")
@@ -105,8 +117,7 @@ class ScenarioSpec:
             raise ValueError("k schedule must be nonempty and strictly increasing")
         object.__setattr__(self, "k_schedule", ks)
         if self.radii is not None:
-            if not (self.radii and all(isinstance(r, numbers.Real) and 0 < r < np.inf
-                                       for r in self.radii)):
+            if not (self.radii and all(_finite(r) and r > 0 for r in self.radii)):
                 raise ValueError(f"radii must be a nonempty list of finite positive numbers, "
                                  f"got {list(self.radii)!r}")
             if any(r2 >= r1 for r1, r2 in zip(self.radii, self.radii[1:])):

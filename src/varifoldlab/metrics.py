@@ -155,11 +155,12 @@ def _hausdorff_report(xc, yc, x_set, y_set, r, samples) -> HausdorffReport:
     return HausdorffReport(float(value), float(sup_xy), float(sup_yx), float(resolution))
 
 
-def hausdorff_local(x_set, y_set, x, r, samples: int = 256) -> float:
+def hausdorff_local(x_set, y_set, x, r) -> float:
     """Normalized local Hausdorff distance d_{x,r}(X, Y): the sum of the two
-    one-sided sup distances inside B(x, r), divided by r. Sups over an empty
-    clipped side are 0 by convention."""
-    return hausdorff_local_report(x_set, y_set, x, r, samples).value
+    one-sided sup distances inside B(x, r), divided by r, at the default 256
+    samples of ``hausdorff_local_report``. Sups over an empty clipped side
+    are 0 by convention."""
+    return hausdorff_local_report(x_set, y_set, x, r).value
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +586,15 @@ class FillingReport:
     """Table of projected masses over (k, r) with a limit-filling verdict.
 
     ``verdict`` is HOLDS when, for every radius, the values stabilize at or
-    above (1 - tol) * omega_m from some scheduled k onward and the per-radius
-    tail infima do not decay as r shrinks; FAILS when some radius never
-    stabilizes; INCONCLUSIVE when levels stabilize but the radius trend
-    degrades.
+    above (1 - FILLING_TOL) * omega_m from some scheduled k onward and the
+    per-radius tail infima do not decay as r shrinks; FAILS when some radius
+    never stabilizes; INCONCLUSIVE when levels stabilize but the radius
+    trend degrades.
     """
 
     rows: tuple  # (k, r, value)
     radii: tuple
     k_schedule: tuple
-    k_start: dict
-    tail_inf: dict
-    omega: float
-    tol: float
     verdict: str
 
 
@@ -640,5 +637,4 @@ def _filling_report(values, ks, radii, m) -> FillingReport:
         trend_ok = all(tail_inf[r2] >= tail_inf[r1] - FILLING_TOL * om
                        for r1, r2 in zip(radii, radii[1:]))
         verdict = "HOLDS" if trend_ok else "INCONCLUSIVE"
-    return FillingReport(tuple(rows), tuple(radii), tuple(ks), k_start, tail_inf,
-                         om, FILLING_TOL, verdict)
+    return FillingReport(tuple(rows), tuple(radii), tuple(ks), verdict)

@@ -463,7 +463,7 @@ def _default_balls(e: SimplicialSet, domain: Ball):
 
 
 def qm_audit(e: SimplicialSet, m_factor: float, gauge: GaugeFunction, domain: Ball,
-             registry=None, balls=None) -> QMAuditReport:
+             registry=None) -> QMAuditReport:
     """Run qm_gap over the deformation registry across a ball grid.
 
     ``registry`` selects names of ``DEFORMATION_NAMES`` (default: all).
@@ -476,10 +476,9 @@ def qm_audit(e: SimplicialSet, m_factor: float, gauge: GaugeFunction, domain: Ba
         raise ValueError("the quasiminimality audit needs a set with at least one simplex")
     _check_ball(e, domain)
     registry = registry if registry is not None else DEFORMATION_NAMES
-    balls = balls if balls is not None else _default_balls(e, domain)
     rows, skipped = [], []
     min_gap, argmin = np.inf, None
-    for ball in balls:
+    for ball in _default_balls(e, domain):
         for name in registry:
             d = make_deformation(name, ball, e)
             if d is None:

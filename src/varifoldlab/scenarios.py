@@ -5,17 +5,24 @@ Families registered by name:
 
 - ``zigzag``        k-tooth sawtooth of slopes +-1 over [0, 1]; Hausdorff
                     limit is the unit segment but every E_k has length
-                    sqrt(2), so the mass hypothesis fails.
-- ``graph_decay``   graph of sin(2*pi*x)/k^2; all hypotheses hold.
+                    sqrt(2), so the mass hypothesis fails. The teeth
+                    project onto the full chord.
+- ``graph_decay``   graph of sin(2*pi*x)/k^2, whose arc length tends to 1;
+                    all hypotheses hold.
 - ``ycone_approx``  three 120-degree arms with the junction jittered by
-                    ~1/k; limit is the exact Y cone.
-- ``shrinking_bump`` segment with a tent bump of size ~1/k; all hold.
+                    1/(4k); limit is the exact Y cone, of density 3/2 at
+                    its vertex, where no tangent plane exists.
+- ``shrinking_bump`` segment with a tent bump of width and height ~1/k at
+                    the midpoint; all hold.
 - ``escape``        segment translated 2 units away for every k; the local
-                    Hausdorff hypothesis fails (degenerate control).
+                    Hausdorff distance stalls, so that hypothesis fails
+                    (degenerate control).
 - ``segment``       constant sequence, the unit segment itself.
-- ``ycone``         constant sequence, the exact Y cone.
+- ``ycone``         constant sequence, the exact Y cone (density 3/2 at
+                    the vertex).
 - ``disk``          constant sequence, a ring-triangulated horizontal disk
-                    in R^3 (the m = 2 plane scenario).
+                    in R^3 (the m = 2 plane scenario), its rings aligned
+                    with the dyadic test radii.
 
 ``cantor4_set(k)`` builds the 4-corner Cantor iterate as a PointCloudSet,
 the sampled irregular demonstration set. It is not a family: the
@@ -167,7 +174,6 @@ class ScenarioFamily:
     hausdorff_holds: bool
     mass_holds: bool
     filling_holds: bool
-    notes: str = ""
 
 
 _H_LINE = Plane(np.array([[1.0], [0.0]]))
@@ -191,7 +197,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=False,
     filling_holds=True,
-    notes="length sqrt(2) for every k; teeth project onto the full chord",
 ))
 
 _register(ScenarioFamily(
@@ -205,7 +210,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=True,
-    notes="amplitude 1/k^2; arc length tends to 1",
 ))
 
 _register(ScenarioFamily(
@@ -219,8 +223,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=False,
-    notes="junction jittered by 1/(4k); density 3/2 at the limit vertex, "
-          "so the plane-filling hypothesis is probed off the vertex only",
 ))
 
 _register(ScenarioFamily(
@@ -234,7 +236,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=True,
-    notes="tent bump of width and height ~1/k at the midpoint",
 ))
 
 _register(ScenarioFamily(
@@ -248,7 +249,6 @@ _register(ScenarioFamily(
     hausdorff_holds=False,
     mass_holds=True,
     filling_holds=False,
-    notes="constant translation by 2 units; local Hausdorff distance stalls",
 ))
 
 _register(ScenarioFamily(
@@ -262,7 +262,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=True,
-    notes="constant control sequence",
 ))
 
 _register(ScenarioFamily(
@@ -276,7 +275,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=False,
-    notes="constant control; density 3/2 at the vertex",
 ))
 
 _register(ScenarioFamily(
@@ -290,7 +288,6 @@ _register(ScenarioFamily(
     hausdorff_holds=True,
     mass_holds=True,
     filling_holds=True,
-    notes="constant m=2 control, rings aligned with the dyadic test radii",
 ))
 
 

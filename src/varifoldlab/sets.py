@@ -84,6 +84,13 @@ class Ball:
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
 
+def _integer(name, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _rowdot(x, y):
     """Row-wise dot products of two (N, n) arrays, bit for bit the 1-D
     ``np.dot(x[i], y[i])``.
@@ -207,13 +214,16 @@ class SimplicialSet:
     simplex_frames: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, m = int(self.ambient_dim), int(self.dim)
+        n, m = _integer("ambient_dim", self.ambient_dim), _integer("dim", self.dim)
         if m not in (1, 2):
             raise ValueError("only dimensions m in {1, 2} are supported")
         if n < m:
             raise ValueError("ambient dimension below set dimension")
         v = np.array(self.vertices, dtype=float).reshape(-1, n)
-        s = np.array(self.simplices, dtype=np.int64).reshape(-1, m + 1)
+        s = np.array(self.simplices)
+        if s.size and s.dtype.kind not in "iu":
+            raise ValueError("simplex vertex indices must be integers")
+        s = s.astype(np.int64, copy=False).reshape(-1, m + 1)
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
         if len(s) and (s.min() < 0 or s.max() >= len(v)):
@@ -248,10 +258,6 @@ class SimplicialSet:
         return _build_distance_index(self)
 
     @classmethod
-    def empty(cls, ambient_dim: int, dim: int) -> "SimplicialSet":
-        return cls(ambient_dim, dim, np.zeros((0, ambient_dim)), np.zeros((0, dim + 1), dtype=np.int64))
-
-    @classmethod
     def from_polyline(cls, points) -> "SimplicialSet":
         pts = np.asarray(points, dtype=float)
         segs = np.column_stack([np.arange(len(pts) - 1), np.arange(1, len(pts))])
@@ -284,7 +290,7 @@ class PointCloudSet:
     masses: np.ndarray
 
     def __post_init__(self):
-        n = int(self.ambient_dim)
+        n = _integer("ambient_dim", self.ambient_dim)
         pts = np.array(self.points, dtype=float).reshape(-1, n)
         w = np.array(self.masses, dtype=float).reshape(-1)
         if len(pts) != len(w):
@@ -298,7 +304,7 @@ class PointCloudSet:
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", w)
 
@@ -861,11 +867,20 @@ def _read_keys(path, doc, keys, what="the file"):
     return [doc[key] for key in keys]
 
 
+def _numbers(path, what, value) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``path`` and ``what``
+    when no float array holds it."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path}: {what} must be an array of numbers") from None
+
+
 def load_set(path):
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "points" in doc:
         n, m, pts, w = _read_keys(path, doc, ("ambient_dim", "dim", "points", "masses"))
-        return PointCloudSet(n, m, np.array(pts, dtype=float), np.array(w, dtype=float))
+        return PointCloudSet(n, m, _numbers(path, "points", pts), _numbers(path, "masses", w))
     n, m, v, s = _read_keys(path, doc, ("ambient_dim", "dim", "vertices", "simplices"))
-    return SimplicialSet(n, m, np.array(v, dtype=float), np.array(s, dtype=np.int64))
+    return SimplicialSet(n, m, _numbers(path, "vertices", v), s)

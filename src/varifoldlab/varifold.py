@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import SimplicialSet, _midpoint_split, _read_keys
+from .sets import SimplicialSet, _integer, _midpoint_split, _numbers, _read_keys
 
 __all__ = [
     "DiscreteVarifold",
@@ -50,7 +50,7 @@ class DiscreteVarifold:
     masses: np.ndarray
 
     def __post_init__(self):
-        n, m = int(self.ambient_dim), int(self.dim)
+        n, m = _integer("ambient_dim", self.ambient_dim), _integer("dim", self.dim)
         pos = np.array(self.positions, dtype=float).reshape(-1, n)
         fr = np.array(self.frames, dtype=float).reshape(-1, n, m)
         w = np.array(self.masses, dtype=float).reshape(-1)
@@ -209,10 +209,10 @@ def load_varifold(path) -> DiscreteVarifold:
     with open(path) as fh:
         doc = json.load(fh)
     n, m, atoms = _read_keys(path, doc, ("ambient_dim", "dim", "atoms"))
-    if not atoms:
-        return DiscreteVarifold.empty(int(n), int(m))
+    if not isinstance(atoms, list):
+        raise ValueError(f"{path}: atoms must be a list")
     pos, frames, masses = zip(*(_read_keys(path, a, ("x", "frame", "mass"), f"atom {i}")
-                                for i, a in enumerate(atoms)))
-    return DiscreteVarifold(int(n), int(m), np.array(pos, dtype=float),
-                            np.array([np.array(f, dtype=float).T for f in frames]),
-                            np.array(masses, dtype=float))
+                                for i, a in enumerate(atoms))) if atoms else ((), (), ())
+    return DiscreteVarifold(n, m, _numbers(path, "atom x", pos),
+                            [_numbers(path, f"atom {i} frame", f).T for i, f in enumerate(frames)],
+                            _numbers(path, "atom mass", masses))

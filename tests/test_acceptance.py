@@ -70,7 +70,7 @@ def test_criterion_2_projected_mass_identity():
         errs.append(abs(projected_mass(chord, x, r, t) - 2.0))
     # identity case, m = 2: the disk of T through x projects to area pi
     for seed in range(3):
-        t = haar_sample(3, 2, 1, seed).planes[0]
+        t = haar_sample(3, 2, 1, seed)[0]
         x = rng.standard_normal(3) * 0.3
         r = 0.5 + rng.random()
         disk = disk_set(center=x, radius=r, plane=t, angular=256,
@@ -85,7 +85,7 @@ def test_criterion_2_projected_mass_identity():
         e = SimplicialSet.from_polyline(rng.standard_normal((6, 2)))
         x = rng.standard_normal(2) * 0.3
         r = 0.3 + rng.random()
-        t = haar_sample(2, 1, 1, rng).planes[0]
+        t = haar_sample(2, 1, 1, rng)[0]
         lhs = projected_mass(e, x, r, t)
         rhs = measure(restrict(e, Ball(x, r))) / r
         worst_excess = max(worst_excess, lhs - rhs)
@@ -97,7 +97,7 @@ def test_criterion_2_projected_mass_identity():
         e = SimplicialSet.from_triangles(tris)
         x = rng.standard_normal(3) * 0.3
         r = 0.4 + rng.random()
-        t = haar_sample(3, 2, 1, rng).planes[0]
+        t = haar_sample(3, 2, 1, rng)[0]
         lhs = projected_mass(e, x, r, t)
         rhs = measure(restrict(e, Ball(x, r))) / r ** 2
         worst_excess = max(worst_excess, lhs - rhs)
@@ -239,7 +239,7 @@ def test_criterion_8_metric_sanity():
 
     def random_varifold(count):
         pos = rng.standard_normal((count, 2))
-        frames = np.stack([p.frame for p in haar_sample(2, 1, count, rng).planes])
+        frames = np.stack([p.frame for p in haar_sample(2, 1, count, rng)])
         return DiscreteVarifold(2, 1, pos, frames, rng.random(count) + 0.1)
 
     sym_worst = 0.0

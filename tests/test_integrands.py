@@ -219,7 +219,7 @@ class TestRegistry:
     def test_bounds_hold_on_samples(self):
         rng = np.random.default_rng(0)
         from varifoldlab.geometry import haar_sample
-        frames = np.stack([p.frame for p in haar_sample(2, 1, 50, rng).planes])
+        frames = np.stack([p.frame for p in haar_sample(2, 1, 50, rng)])
         pts = rng.standard_normal((50, 2)) * 0.5
         for name in ("area", "aniso_quadratic", "aniso_nonelliptic"):
             f = get_integrand(name)

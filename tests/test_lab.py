@@ -200,8 +200,8 @@ def test_shared_clips_match_public_functions(monkeypatch, family, threads):
     limit, made = fam.limit(), {k: fam.make(k) for k in spec.k_schedule}
     for row in report.rows:
         assert row["hausdorff"] == {
-            f"{r:g}": metrics.hausdorff_local(made[row["k"]], limit, fam.base_point, r,
-                                              spec.samples)
+            f"{r:g}": metrics.hausdorff_local_report(made[row["k"]], limit, fam.base_point, r,
+                                                     spec.samples).value
             for r in fam.base_radii}
     verdict = (None if fam.limit_tangent is None else
                metrics.filling_check(made, fam.base_point, fam.limit_tangent,
@@ -270,7 +270,7 @@ class TestCLI:
 
     def test_audit_qm_empty_set_named_without_warnings(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
-        save_set(SimplicialSet.empty(2, 1), path)
+        save_set(SimplicialSet(2, 1, [], []), path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(["audit-qm", str(path)])
@@ -430,6 +430,14 @@ class TestCLI:
         # a KeyError's message is printed as it is, not quoted as its repr
         ({"family": "bogus"}, "error: unknown scenario family 'bogus'"),
         ({"family": "segment", "integrand": "bogus"}, "error: unknown integrand 'bogus'"),
+        # entries that no float holds, and an integrand that is not a name
+        ({"family": "segment", "base_point": [10 ** 400, 0]},
+         "base_point must be a list of finite numbers"),
+        ({"family": "segment", "radii": [10 ** 400]},
+         "radii must be a nonempty list of finite positive numbers"),
+        ({"family": "segment", "atoms": 10 ** 400}, "atoms must be a positive integer"),
+        ({"family": "segment", "integrand": ["area"]},
+         "integrand must be null or a name, got ['area']"),
     ])
     def test_bad_spec_exit_2(self, tmp_path, capsys, monkeypatch, doc, message):
         made = []
@@ -495,9 +503,11 @@ class TestCLI:
          "--domain must be comma-separated numbers, got 0.5,x,0.5"),
         (["audit-qm", "@seg", "--domain", "0.5,0,inf"], "--domain must be finite, got 0.5,0,inf"),
         (["audit-qm", "@seg", "--registry", "identity,warp"], "error: unknown deformation 'warp'"),
+        (["audit-ellipticity", "area", "--plane-frame", '{"a": 1}'],
+         '--plane-frame must be JSON rows of numbers, got {"a": 1}'),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
-        files = {"@seg": segment_set(8), "@empty": SimplicialSet.empty(2, 1)}
+        files = {"@seg": segment_set(8), "@empty": SimplicialSet(2, 1, [], [])}
         for name, e in files.items():
             save_set(e, tmp_path / f"{name[1:]}.json")
         save_varifold(var_of_set(segment_set(8), 4), tmp_path / "var.json")
@@ -654,3 +664,77 @@ class TestCLI:
         code = cli.main(["audit-qm", str(set_path), "--domain", "0.5,0,0.5"])
         assert code == cli.EXIT_CONFIG
         assert "than 100 pieces" in capsys.readouterr().err
+
+
+BIG = 10 ** 400  # a JSON integer that no float can hold
+
+# a small valid document of each file kind, and a command that reads it ("@")
+DOCUMENTS = {
+    "set": ({"ambient_dim": 2, "dim": 1, "vertices": [[0, 0], [0.5, 0], [1, 0]],
+             "simplices": [[0, 1], [1, 2]]},
+            ["projected-mass", "@", "--center", "0.5,0", "--radius", "0.5", "--plane-angle", "0"]),
+    "cloud": ({"ambient_dim": 2, "dim": 1, "points": [[0, 0], [0.5, 0]], "masses": [1, 1]},
+              ["distance", "--kind", "hausdorff", "@", "@", "--center", "0.5,0"]),
+    "varifold": ({"ambient_dim": 2, "dim": 1,
+                  "atoms": [{"x": [0.25, 0], "frame": [[1, 0]], "mass": 0.5},
+                            {"x": [0.75, 0], "frame": [[1, 0]], "mass": 0.5}]},
+                 ["density", "@", "--center", "0.5,0", "--radii", "0.5"]),
+    "tabulated": ({"name": "tab", "ambient_dim": 2, "dim": 1, "x_grid": [0, 1],
+                   "y_grid": [0, 1], "theta_grid": [0.0],
+                   "values": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+                  ["audit-ellipticity", "@", "--plane-angle", "0", "--scan-haar", "0"]),
+    "spec": ({"schema": 1, "family": "segment", "k_schedule": [1], "integrand": "area",
+              "M": 1.0, "h": {"kind": "constant", "h0": 0.0}, "seed": 0, "atoms": 8,
+              "samples": 8, "base_point": [0.5, 0], "radii": [0.25], "domain": [0.5, 0, 2]},
+             ["run", "@"]),
+}
+
+
+def _run_document(tmp_path, kind, edit):
+    """cli.main's exit code and stderr on the document of ``kind`` after
+    ``edit`` changed it in place ("atom" edits the first atom of the
+    varifold; an edit may return a whole new document), and the path."""
+    doc, argv = DOCUMENTS["varifold" if kind == "atom" else kind]
+    doc = json.loads(json.dumps(doc))
+    doc = edit(doc["atoms"][0] if kind == "atom" else doc) or doc
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([str(path) if a == "@" else a for a in argv])
+    return code, path
+
+
+@pytest.mark.parametrize("value", [None, [0], {"a": 1}, "x", BIG],
+                         ids=["null", "list", "object", "string", "big"])
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, (doc, _) in DOCUMENTS.items()
+                                       for key in doc]
+                         + [("atom", key) for key in ("x", "frame", "mass")])
+def test_malformed_document_exits_0_or_2(tmp_path, capsys, kind, key, value):
+    # a value of the wrong kind in any key is a clean exit, never a traceback
+    code, _ = _run_document(tmp_path, kind, lambda doc: doc.update({key: value}))
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("tabulated", lambda doc: [doc], "@: the file has no 'ambient_dim' key"),
+    ("tabulated", lambda doc: doc.pop("values") and None, "@: the file has no 'values' key"),
+    ("set", {"dim": None}, "dim must be an integer, got None"),
+    ("set", {"vertices": {"a": 1}}, "@: vertices must be an array of numbers"),
+    ("atom", {"x": {"a": 0}}, "@: atom x must be an array of numbers"),
+    ("atom", {"frame": [[BIG, 0]]}, "@: atom 0 frame must be an array of numbers"),
+    ("set", {"vertices": [[0, BIG], [1, 0], [2, 0]]}, "@: vertices must be an array of numbers"),
+    ("tabulated", {"values": BIG}, "@: values must be an array of numbers"),
+    # integral fields are not truncated
+    ("set", {"ambient_dim": 2.7, "dim": 1.5}, "ambient_dim must be an integer, got 2.7"),
+    ("set", {"simplices": [[0, 1.5]]}, "simplex vertex indices must be integers"),
+    ("cloud", {"dim": 1.5}, "dim must be an integer, got 1.5"),
+    ("varifold", {"dim": 1.0}, "dim must be an integer, got 1.0"),
+])
+def test_malformed_document_is_named(tmp_path, capsys, kind, change, message):
+    # ``change`` updates the document's keys, or edits the document itself
+    edit = change if callable(change) else lambda doc: doc.update(change)
+    code, path = _run_document(tmp_path, kind, edit)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.replace('@', str(path))}\n"

@@ -30,7 +30,7 @@ def atoms(*triples, n=2, m=1):
 
 def random_varifold(rng, count, n=2, m=1, scale=1.0):
     pos = rng.standard_normal((count, n)) * scale
-    frames = np.stack([p.frame for p in haar_sample(n, m, count, rng).planes])
+    frames = np.stack([p.frame for p in haar_sample(n, m, count, rng)])
     masses = rng.random(count) + 0.1
     return DiscreteVarifold(n, m, pos, frames, masses)
 
@@ -798,7 +798,7 @@ class TestProjectedMass:
         assert pm == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_m2(self):
-        t = haar_sample(3, 2, 1, seed=4).planes[0]
+        t = haar_sample(3, 2, 1, seed=4)[0]
         x = np.array([0.1, -0.2, 0.05])
         r = 0.7
         disk = disk_set(center=x, radius=r, plane=t, angular=256,
@@ -812,7 +812,7 @@ class TestProjectedMass:
             e = SimplicialSet.from_polyline(rng.standard_normal((6, 2)))
             x = rng.standard_normal(2) * 0.3
             r = float(rng.random() + 0.3)
-            t = haar_sample(2, 1, 1, rng).planes[0]
+            t = haar_sample(2, 1, 1, rng)[0]
             pm = projected_mass(e, x, r, t)
             bound = measure(restrict(e, Ball(x, r))) / r
             assert pm <= bound + 1e-9

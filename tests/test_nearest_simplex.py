@@ -217,7 +217,7 @@ def test_matches_oracle_on_slivers(seed, count):
 
 
 def test_empty_target_and_no_points():
-    empty = SimplicialSet.empty(3, 2)
+    empty = SimplicialSet(3, 2, [], [])
     dist, index = nearest_simplex(np.zeros((2, 3)), empty)
     assert np.isinf(dist).all() and (index == -1).all()
     e = height_field_set(np.random.default_rng(0), 2, 0.1)
@@ -261,7 +261,7 @@ def test_block_memory_does_not_grow_with_points(monkeypatch):
 
 @pytest.mark.parametrize("target", [
     SimplicialSet.from_segments([np.array([[0.0, 0.0], [1.0, 0.0]])]),
-    SimplicialSet.empty(2, 1),
+    SimplicialSet(2, 1, [], []),
     PointCloudSet(2, 0, np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2)),
     PointCloudSet(2, 0, np.zeros((0, 2)), np.zeros(0)),
 ], ids=["segment", "empty", "cloud", "empty-cloud"])
@@ -383,7 +383,7 @@ def test_sup_distance_on_empty_inputs_and_clouds():
     sup = distance_to_set(pts, cloud).max()
     for floor in (-np.inf, 0.0, 1.5, np.inf):
         assert sets._sup_distance(np.zeros((0, 3)), target, floor) == floor
-        assert sets._sup_distance(np.zeros((2, 3)), SimplicialSet.empty(3, 2), floor) == np.inf
+        assert sets._sup_distance(np.zeros((2, 3)), SimplicialSet(3, 2, [], []), floor) == np.inf
         assert sets._sup_distance(pts, cloud, floor) == max(floor, sup)
 
 

@@ -156,12 +156,6 @@ class TestQMAuditReport:
         d = rep.to_dict()
         assert "min_gap" in d and "rows" in d
 
-    def test_explicit_balls(self):
-        e = segment_set(32)
-        balls = [Ball(np.array([0.5, 0.0]), 0.1)]
-        rep = qm_audit(e, 1.0, H0, SEG_DOMAIN, balls=balls)
-        assert all(row[1] == 0.1 for row in rep.rows)
-
 
 class TestSemicontinuity:
     OPENS = [Ball(np.array([0.5, 0.0]), 0.4)]

@@ -15,6 +15,7 @@ from varifoldlab.sets import (DEGENERATE_MEASURE, Ball, PointCloudSet, Simplicia
                               measure, restrict, save_set)
 from varifoldlab.scenarios import (FAMILIES, cantor4_set, disk_set, scenario_sequence,
                                    segment_set, ycone_set)
+from varifoldlab.varifold import DiscreteVarifold
 
 
 def rescaled(e, x, r):
@@ -51,6 +52,21 @@ class TestConstruction:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             SimplicialSet(2, 1, np.array([[0.0, 0], [1, 0]]), np.array([[0, 2]]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SimplicialSet(2.7, 1, [[0.0, 0], [1, 0]], [[0, 1]]), "ambient_dim must be"),
+        (lambda: SimplicialSet(2, 1.0, [[0.0, 0], [1, 0]], [[0, 1]]), "dim must be"),
+        (lambda: SimplicialSet(2, 1, [[0.0, 0], [1, 0]], [[0, 1.5]]), "indices must be"),
+        (lambda: SimplicialSet(2, 1, [[0.0, 0], [1, 0]], [[0.0, 1.0]]), "indices must be"),
+        (lambda: PointCloudSet(2, 1.5, [[0.0, 0]], [1.0]), "dim must be"),
+        (lambda: PointCloudSet(True, 1, [[0.0, 0]], [1.0]), "ambient_dim must be"),
+        (lambda: DiscreteVarifold(2.0, 1, [[0.0, 0]], [[[1.0], [0]]], [1.0]),
+         "ambient_dim must be"),
+    ])
+    def test_integral_fields_not_truncated(self, build, message):
+        # a float dimension or vertex index was truncated to an int
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_m3_unsupported(self):
         with pytest.raises(ValueError):
@@ -457,8 +473,8 @@ def plane_row_sets(name):
                                              * 10.0 ** rng.integers(-3, 3, (200, 1, 1)))]
     if name == "disk":
         return [scenario_sequence("disk", 1)]
-    planes = [axis_plane(3, [0, 1]), *haar_sample(3, 2, 2, rng).planes,
-              *haar_sample(4, 2, 1, rng).planes]
+    planes = [axis_plane(3, [0, 1]), *haar_sample(3, 2, 2, rng),
+              *haar_sample(4, 2, 1, rng)]
     return [e for t in planes for _, e in competitor_registry(t)]
 
 

@@ -96,7 +96,7 @@ class TestVarOfSet:
             var_of_set(segment_set(2), 0)
 
     def test_empty_set(self):
-        v = var_of_set(SimplicialSet.empty(3, 2), 4)
+        v = var_of_set(SimplicialSet(3, 2, [], []), 4)
         assert len(v) == 0 and v.positions.shape == (0, 3) and v.frames.shape == (0, 3, 2)
 
     @pytest.mark.parametrize("name", ["disk", "restricted_disk", "ycone", "zigzag"])
