@@ -131,6 +131,8 @@ def _cmd_audit_ellipticity(args):
     f = _load_integrand(args.integrand)
     x = _finite_point(args.x, "--x")
     t = _parse_plane(args, len(x))
+    if t.ambient_dim != len(x):
+        raise ConfigError(f"--x is a point of R^{len(x)}, but the plane lies in R^{t.ambient_dim}")
     competitors = None
     if args.competitors:
         wanted = set(args.competitors.split(","))

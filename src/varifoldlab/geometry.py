@@ -1,9 +1,9 @@
 """Linear-algebra substrate: m-planes in R^n, orthogonal projections,
 the Grassmannian operator-norm metric, and uniform (Haar) sampling of planes.
 
-The pairwise Grassmann matrix takes one SVD per pair of bitwise-distinct
-projection matrices (a discretized surface repeats few tangent planes), so
-it keeps the bits of the SVD on every pair.
+The pairwise Grassmann matrix evaluates its kernel once per pair of
+bitwise-distinct projection matrices (a discretized surface repeats few
+tangent planes), so every pair keeps the bits of the kernel on that pair.
 
 All values are immutable after construction and all operations are pure.
 Randomness is always drawn from a caller-supplied seed or Generator.
@@ -11,6 +11,7 @@ Randomness is always drawn from a caller-supplied seed or Generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,14 +140,15 @@ def axis_plane(n: int, axes) -> Plane:
 def grassmann_distance(p: Plane, q: Plane) -> float:
     """Operator-norm distance between two planes of equal dimension.
 
-    Computed exactly as the largest singular value of the difference of the
-    two orthogonal projection matrices. Lies in [0, 1] for equal-dimension
-    planes; equals the sine of the largest principal angle.
+    The operator norm of the difference of the two orthogonal projection
+    matrices, by the kernel of ``grassmann_distance_matrix``. Lies in
+    [0, 1] for equal-dimension planes; equals the sine of the largest
+    principal angle.
     """
     if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
         raise DimensionMismatchError("planes must share ambient and plane dimension")
-    s = np.linalg.svd(p.projection - q.projection, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    n = p.ambient_dim
+    return float(_difference_norms((p.projection - q.projection).reshape(1, n * n), p.dim)[0])
 
 
 def _distinct_rows(x):
@@ -166,24 +168,44 @@ def _projections(frames):
     return np.einsum("aij,akj->aik", frames, frames)
 
 
+def _difference_norms(diff, m):
+    """The operator norm of each difference ``P_a - P_b`` of two rank-``m``
+    projections of R^n, given flattened as the rows of a (K, n * n) array.
+
+    ``P_a - P_b`` has eigenvalues +-sin(theta_i), one pair for each
+    principal angle theta_i (Bjorck-Golub, Math. Comp. 27, 1973). With one
+    angle, min(m, n - m) <= 1 (lines and hyperplanes), the norm is the
+    Frobenius norm over sqrt(2). Its sum of squares is each row's BLAS
+    ``ddot`` with itself, as in ``sets._rowdot``, so a row and its negation
+    give the same bits and a zero row gives exactly 0. Two or more angles
+    take the largest singular value from LAPACK's SVD.
+    """
+    n = math.isqrt(diff.shape[1])
+    if min(m, n - m) <= 1:
+        return np.sqrt(0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return np.linalg.svd(diff.reshape(-1, n, n), compute_uv=False)[:, 0]
+
+
 def grassmann_distance_matrix(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     """Pairwise operator-norm distances between two stacks of frames.
 
     ``frames_a`` has shape (A, n, m); ``frames_b`` shape (B, n, m).
-    Returns an (A, B) array. Batched over the projection-difference SVD,
-    which runs once per pair of bitwise-distinct projection matrices: an
-    identical input matrix gives the identical singular values.
+    Returns an (A, B) array. The kernel runs once per pair of
+    bitwise-distinct projection matrices, in closed form for lines and
+    hyperplanes and by SVD otherwise; equal projections are at distance
+    exactly 0. Non-finite frames are a ValueError.
     """
     fa = np.asarray(frames_a, dtype=float)
     fb = np.asarray(frames_b, dtype=float)
     if fa.shape[1:] != fb.shape[1:]:
         raise DimensionMismatchError("frame stacks must share (n, m)")
-    n = fa.shape[1]
+    if not (np.isfinite(fa).all() and np.isfinite(fb).all()):
+        raise ValueError("frames must be finite")
+    n, m = fa.shape[1:]
     pa, ia = _distinct_rows(_projections(fa).reshape(len(fa), n * n))
     pb, ib = _distinct_rows(_projections(fb).reshape(len(fb), n * n))
-    diff = pa.reshape(-1, 1, n, n) - pb.reshape(1, -1, n, n)
-    s = np.linalg.svd(diff, compute_uv=False)[..., 0]
-    return s[ia][:, ib]
+    diff = (pa[:, None] - pb[None]).reshape(-1, n * n)
+    return _difference_norms(diff, m).reshape(len(pa), len(pb))[ia][:, ib]
 
 
 def tangent_jacobian(q: Plane, t: Plane) -> float:

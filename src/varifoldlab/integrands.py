@@ -148,14 +148,18 @@ def get_integrand(name: str) -> Integrand:
 def load_tabulated_integrand(path) -> Integrand:
     """Custom integrand from tabulated values on a position x plane-angle
     grid (n = 2, m = 1), multilinearly interpolated; the angle axis is
-    periodic over [0, pi). A missing key, or a grid or table that is not
-    an array of numbers, is a ValueError naming the file."""
+    periodic over [0, pi). A missing key, a grid or table that is not an
+    array of numbers, or a ``name`` that is not a string, is a ValueError
+    naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     keys = ("x_grid", "y_grid", "theta_grid", "values")
     n, m, *arrays = _read_keys(path, doc, ("ambient_dim", "dim") + keys)
     if n != 2 or m != 1:
         raise ValueError("tabulated integrands support n=2, m=1")
+    label = doc.get("name", "tabulated")
+    if not isinstance(label, str):
+        raise ValueError(f"{path}: 'name' must be a string, got {type(label).__name__}")
     # values has shape (len(x_grid), len(y_grid), len(theta_grid))
     xg, yg, tg, vals = (_numbers(path, key, a) for key, a in zip(keys, arrays))
     for name, grid, least in (("x_grid", xg, 2), ("y_grid", yg, 2), ("theta_grid", tg, 1)):
@@ -191,8 +195,7 @@ def load_tabulated_integrand(path) -> Integrand:
                     out += wx * wy * wt * vwrap[dx, dy, dt]
         return out
 
-    return Integrand(doc.get("name", "tabulated"), ev,
-                     float(vals.min()), float(vals.max()))
+    return Integrand(label, ev, float(vals.min()), float(vals.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def _one_sided_sup(source, target, r, samples):
     per = max(1, int(np.ceil(samples / len(source))))
     level = max(0, int(np.ceil(np.log2(per))))
     # every edge, each way round for a segment: b - a, c - b, a - c
-    edges = np.roll(source, -1, axis=1) - source
+    k = source.shape[1]
+    edges = source[:, [*range(1, k), 0]] - source
     longest = _max_edge_length(edges.reshape(-1, source.shape[2]))
     prev = sup = -np.inf
     for lv in range(level, level + 8):
@@ -186,7 +187,7 @@ class BLDistanceReport:
 
 
 def _cost_matrix(v: DiscreteVarifold, w: DiscreteVarifold) -> np.ndarray:
-    """The product metric between every pair of atoms. The Grassmann SVD
+    """The product metric between every pair of atoms. The Grassmann
     temporaries are at most n times the (a, b, n) position differences."""
     pos = np.linalg.norm(v.positions[:, None, :] - w.positions[None, :, :], axis=2)
     return pos + grassmann_distance_matrix(v.frames, w.frames)

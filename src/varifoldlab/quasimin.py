@@ -259,7 +259,8 @@ def make_deformation(name: str, ball: Ball, e: SimplicialSet):
 
 def _piece_diameters(pieces):
     """Longest edge of each piece; a segment's one edge is taken both ways round."""
-    return np.linalg.norm(np.roll(pieces, -1, axis=1) - pieces, axis=2).max(axis=1)
+    k = pieces.shape[1]
+    return np.linalg.norm(pieces[:, [*range(1, k), 0]] - pieces, axis=2).max(axis=1)
 
 
 def _probe_displacements(pieces, d, m):

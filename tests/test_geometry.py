@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varifoldlab.geometry import (DegenerateFrameError, DimensionMismatchError, Plane,
-                                  _distinct_rows, axis_plane, grassmann_distance,
+                                  _difference_norms, _distinct_rows, axis_plane, grassmann_distance,
                                   grassmann_distance_matrix, haar_sample, orthonormalize,
                                   tangent_jacobian)
 
@@ -175,21 +176,65 @@ def grassmann_matrix_oracle(fa, fb):
     return np.linalg.svd(pa[:, None] - pb[None], compute_uv=False)[..., 0]
 
 
-class TestDistinctProjections:
-    """grassmann_distance_matrix runs the SVD once per distinct pair of
-    projection matrices and must keep the bits of the SVD on every pair."""
+def kernel_on_all_pairs(fa, fb):
+    """The distance kernel on every pair, duplicates included."""
+    n, m = fa.shape[1:]
+    pa = np.einsum("aij,akj->aik", fa, fa).reshape(len(fa), 1, n * n)
+    pb = np.einsum("bij,bkj->bik", fb, fb).reshape(1, len(fb), n * n)
+    return _difference_norms((pa - pb).reshape(-1, n * n), m).reshape(len(fa), len(fb))
 
-    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 2)])
-    def test_matches_full_svd(self, n, m):
+
+def frame_pool(rng, n, m):
+    """Random frames with their negations and column reversals, and axis
+    frames with -0.0 entries and flipped signs."""
+    base = np.stack([random_plane(rng, n, m).frame for _ in range(6)])
+    axes = np.zeros((3, n, m))
+    for j in range(m):
+        axes[:, j, j] = 1.0
+    axes[1, -1, :] = -0.0                 # -0.0 and 0.0 entries
+    axes[2] *= -1.0                       # a sign-flipped axis frame
+    return np.concatenate([base, -base, base[:, :, ::-1], axes])
+
+
+ONE_ANGLE = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), nm=st.sampled_from(ONE_ANGLE),
+       tilt=st.sampled_from([1.0, 1e-3, 1e-8, 0.0]))
+def test_kernel_matches_svd_oracle(seed, nm, tilt):
+    # QR frames, some tilted by a small step off a shared base plane
+    n, m = nm
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, m))
+    frames = np.stack([np.linalg.qr(base + tilt * rng.standard_normal((n, m)))[0]
+                       for _ in range(7)])
+    fa, fb = frames[:4], frames[3:]
+    assert np.max(np.abs(grassmann_distance_matrix(fa, fb)
+                         - grassmann_matrix_oracle(fa, fb))) <= 1e-14
+
+
+class TestDistinctProjections:
+    """grassmann_distance_matrix runs its kernel once per distinct pair of
+    projection matrices and must keep the bits of the kernel on every pair."""
+
+    @pytest.mark.parametrize("n,m", ONE_ANGLE + [(4, 2), (5, 2)])
+    def test_matches_kernel_on_all_pairs(self, n, m):
         rng = np.random.default_rng(10 * n + m)
-        base = np.stack([random_plane(rng, n, m).frame for _ in range(6)])
-        axes = np.zeros((3, n, m))
-        for j in range(m):
-            axes[:, j, j] = 1.0
-        axes[1, -1, :] = -0.0                 # -0.0 and 0.0 entries
-        axes[2] *= -1.0                       # a sign-flipped axis frame
+        pool = frame_pool(rng, n, m)
         for trial in range(5):
-            pool = np.concatenate([base, -base, base[:, :, ::-1], axes])
+            fa = pool[rng.integers(0, len(pool), 40)]
+            fb = pool[rng.integers(0, len(pool), 25)]
+            assert np.array_equal(grassmann_distance_matrix(fa, fb), kernel_on_all_pairs(fa, fb))
+            assert np.array_equal(grassmann_distance_matrix(fa, fa[:1]),
+                                  kernel_on_all_pairs(fa, fa[:1]))
+
+    @pytest.mark.parametrize("n,m", [(4, 2)])
+    def test_matches_full_svd(self, n, m):
+        # two principal angles: the largest singular value, bit for bit
+        rng = np.random.default_rng(10 * n + m)
+        pool = frame_pool(rng, n, m)
+        for trial in range(5):
             fa = pool[rng.integers(0, len(pool), 40)]
             fb = pool[rng.integers(0, len(pool), 25)]
             assert np.array_equal(grassmann_distance_matrix(fa, fb),
@@ -197,14 +242,40 @@ class TestDistinctProjections:
             assert np.array_equal(grassmann_distance_matrix(fa, fa[:1]),
                                   grassmann_matrix_oracle(fa, fa[:1]))
 
-    def test_nan_frame_fails_like_full_svd(self):
+    @pytest.mark.parametrize("n,m", ONE_ANGLE)
+    def test_equal_projections_are_exactly_zero(self, n, m):
+        rng = np.random.default_rng(20 * n + m)
+        f = random_plane(rng, n, m).frame
+        axis = np.zeros((n, m))
+        for j in range(m):
+            axis[j, j] = 1.0
+        signed_zeros = axis.copy()
+        signed_zeros[axis == 0.0] = -0.0
+        for same in (np.stack([f, -f]), np.stack([axis, -axis, signed_zeros, -signed_zeros])):
+            assert np.array_equal(grassmann_distance_matrix(same, same),
+                                  np.zeros((len(same), len(same))))
+        p = Plane(f)
+        assert grassmann_distance(p, Plane(-f)) == 0.0
+
+    @pytest.mark.parametrize("n,m", ONE_ANGLE)
+    def test_symmetric_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(30 * n + m)
+        pool = frame_pool(rng, n, m)
+        assert np.array_equal(grassmann_distance_matrix(pool, pool[:7]),
+                              grassmann_distance_matrix(pool[:7], pool).T)
+        p, q = random_plane(rng, n, m), random_plane(rng, n, m)
+        assert grassmann_distance(p, q) == grassmann_distance(q, p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frames_are_a_value_error(self, bad):
         rng = np.random.default_rng(5)
         fa = np.stack([random_plane(rng, 3, 2).frame for _ in range(4)])
-        fa[2, 0, 0] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            grassmann_matrix_oracle(fa, fa)
-        with pytest.raises(np.linalg.LinAlgError):
-            grassmann_distance_matrix(fa, fa)
+        fa[2, 0, 0] = bad
+        assert np.isfinite(fa[:1]).all()
+        with pytest.raises(ValueError, match="frames must be finite"):
+            grassmann_distance_matrix(fa, fa[:1])
+        with pytest.raises(ValueError, match="frames must be finite"):
+            grassmann_distance_matrix(fa[:1], fa)
 
     def test_rows_keyed_by_bytes(self):
         x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 1.0]])

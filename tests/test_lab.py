@@ -505,6 +505,9 @@ class TestCLI:
         (["audit-qm", "@seg", "--registry", "identity,warp"], "error: unknown deformation 'warp'"),
         (["audit-ellipticity", "area", "--plane-frame", '{"a": 1}'],
          '--plane-frame must be JSON rows of numbers, got {"a": 1}'),
+        # a plane of R^3 at a point of R^2 was audited
+        (["audit-ellipticity", "area", "--x", "0,0", "--plane-frame", "[[1, 0, 0]]"],
+         "--x is a point of R^2, but the plane lies in R^3"),
     ])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, message):
         files = {"@seg": segment_set(8), "@empty": SimplicialSet(2, 1, [], [])}
@@ -709,9 +712,12 @@ def _run_document(tmp_path, kind, edit):
                                        for key in doc]
                          + [("atom", key) for key in ("x", "frame", "mass")])
 def test_malformed_document_exits_0_or_2(tmp_path, capsys, kind, key, value):
-    # a value of the wrong kind in any key is a clean exit, never a traceback
+    # a value of the wrong kind in any key is a clean exit, never a traceback;
+    # a tabulated integrand's name, printed in the report, must be a string
     code, _ = _run_document(tmp_path, kind, lambda doc: doc.update({key: value}))
     err = capsys.readouterr().err
+    if (kind, key) == ("tabulated", "name"):
+        assert code == (cli.EXIT_OK if isinstance(value, str) else cli.EXIT_CONFIG)
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
     if code == cli.EXIT_CONFIG:
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -726,6 +732,7 @@ def test_malformed_document_exits_0_or_2(tmp_path, capsys, kind, key, value):
     ("atom", {"frame": [[BIG, 0]]}, "@: atom 0 frame must be an array of numbers"),
     ("set", {"vertices": [[0, BIG], [1, 0], [2, 0]]}, "@: vertices must be an array of numbers"),
     ("tabulated", {"values": BIG}, "@: values must be an array of numbers"),
+    ("tabulated", {"name": {"a": 1}}, "@: 'name' must be a string, got dict"),
     # integral fields are not truncated
     ("set", {"ambient_dim": 2.7, "dim": 1.5}, "ambient_dim must be an integer, got 2.7"),
     ("set", {"simplices": [[0, 1.5]]}, "simplex vertex indices must be integers"),

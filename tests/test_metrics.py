@@ -473,10 +473,12 @@ class TestColumnGeneration:
 
     def test_dense_first_rule_keeps_graph_decay_values(self, monkeypatch):
         # the dense solve finishes within its budget at k=32 and k=64 and
-        # keeps the values recorded before column generation. It takes 256
-        # of its 512 iterations on both; past 384 the margin is too thin to
-        # trust on another HiGHS build, where running out would silently
-        # move both values past the benchmark's 1e-7 gate
+        # keeps the values recorded before column generation, but for the
+        # k=64 value's last bits (2.2e-16), which moved with the closed-form
+        # Grassmann distance of lines. It takes 256 of its 512 iterations on
+        # both; past 384 the margin is too thin to trust on another HiGHS
+        # build, where running out would silently move both values past the
+        # benchmark's 1e-7 gate
         iterations = []
         real = metrics.linprog
 
@@ -488,7 +490,7 @@ class TestColumnGeneration:
         monkeypatch.setattr(metrics, "linprog", spy)
         fam = get_family("graph_decay")
         limit = _var_with_target_atoms(fam.limit(), 256)
-        for k, value in ((32, 0.004518509838810525), (64, 0.001131391263282655)):
+        for k, value in ((32, 0.004518509838810525), (64, 0.001131391263282433)):
             iterations.clear()
             rep = bl_distance(_var_with_target_atoms(fam.make(k), 256), limit)
             assert rep.value == value
@@ -615,7 +617,8 @@ def test_dictionary_one_grassmann_call_per_side(monkeypatch):
 def test_dictionary_keeps_its_bits():
     # value, witness and size recorded before the feature tables were plain
     # arrays: the zigzag pair, random pairs of equal total mass, and a pair
-    # whose sides differ only in their planes
+    # whose sides differ only in their planes. The third value's last bits
+    # (4.4e-16) moved with the closed-form Grassmann distance of lines
     def equal_mass(seed, n, m, scale):
         rng = np.random.default_rng(seed)
         v, w = random_varifold(rng, 20, n, m, scale), random_varifold(rng, 20, n, m, scale)
@@ -627,7 +630,7 @@ def test_dictionary_keeps_its_bits():
         ((var_of_set(scenario_sequence("zigzag", 8), 16), var_of_set(segment_set(256), 1)),
          0.3333333333333333, "1 x gd_e0", 396),
         (equal_mass(0, 2, 1, 0.3), 1.2741468777884002, "1 x P00*P00", 396),
-        (equal_mass(60, 2, 1, 1.0), 0.8780556083162481, "cos1_u3 x gd2_d01-", 396),
+        (equal_mass(60, 2, 1, 1.0), 0.8780556083162477, "cos1_u3 x gd2_d01-", 396),
         (equal_mass(11, 3, 2, 3.0), 5.175299714249634, "cos2_u2 x gd_e01", 1564),
         ((v, with_atoms(v, v.positions, w.frames, v.masses)), 2.9440466374071113, "1 x P01", 1564),
     ]
