@@ -732,12 +732,13 @@ def test_malformed_document_exits_0_or_2(tmp_path, capsys, kind, key, value):
     ("atom", {"frame": [[BIG, 0]]}, "@: atom 0 frame must be an array of numbers"),
     ("set", {"vertices": [[0, BIG], [1, 0], [2, 0]]}, "@: vertices must be an array of numbers"),
     ("tabulated", {"values": BIG}, "@: values must be an array of numbers"),
-    ("tabulated", {"name": {"a": 1}}, "@: 'name' must be a string, got dict"),
     # integral fields are not truncated
     ("set", {"ambient_dim": 2.7, "dim": 1.5}, "ambient_dim must be an integer, got 2.7"),
     ("set", {"simplices": [[0, 1.5]]}, "simplex vertex indices must be integers"),
     ("cloud", {"dim": 1.5}, "dim must be an integer, got 1.5"),
     ("varifold", {"dim": 1.0}, "dim must be an integer, got 1.0"),
+    # a tabulated integrand's name is printed in the report
+    ("tabulated", {"name": {"a": 1}}, "@: 'name' must be a string, got dict"),
 ])
 def test_malformed_document_is_named(tmp_path, capsys, kind, change, message):
     # ``change`` updates the document's keys, or edits the document itself
